@@ -6,13 +6,12 @@ computes the exact symmetric capacity with complete feedback for every q,
 cross-checks the entropy-maximization machinery behind it with independent
 brute-force oracles, and runs an executable zero-error feedback coding
 scheme with full decoding and rate accounting.
+
+This namespace re-exports the functions; result and error types such as
+``CapacityReport`` or ``ProtocolViolation`` are imported from their modules.
 """
 
 from .capacity import (
-    CapacityReport,
-    CoverLeungWitness,
-    EnvelopeSupport,
-    EnvelopeValue,
     avg_capacity_no_feedback,
     avg_feedback_capacity,
     case_discriminant,
@@ -27,13 +26,6 @@ from .capacity import (
 from .codec import (
     STAR,
     CodeParams,
-    DecodeResult,
-    FeasibilityCheck,
-    ParamChoice,
-    ProtocolViolation,
-    SessionState,
-    SimulationReport,
-    TrialRecord,
     advance_uncertainty,
     asymptotic_rate_lower_bound,
     best_params,
@@ -50,15 +42,10 @@ from .codec import (
     simulate,
     uncertainty_peak_bound,
     unrank_pattern,
-    uses_bound,
     validate_params,
 )
-from .entropy import PROB_TOL, binary_entropy, entropy_q, grouped_entropy, validate_pmf
+from .entropy import binary_entropy, entropy_q, grouped_entropy
 from .oracle import (
-    FeasiblePair,
-    GridSearchResult,
-    MonotonicityReport,
-    TwoLevelPoint,
     grid_max_joint_entropy,
     interpolate_to_theta,
     random_feasible_sampler,
@@ -68,62 +55,3 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CapacityReport",
-    "CodeParams",
-    "CoverLeungWitness",
-    "DecodeResult",
-    "EnvelopeSupport",
-    "EnvelopeValue",
-    "FeasibilityCheck",
-    "FeasiblePair",
-    "GridSearchResult",
-    "MonotonicityReport",
-    "ParamChoice",
-    "PROB_TOL",
-    "ProtocolViolation",
-    "STAR",
-    "SessionState",
-    "SimulationReport",
-    "TrialRecord",
-    "TwoLevelPoint",
-    "advance_uncertainty",
-    "asymptotic_rate_lower_bound",
-    "avg_capacity_no_feedback",
-    "avg_feedback_capacity",
-    "best_params",
-    "binary_entropy",
-    "case_discriminant",
-    "channel",
-    "concave_envelope",
-    "cover_leung_witness",
-    "decode_transcript",
-    "entropy_q",
-    "envelope_line",
-    "grid_max_joint_entropy",
-    "grouped_entropy",
-    "interpolate_to_theta",
-    "max_joint_entropy",
-    "new_session",
-    "output_entropy",
-    "pattern_count",
-    "random_feasible_sampler",
-    "rank_pattern",
-    "rate_root",
-    "report_jsonl_lines",
-    "resolution_digits",
-    "run_block",
-    "run_final_block",
-    "simulate",
-    "tangent_point",
-    "top_symbol_mass",
-    "two_level_monotonicity",
-    "two_level_point",
-    "two_level_value",
-    "uncertainty_peak_bound",
-    "unrank_pattern",
-    "uses_bound",
-    "validate_params",
-    "validate_pmf",
-]

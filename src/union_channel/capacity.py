@@ -21,17 +21,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .codec import rate_root
-from .entropy import entropy_q, grouped_entropy
+from .entropy import check_alphabet, entropy_q, grouped_entropy
 from .solvers import bisect_root
 
 CASE_CURVE_INTERSECTION = "curve_intersection"
 CASE_CHORD_INTERSECTION = "chord_intersection"
 CASE_OUTPUT_PEAK = "output_peak"
-
-
-def _check_q(q: int, minimum: int = 2) -> None:
-    if q < minimum:
-        raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 
 
 def _logq(x: float, q: int) -> float:
@@ -45,7 +40,7 @@ def top_symbol_mass(theta: float, q: int) -> float:
     each other symbol has self-agreement probability theta; this root is the
     shape that maximizes the joint entropy at that agreement level.
     """
-    _check_q(q)
+    check_alphabet(q)
     if not 1.0 / q <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/{q}, 1], got {theta!r}")
     return 1.0 / q + math.sqrt((1.0 - 1.0 / q) * (theta - 1.0 / q))
@@ -66,7 +61,7 @@ def tangent_point(q: int) -> float:
 
     Defined for q >= 3; the q = 2 curve is concave and needs no chord.
     """
-    _check_q(q, minimum=3)
+    check_alphabet(q, minimum=3)
     return 1.0 / q + (q - 2) ** 2 / (q * (q - 1))
 
 
@@ -106,18 +101,14 @@ def concave_envelope(theta: float, q: int) -> EnvelopeValue:
     chord between 1/q and the tangent point (support = both endpoints,
     linear-interpolation weights), then the curve.
     """
-    _check_q(q)
+    check_alphabet(q)
     if not 1.0 / q <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/{q}, 1], got {theta!r}")
-    if q == 2:
-        return EnvelopeValue(
-            max_joint_entropy(theta, 2), EnvelopeSupport(((1.0, theta),))
-        )
-    tp = tangent_point(q)
-    if theta >= tp:
+    if q == 2 or theta >= tangent_point(q):
         return EnvelopeValue(
             max_joint_entropy(theta, q), EnvelopeSupport(((1.0, theta),))
         )
+    tp = tangent_point(q)
     p2 = (theta - 1.0 / q) / (tp - 1.0 / q)
     support = EnvelopeSupport(((1.0 - p2, 1.0 / q), (p2, tp)))
     return EnvelopeValue(envelope_line(theta, q), support)
@@ -128,7 +119,7 @@ def output_entropy(theta: float, q: int) -> float:
 
     Concave in theta with its maximum log_q C(q+1, 2) at theta = 2/(q+1).
     """
-    _check_q(q)
+    check_alphabet(q)
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     return grouped_entropy([(theta, q), (1.0 - theta, math.comb(q, 2))], q)
@@ -141,7 +132,7 @@ def case_discriminant(q: int) -> float:
     negative means the chord still dominates there (q = 3, 4), positive
     means the output peak is the binding constraint (q >= 5).
     """
-    _check_q(q, minimum=3)
+    check_alphabet(q, minimum=3)
     return math.log(2 * q / (q + 1)) - 2 * (q - 1) ** 2 * math.log(q - 1) / (
         (q - 2) * q * (q + 1)
     )
@@ -161,7 +152,7 @@ class CapacityReport:
 
 def avg_capacity_no_feedback(q: int) -> float:
     """Symmetric capacity without feedback: 1 - (q-1) / (2q log2 q)."""
-    _check_q(q)
+    check_alphabet(q)
     return 1.0 - (q - 1) / (2 * q * math.log2(q))
 
 
@@ -173,7 +164,7 @@ def avg_feedback_capacity(q: int) -> CapacityReport:
     interval [1/q, 2/(q+1)] whose endpoints have opposite signs by the
     monotonicity of the two curves.
     """
-    _check_q(q)
+    check_alphabet(q)
     hi = 2.0 / (q + 1)
     if q == 2:
         theta_star = bisect_root(
@@ -231,7 +222,7 @@ def cover_leung_witness(q: int, theta: float) -> CoverLeungWitness:
     entropies and marginals are computed directly from the constructed
     joint distribution, not from the closed forms they should match.
     """
-    _check_q(q)
+    check_alphabet(q)
     if not 1.0 / q <= theta <= 2.0 / (q + 1):
         raise ValueError(f"theta must lie in [1/{q}, 2/{q + 1}], got {theta!r}")
     points = list(concave_envelope(theta, q).support.points)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -23,8 +24,8 @@ THREADS_ENV = "UNION_CHANNEL_THREADS"
 FORMATS = ("table", "csv", "jsonl")
 
 
-def _fmt5(value: float) -> str:
-    return f"{value:.5f}"
+def _fmt5(value) -> str:
+    return f"{value:.5f}" if isinstance(value, float) else str(value)
 
 
 def _emit_rows(headers: list[str], rows: list[dict], fmt: str, out) -> None:
@@ -37,18 +38,17 @@ def _emit_rows(headers: list[str], rows: list[dict], fmt: str, out) -> None:
         writer.writeheader()
         writer.writerows(rows)
         return
-    display = []
-    for row in rows:
-        display.append(
-            {
-                k: (_fmt5(v) if isinstance(v, float) else str(v))
-                for k, v in row.items()
-            }
-        )
+    display = [{k: _fmt5(v) for k, v in row.items()} for row in rows]
     widths = {h: max(len(h), *(len(r[h]) for r in display)) for h in headers}
     out.write("  ".join(h.ljust(widths[h]) for h in headers).rstrip() + "\n")
     for row in display:
         out.write("  ".join(row[h].ljust(widths[h]) for h in headers).rstrip() + "\n")
+
+
+def _emit_fields(row: dict, labels: dict, width: int) -> None:
+    # human layout for a single record: one "label value" line per field
+    for key, value in row.items():
+        sys.stdout.write(f"{labels.get(key, key):<{width}}{_fmt5(value)}\n")
 
 
 def _capacity_row(report: capacity.CapacityReport) -> dict:
@@ -71,23 +71,19 @@ _CAPACITY_HEADERS = [
     "r_zero_error_lower",
 ]
 
+_CAPACITY_LABELS = {
+    "r_no_feedback": "R(E)",
+    "r_feedback": "R(E_f)",
+    "theta_star": "theta*",
+    "r_zero_error_lower": "R(O_f) lower bound",
+}
+
 
 def _cmd_capacity(args) -> int:
     report = capacity.avg_feedback_capacity(args.q)
     row = _capacity_row(report)
     if args.format == "table":
-        labels = {
-            "q": "q",
-            "r_no_feedback": "R(E)",
-            "r_feedback": "R(E_f)",
-            "theta_star": "theta*",
-            "case": "case",
-            "r_zero_error_lower": "R(O_f) lower bound",
-        }
-        for key in _CAPACITY_HEADERS:
-            value = row[key]
-            text = _fmt5(value) if isinstance(value, float) else str(value)
-            sys.stdout.write(f"{labels[key]:<20}{text}\n")
+        _emit_fields(row, _CAPACITY_LABELS, 20)
     else:
         _emit_rows(_CAPACITY_HEADERS, [row], args.format, sys.stdout)
     return 0
@@ -170,13 +166,10 @@ def _cmd_lemma(args) -> int:
         "tolerance": tolerance,
         "status": status,
     }
-    headers = list(row.keys())
     if args.format == "table":
-        for key, value in row.items():
-            text = _fmt5(value) if isinstance(value, float) else str(value)
-            sys.stdout.write(f"{key:<14}{text}\n")
+        _emit_fields(row, {}, 14)
     else:
-        _emit_rows(headers, [row], args.format, sys.stdout)
+        _emit_rows(list(row), [row], args.format, sys.stdout)
     return 0 if ok else 1
 
 
@@ -194,14 +187,18 @@ def _workers_from_env() -> int:
 
 
 def _cmd_codec(args) -> int:
-    check = codec.validate_params(args.q, args.n, args.m)
-    if not check.feasible:
-        sys.stderr.write(
-            f"infeasible (q={args.q}, n={args.n}, m={args.m}): "
-            f"lhs={check.lhs} rhs={check.rhs} (need n/2 <= m <= n and lhs <= rhs)\n"
-        )
+    try:
+        check = codec.validate_params(args.q, args.n, args.m)
+        if not check.feasible:
+            sys.stderr.write(
+                f"infeasible (q={args.q}, n={args.n}, m={args.m}): "
+                f"lhs={check.lhs} rhs={check.rhs} (need n/2 <= m <= n and lhs <= rhs)\n"
+            )
+            return 1
+        params = codec.CodeParams(q=args.q, n=args.n, m=args.m, blocks=args.B)
+    except ValueError as exc:
+        sys.stderr.write(f"refused: {exc}\n")
         return 1
-    params = codec.CodeParams(q=args.q, n=args.n, m=args.m, blocks=args.B)
     report = codec.simulate(
         params, args.trials, seed=args.seed, workers=_workers_from_env()
     )
@@ -209,10 +206,8 @@ def _cmd_codec(args) -> int:
         for line in codec.report_jsonl_lines(report):
             sys.stdout.write(line + "\n")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["trial", "uses", "max_uncertainty", "ok"])
-        for r in report.records:
-            writer.writerow([r.trial, r.uses, str(r.max_uncertainty), r.ok])
+        rows = [dataclasses.asdict(r) for r in report.records]
+        _emit_rows(["trial", "uses", "max_uncertainty", "ok"], rows, "csv", sys.stdout)
     else:
         sys.stdout.write(
             f"q={params.q} n={params.n} m={params.m} blocks={params.blocks} "
@@ -235,16 +230,13 @@ def _cmd_params(args) -> int:
         {"n": c.n, "m": c.m, "rate": c.rate, "gap_to_root": c.rate - root}
         for c in choices
     ]
-    headers = ["n", "m", "rate", "gap_to_root"]
+    _emit_rows(["n", "m", "rate", "gap_to_root"], rows, args.format, sys.stdout)
     if args.format == "jsonl":
-        _emit_rows(headers, rows, args.format, sys.stdout)
         sys.stdout.write(
             json.dumps({"summary": True, "q": args.q, "rate_root": root}) + "\n"
         )
-    else:
-        _emit_rows(headers, rows, args.format, sys.stdout)
-        if args.format == "table":
-            sys.stdout.write(f"rate_root(q={args.q}) = {_fmt5(root)}\n")
+    elif args.format == "table":
+        sys.stdout.write(f"rate_root(q={args.q}) = {_fmt5(root)}\n")
     return 0
 
 
@@ -279,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--samples", type=_positive_int, default=0, nargs="?")
+    p.add_argument("--samples", type=_positive_int, default=0, nargs="?", const=100_000)
     p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
     p.add_argument("--tolerance", type=float, default=None)
     add_common(p)
@@ -323,8 +315,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
-    if getattr(args, "samples", None) is None:
-        args.samples = 100_000  # bare --samples flag
     return args.func(args)
 
 

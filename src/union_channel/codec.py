@@ -34,7 +34,7 @@ from itertools import product
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .entropy import binary_entropy
+from .entropy import binary_entropy, check_alphabet
 from .solvers import bisect_root
 
 STAR = 0
@@ -68,8 +68,7 @@ def validate_params(q: int, n: int, m: int) -> FeasibilityCheck:
     infeasible) both sides are scaled by 2^(n-2m) so they stay integral;
     the comparison is unaffected.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    check_alphabet(q)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     lhs = math.comb(2 * (n - m), n - m) << max(2 * m - n, 0)
@@ -441,18 +440,30 @@ class DecodeResult:
 
 
 def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> DecodeResult:
-    """Recover both messages from channel outputs alone (no message access)."""
+    """Recover both messages from channel outputs alone (no message access).
+
+    Raises ValueError for an output that is not a 1- or 2-element subset of
+    [q], and for a transcript that no message pair can produce.
+    """
     q, n, m = params.q, params.n, params.m
+    for pos, y in enumerate(transcript):
+        if not (1 <= len(y) <= 2 and min(y) >= 1 and max(y) <= q):
+            raise ValueError(
+                f"output {sorted(y)} at position {pos} is not a 1- or 2-element "
+                f"subset of [1, {q}]"
+            )
     uncertainty: list[bytes] = [b""]
     digests = []
     max_uncertainty = 1
     pos = 0
-    for _ in range(params.blocks):
+    for b in range(params.blocks):
         if pos + n > len(transcript):
             raise ValueError("transcript too short for the declared block count")
         uncertainty = advance_uncertainty(
             uncertainty, transcript[pos : pos + n], q, n, m
         )
+        if not uncertainty:
+            raise ValueError(f"transcript inconsistent at block {b}: no candidate left")
         digests.append(_set_digest(uncertainty))
         max_uncertainty = max(max_uncertainty, len(uncertainty))
         pos += n
@@ -467,8 +478,6 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
         if len(y) != 1:
             raise ValueError("resolution uses must be singleton outputs")
         (sym,) = y
-        if not 1 <= sym <= q:
-            raise ValueError(f"resolution symbol {sym} outside alphabet")
         rank = rank * q + (sym - 1)
     if rank >= len(uncertainty):
         raise ValueError(f"decoded rank {rank} outside uncertainty set")
@@ -627,16 +636,14 @@ def rate_root(q: int) -> float:
     the asymptotic rate of the scheme and a lower bound on the zero-error
     feedback rate.
     """
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    check_alphabet(q)
     lg = math.log2(q)
     return bisect_root(lambda a: binary_entropy(a) + (1.0 - a) * lg - 1.0, 0.5, 1.0)
 
 
 def asymptotic_rate_lower_bound(q: int) -> float:
     """1 - 1/log2(q); a closed-form floor under :func:`rate_root` for large q."""
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+    check_alphabet(q)
     return 1.0 - 1.0 / math.log2(q)
 
 

@@ -27,14 +27,15 @@ def validate_pmf(probs: ProbVector) -> None:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
 
 
-def _check_base(q: int) -> None:
-    if q < 2:
-        raise ValueError(f"alphabet size must be at least 2, got {q}")
+def check_alphabet(q: int, minimum: int = 2) -> None:
+    """Raise ValueError unless the alphabet size ``q`` is at least ``minimum``."""
+    if q < minimum:
+        raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 
 
 def entropy_q(probs: ProbVector, q: int) -> float:
     """Base-q Shannon entropy -sum(p * log_q p) of a probability vector."""
-    _check_base(q)
+    check_alphabet(q)
     validate_pmf(probs)
     total = 0.0
     for p in probs:
@@ -50,7 +51,7 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
     result equals ``-sum(m_i * log_q(m_i / r_i))`` without expanding the
     vector.
     """
-    _check_base(q)
+    check_alphabet(q)
     pairs = list(masses)
     for _, r in pairs:
         if r != int(r) or r < 1:

@@ -40,6 +40,24 @@ class FeasiblePair:
             )
 
 
+def _interpolate(
+    a: np.ndarray, b: np.ndarray, theta0: np.ndarray, theta: float, q: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Slide each row pair (a, b) toward uniform until its inner product is theta.
+
+    Mixing both with the uniform vector j at weight t gives inner product
+    (1-t)^2 * theta0 + (2-t) * t / q, which runs from theta0 = a.b at t = 0
+    to 1/q at t = 1; the quadratic is solved for the root in [0, 1]. Rows
+    already at theta0 = 1/q stay put.
+    """
+    denom = theta0 - 1.0 / q
+    safe = np.abs(denom) > 1e-15
+    c = np.where(safe, (theta - theta0) / np.where(safe, denom, 1.0), 0.0)
+    t = 1.0 - np.sqrt(np.maximum(1.0 + c, 0.0))
+    keep, shift = (1.0 - t)[:, None], (t / q)[:, None]
+    return keep * a + shift, keep * b + shift
+
+
 def interpolate_to_theta(
     a: tuple[float, ...] | list[float],
     b: tuple[float, ...] | list[float],
@@ -47,10 +65,7 @@ def interpolate_to_theta(
 ) -> FeasiblePair:
     """Slide (a, b) toward the uniform vector until the inner product hits target.
 
-    Mixing both with the uniform vector j at weight t gives inner product
-    (1-t)^2 * (a.b) + (2-t) * t / q, which runs from a.b at t = 0 to 1/q at
-    t = 1; the quadratic is solved for the root in [0, 1]. The target must
-    therefore lie between a.b and 1/q.
+    The target must lie between a.b and 1/q; see :func:`_interpolate`.
     """
     if len(a) != len(b):
         raise ValueError("a and b must have equal lengths")
@@ -63,14 +78,11 @@ def interpolate_to_theta(
         raise ValueError(
             f"theta {theta_target!r} not between inner product {theta0!r} and 1/q"
         )
-    if abs(theta0 - 1.0 / q) < 1e-15:
-        t = 0.0
-    else:
-        c = (theta_target - theta0) / (theta0 - 1.0 / q)
-        t = 1.0 - math.sqrt(max(1.0 + c, 0.0))
-    ap = tuple((1.0 - t) * x + t / q for x in a)
-    bp = tuple((1.0 - t) * x + t / q for x in b)
-    return FeasiblePair(a=ap, b=bp, theta=theta_target)
+    ap, bp = _interpolate(
+        np.array([a], dtype=float), np.array([b], dtype=float),
+        np.array([theta0]), theta_target, q,
+    )
+    return FeasiblePair(tuple(ap[0].tolist()), tuple(bp[0].tolist()), theta_target)
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +94,8 @@ class TwoLevelPoint:
     """Distribution with r cells at ``a_hi`` and q - r cells at ``b_lo``."""
 
     r: int
-    t: float  # r / q
     a_hi: float
     b_lo: float
-    p: float  # theta * q - 1
-
-    def expanded(self) -> tuple[float, ...]:
-        q = int(round(self.r / self.t))
-        return (self.a_hi,) * self.r + (self.b_lo,) * (q - self.r)
 
 
 def two_level_point(q: int, theta: float, r: int) -> TwoLevelPoint | None:
@@ -105,7 +111,7 @@ def two_level_point(q: int, theta: float, r: int) -> TwoLevelPoint | None:
     b_lo = 1.0 / q - root / (q * s)
     if b_lo < 0.0:
         return None
-    return TwoLevelPoint(r=r, t=r / q, a_hi=a_hi, b_lo=b_lo, p=p)
+    return TwoLevelPoint(r=r, a_hi=a_hi, b_lo=b_lo)
 
 
 def two_level_value(q: int, theta: float, r: int) -> float | None:
@@ -216,13 +222,9 @@ def _interpolated_max(
     mask = (theta >= lo - 1e-15) & (theta <= hi + 1e-15)
     if not mask.any():
         return None
+    # rebind so the unmasked rows can be freed before the interpolated copies exist
     a, b, theta0 = a[mask], b[mask], theta0[mask]
-    denom = theta0 - 1.0 / q
-    safe = np.abs(denom) > 1e-15
-    c = np.where(safe, (theta - theta0) / np.where(safe, denom, 1.0), 0.0)
-    t = 1.0 - np.sqrt(np.maximum(1.0 + c, 0.0))
-    ap = (1.0 - t)[:, None] * a + (t / q)[:, None]
-    bp = (1.0 - t)[:, None] * b + (t / q)[:, None]
+    ap, bp = _interpolate(a, b, theta0, theta, q)
     values = _row_entropies(ap, q) + _row_entropies(bp, q)
     i = int(np.argmax(values))
     return float(values[i]), ap[i], bp[i]

@@ -140,6 +140,21 @@ def test_codec_refuses_infeasible(capsys):
     assert "rhs=1" in err
 
 
+@pytest.mark.parametrize(
+    "q, n, m, message",
+    [
+        ("300", "3", "2", "q must be <= 255, got 300"),
+        ("2", "3", "5", "need 1 <= m <= n, got n=3, m=5"),
+    ],
+)
+def test_codec_refuses_bad_params_in_one_line(capsys, q, n, m, message):
+    code, out, err = run_cli(capsys, "codec", "--q", q, "--n", n, "--m", m, "--B", "1")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_codec_jsonl_deterministic(capsys):
     argv = [
         "codec", "--q", "2", "--n", "5", "--m", "3", "--B", "2",

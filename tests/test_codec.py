@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -276,6 +277,20 @@ def test_decode_rejects_malformed_transcript():
         decode_transcript(params, state.transcript[:-1])
     with pytest.raises(ValueError):
         decode_transcript(params, state.transcript + [frozenset((1,))])
+
+
+@pytest.mark.parametrize(
+    "outputs, message",
+    [
+        ([{0}, {0}], "output [0] at position 0 is not a 1- or 2-element subset"),
+        ([{3}, {1, 2}, {1}], "output [3] at position 0 is not a 1- or 2-element"),
+        ([{1, 2}, {1, 2}, {1}, {1}], "transcript inconsistent at block 0"),
+    ],
+)
+def test_decode_rejects_impossible_outputs(outputs, message):
+    params = CodeParams(q=2, n=2, m=1, blocks=1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decode_transcript(params, [frozenset(y) for y in outputs])
 
 
 def test_channel_is_the_unordered_union():
