@@ -17,8 +17,8 @@ feasible (q, n, m) the decoder's set never outgrows the pattern space and
 decoding is exact, never merely probable.
 
 Digits are 1..q and are stored in ``bytes`` (one digit per byte), so the
-alphabet is capped at 255 here; uncertainty sets are plain sorted lists of
-those digit strings.
+alphabet is capped at 255 here. The uncertainty set is never stored: each
+party tracks only its size and the true prefix's index in it.
 """
 
 from __future__ import annotations
@@ -231,6 +231,42 @@ def _star_options(y: Output) -> tuple[bytes, ...]:
     return (bytes((a, b)), bytes((b, a)))
 
 
+def _consistent_pattern(h: int, outputs: Sequence[Output], n: int, m: int) -> tuple[int, ...]:
+    """The h-th pattern, in rank order, that the block's outputs allow.
+
+    It stars every pair output and shows the received symbol wherever else
+    it has no star; a star sorts before a symbol, so rank order is the
+    lexicographic order of the star placements among the singletons.
+    """
+    free = sum(1 for y in outputs if len(y) == 1)
+    stars = m - (n - free)  # stars still to place among the singletons
+    out = []
+    for y in outputs:
+        if len(y) == 1:
+            free -= 1
+            c = math.comb(free, stars - 1) if stars else 0  # completions with a star
+            if h >= c:
+                h -= c
+                (sym,) = y
+                out.append(sym)
+                continue
+            stars -= 1
+        out.append(STAR)
+    return tuple(out)
+
+
+def _consistent_below(limit: int, outputs: Sequence[Output], q: int, n: int, m: int) -> int:
+    """How many patterns the block's outputs allow rank below ``limit``."""
+    p = sum(1 for y in outputs if len(y) == 2)
+    if p > m:
+        return 0
+    return bisect_left(
+        range(math.comb(n - p, m - p)),
+        limit,
+        key=lambda h: rank_pattern(_consistent_pattern(h, outputs, n, m), q, m),
+    )
+
+
 def advance_uncertainty(
     uncertainty: Sequence[bytes],
     outputs: Sequence[Output],
@@ -238,62 +274,35 @@ def advance_uncertainty(
     n: int,
     m: int,
 ) -> list[bytes]:
-    """One block of decoder bookkeeping: filter and extend the uncertainty set.
+    """One block of bookkeeping on an explicit set: filter and extend it.
 
     A candidate survives iff its pattern (the one at the candidate's list
     position) shows exactly the received singleton at every symbol position;
     each survivor is extended by every digit-pair assignment consistent with
     the outputs at its star positions (singleton -> one pair, two-element
-    output -> both orders).
-
-    Consistent patterns are enumerated by a DFS over the ranking tree, so
-    candidates killed by a symbol mismatch are skipped wholesale; the result
-    is identical to filtering candidates one by one. Survivor extensions are
-    emitted in lexicographic order, so the returned list is sorted without a
-    comparison sort.
+    output -> both orders). The result is sorted. The protocol keeps only
+    the set's size and the true index; this list serves tests.
     """
     if len(outputs) != n:
         raise ValueError(f"expected {n} outputs, got {len(outputs)}")
-    limit = len(uncertainty)
-    cnt = _completions(q, n, m)
-    hits: list[tuple[int, tuple[int, ...]]] = []
-
-    def walk(pos: int, m_rem: int, base: int, stars: tuple[int, ...]) -> None:
-        if base >= limit:
-            return
-        if pos == n:
-            hits.append((base, stars))
-            return
-        n_rem = n - pos
-        if m_rem > 0 and cnt[n_rem - 1][m_rem - 1] > 0:
-            walk(pos + 1, m_rem - 1, base, stars + (pos,))
-            base += cnt[n_rem - 1][m_rem - 1]
-            if base >= limit:
-                return
-        c = cnt[n_rem - 1][m_rem]
-        if c > 0 and len(outputs[pos]) == 1:
-            (sym,) = outputs[pos]
-            base += (sym - 1) * c
-            if base < limit:
-                walk(pos + 1, m_rem, base, stars)
-
-    walk(0, m, 0, ())
-
     new: list[bytes] = []
-    for rank, stars in hits:
-        prefix = uncertainty[rank]
-        options = [_star_options(outputs[k]) for k in stars]
+    for h in range(_consistent_below(len(uncertainty), outputs, q, n, m)):
+        pattern = _consistent_pattern(h, outputs, n, m)
+        prefix = uncertainty[rank_pattern(pattern, q, m)]
+        options = [_star_options(y) for s, y in zip(pattern, outputs) if s == STAR]
         for combo in product(*options):
             new.append(prefix + b"".join(combo))
     return new
 
 
-def _set_digest(uncertainty: Sequence[bytes]) -> bytes:
-    # all elements share one length, so count + concatenation is unambiguous
-    h = hashlib.sha256(len(uncertainty).to_bytes(8, "big"))
-    for element in uncertainty:
-        h.update(element)
-    return h.digest()
+def _append_digest(digests: list[bytes], size: int, outputs: Sequence[Output]) -> None:
+    # the set after a block is fixed by the set before it and the outputs,
+    # so chaining the new size and the outputs fingerprints the whole set
+    h = hashlib.sha256(digests[-1] if digests else b"")
+    h.update(f"{size};".encode())
+    for y in outputs:
+        h.update(bytes((min(y), max(y))))
+    digests.append(h.digest())
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +314,11 @@ class SessionState:
     """One run of the block protocol, seen from all three parties at once.
 
     ``known_other_*`` hold the digits each sender has deduced about the
-    other's message purely from feedback; ``uncertainty`` is the shared
-    sorted set of interleaved pair prefixes; ``block_digests`` fingerprint
-    the set after every block so a transcript-only decoder replay can be
-    checked against the encoders' bookkeeping.
+    other's message purely from feedback; ``size`` and ``index`` are the
+    length of the shared sorted set of interleaved pair prefixes and the
+    position of the true prefix in it; ``block_digests`` fingerprint the set
+    after every block so a transcript-only decoder replay can be checked
+    against the encoders' bookkeeping.
     """
 
     params: CodeParams
@@ -316,7 +326,8 @@ class SessionState:
     w2: bytes
     known_other_1: bytearray
     known_other_2: bytearray
-    uncertainty: list[bytes]
+    size: int
+    index: int
     block_digests: list[bytes]
     transcript: list[Output]
     uses: int
@@ -342,7 +353,8 @@ def new_session(
         w2=bytes(w2),
         known_other_1=bytearray(),
         known_other_2=bytearray(),
-        uncertainty=[b""],
+        size=1,
+        index=0,
         block_digests=[],
         transcript=[],
         uses=0,
@@ -351,46 +363,24 @@ def new_session(
     )
 
 
-def _truth_prefix(state: SessionState, digits: int) -> bytes:
-    out = bytearray()
-    for i in range(digits):
-        out.append(state.w1[i])
-        out.append(state.w2[i])
-    return bytes(out)
-
-
-def _truth_index(state: SessionState, digits: int) -> int:
-    truth = _truth_prefix(state, digits)
-    idx = bisect_left(state.uncertainty, truth)
-    if idx >= len(state.uncertainty) or state.uncertainty[idx] != truth:
-        raise ProtocolViolation("true message prefix missing from uncertainty set")
-    return idx
-
-
 def run_block(state: SessionState) -> SessionState:
     """Run one message block of ``n`` channel uses and update all parties."""
     params = state.params
     q, n, m = params.q, params.n, params.m
     if state.block >= params.blocks:
         raise ValueError("all message blocks already sent")
-    b = state.block
-
-    idx = _truth_index(state, b * m)
-    pattern = unrank_pattern(idx, q, n, m)
+    start = state.block * m
+    digits = zip(state.w1[start : start + m], state.w2[start : start + m])
 
     outputs: list[Output] = []
-    star_index = 0
-    for k in range(n):
-        s = pattern[k]
-        if s == STAR:
-            x1 = state.w1[b * m + star_index]
-            x2 = state.w2[b * m + star_index]
-            star_index += 1
-        else:
-            x1 = x2 = s
+    child = 0  # one bit per pair output: which order of the pair is true
+    for s in unrank_pattern(state.index, q, n, m):
+        x1, x2 = next(digits) if s == STAR else (s, s)
         y = channel(x1, x2)
-        if s != STAR and len(y) != 1:
-            raise ProtocolViolation("pair output at a symbol position")
+        if len(y) == 2:
+            if s != STAR:
+                raise ProtocolViolation("pair output at a symbol position")
+            child = (child << 1) | (x1 > x2)
         outputs.append(y)
         if s == STAR:
             # feedback: each sender deduces the other's digit from the output
@@ -399,16 +389,20 @@ def run_block(state: SessionState) -> SessionState:
     state.transcript.extend(outputs)
     state.uses += n
 
-    new = advance_uncertainty(state.uncertainty, outputs, q, n, m)
     pair_count = sum(1 for y in outputs if len(y) == 2)
-    if len(new) > survivor_bound(n, m, pair_count):
+    size = _consistent_below(state.size, outputs, q, n, m) << pair_count
+    h = _consistent_below(state.index, outputs, q, n, m)
+    if h << pair_count >= size:
+        raise ProtocolViolation("true message prefix missing from uncertainty set")
+    if size > survivor_bound(n, m, pair_count):
         raise ProtocolViolation(
-            f"uncertainty set overflow: {len(new)} candidates after a block "
+            f"uncertainty set overflow: {size} candidates after a block "
             f"with {pair_count} pair outputs"
         )
-    state.uncertainty = new
-    state.block_digests.append(_set_digest(new))
-    state.max_uncertainty = max(state.max_uncertainty, len(new))
+    _append_digest(state.block_digests, size, outputs)
+    state.size = size
+    state.index = (h << pair_count) + child
+    state.max_uncertainty = max(state.max_uncertainty, size)
     state.block += 1
     return state
 
@@ -420,9 +414,8 @@ def run_final_block(state: SessionState) -> SessionState:
         raise ValueError(
             f"final block requires all {params.blocks} message blocks first"
         )
-    idx = _truth_index(state, params.message_digits)
-    digits = resolution_digits(len(state.uncertainty), params.q)
-    remaining = idx
+    digits = resolution_digits(state.size, params.q)
+    remaining = state.index
     for j in range(digits - 1, -1, -1):
         digit, remaining = divmod(remaining, params.q**j)
         # both senders transmit the same symbol, so the output is a singleton
@@ -436,7 +429,6 @@ class DecodeResult:
     w1: tuple[int, ...]
     w2: tuple[int, ...]
     block_digests: tuple[bytes, ...]
-    max_uncertainty: int
 
 
 def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> DecodeResult:
@@ -452,22 +444,19 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
                 f"output {sorted(y)} at position {pos} is not a 1- or 2-element "
                 f"subset of [1, {q}]"
             )
-    uncertainty: list[bytes] = [b""]
-    digests = []
-    max_uncertainty = 1
-    pos = 0
-    for b in range(params.blocks):
-        if pos + n > len(transcript):
-            raise ValueError("transcript too short for the declared block count")
-        uncertainty = advance_uncertainty(
-            uncertainty, transcript[pos : pos + n], q, n, m
-        )
-        if not uncertainty:
+    pos = params.blocks * n
+    if len(transcript) < pos:
+        raise ValueError("transcript too short for the declared block count")
+    blocks = [transcript[start : start + n] for start in range(0, pos, n)]
+    digests: list[bytes] = []
+    size = 1
+    for b, outputs in enumerate(blocks):
+        pair_count = sum(1 for y in outputs if len(y) == 2)
+        size = _consistent_below(size, outputs, q, n, m) << pair_count
+        if not size:
             raise ValueError(f"transcript inconsistent at block {b}: no candidate left")
-        digests.append(_set_digest(uncertainty))
-        max_uncertainty = max(max_uncertainty, len(uncertainty))
-        pos += n
-    digits = resolution_digits(len(uncertainty), q)
+        _append_digest(digests, size, outputs)
+    digits = resolution_digits(size, q)
     if pos + digits != len(transcript):
         raise ValueError(
             f"transcript length {len(transcript)} does not match "
@@ -479,14 +468,24 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
             raise ValueError("resolution uses must be singleton outputs")
         (sym,) = y
         rank = rank * q + (sym - 1)
-    if rank >= len(uncertainty):
+    if rank >= size:
         raise ValueError(f"decoded rank {rank} outside uncertainty set")
-    element = uncertainty[rank]
+    # walk back: each rank splits into a surviving pattern and, one digit per
+    # star (base 2 at a pair output, base 1 at a singleton), the pair orders
+    pairs = []  # digit pairs, last first
+    for outputs in reversed(blocks):
+        h, child = divmod(rank, 1 << sum(1 for y in outputs if len(y) == 2))
+        pattern = _consistent_pattern(h, outputs, n, m)
+        for s, y in zip(reversed(pattern), reversed(outputs)):
+            if s == STAR:
+                child, order = divmod(child, len(y))
+                pairs.append(_star_options(y)[order])
+        rank = rank_pattern(pattern, q, m)
+    element = b"".join(reversed(pairs))
     return DecodeResult(
         w1=tuple(element[0::2]),
         w2=tuple(element[1::2]),
         block_digests=tuple(digests),
-        max_uncertainty=max_uncertainty,
     )
 
 
@@ -526,7 +525,7 @@ def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     state = new_session(params, w1, w2)
     for b in range(params.blocks):
         run_block(state)
-        if len(state.uncertainty) > uncertainty_peak_bound(params.n, params.m):
+        if state.size > uncertainty_peak_bound(params.n, params.m):
             raise ProtocolViolation("uncertainty peak bound exceeded")
         # sender symmetry: feedback-deduced digits must match the real messages
         learned = (b + 1) * params.m

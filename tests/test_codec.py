@@ -1,8 +1,9 @@
 import json
 import math
-import os
 import random
 import re
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -200,12 +201,26 @@ def test_advance_result_sorted_and_unique():
 # protocol sessions
 
 
+def _materialised(params, transcript):
+    """The explicit uncertainty set after the transcript's message blocks."""
+    q, n, m = params.q, params.n, params.m
+    uncertainty = [b""]
+    for start in range(0, len(transcript), n):
+        uncertainty = advance_uncertainty(uncertainty, transcript[start : start + n], q, n, m)
+    return uncertainty
+
+
+def _interleaved(w1, w2, digits):
+    return bytes(d for pair in zip(w1[:digits], w2[:digits]) for d in pair)
+
+
 def test_run_block_hand_example():
     params = CodeParams(q=2, n=2, m=1, blocks=1)
     state = new_session(params, w1=(1,), w2=(2,))
     run_block(state)
     assert state.transcript == [frozenset((1, 2)), frozenset((1,))]
-    assert state.uncertainty == [bytes((1, 2)), bytes((2, 1))]
+    assert (state.size, state.index) == (2, 0)
+    assert _materialised(params, state.transcript) == [bytes((1, 2)), bytes((2, 1))]
     assert state.uses == 2
     # senders deduced each other's digit from the pair output
     assert bytes(state.known_other_1) == bytes((2,))
@@ -217,14 +232,16 @@ def test_run_block_equal_digits_all_singletons():
     state = new_session(params, w1=(2,), w2=(2,))
     run_block(state)
     assert all(len(y) == 1 for y in state.transcript)
-    assert state.uncertainty == [bytes((2, 2))]
+    assert (state.size, state.index) == (1, 0)
+    assert _materialised(params, state.transcript) == [bytes((2, 2))]
 
 
 def test_final_block_resolves_rank():
     params = CodeParams(q=2, n=2, m=1, blocks=1)
     state = new_session(params, w1=(2,), w2=(1,))
     run_block(state)
-    assert len(state.uncertainty) == 2
+    assert (state.size, state.index) == (2, 1)
+    assert _materialised(params, state.transcript)[state.index] == bytes((2, 1))
     run_final_block(state)
     assert state.uses == 3  # 2 block uses + ceil(log2 2) = 1
     decoded = decode_transcript(params, state.transcript)
@@ -236,10 +253,32 @@ def test_final_block_zero_uses_when_unique():
     params = CodeParams(q=2, n=2, m=1, blocks=1)
     state = new_session(params, w1=(1,), w2=(1,))
     run_block(state)
-    assert len(state.uncertainty) == 1
+    assert (state.size, state.index) == (1, 0)
+    assert _materialised(params, state.transcript) == [bytes((1, 1))]
     before = state.uses
     run_final_block(state)
     assert state.uses == before
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        CodeParams(q=2, n=5, m=3, blocks=2),
+        CodeParams(q=3, n=4, m=3, blocks=1),
+        CodeParams(q=2, n=2, m=1, blocks=3),
+    ],
+)
+def test_session_state_matches_materialised_set(params):
+    # every message pair: after each block, size/index locate the true prefix
+    space = list(product(range(1, params.q + 1), repeat=params.message_digits))
+    for w1 in space:
+        for w2 in space:
+            state = new_session(params, w1, w2)
+            for b in range(params.blocks):
+                run_block(state)
+                uncertainty = _materialised(params, state.transcript)
+                assert len(uncertainty) == state.size
+                assert uncertainty[state.index] == _interleaved(w1, w2, (b + 1) * params.m)
 
 
 def test_resolution_digits():
@@ -298,11 +337,16 @@ def test_channel_is_the_unordered_union():
     assert channel(3, 3) == frozenset((3,))
 
 
-def _round_trip(params, w1, w2):
+def _encode(params, w1, w2):
     state = new_session(params, w1, w2)
     for _ in range(params.blocks):
         run_block(state)
     run_final_block(state)
+    return state
+
+
+def _round_trip(params, w1, w2):
+    state = _encode(params, w1, w2)
     decoded = decode_transcript(params, state.transcript)
     assert decoded.w1 == tuple(w1)
     assert decoded.w2 == tuple(w2)
@@ -328,6 +372,58 @@ def test_round_trip_exhaustive_over_all_messages(params):
 @settings(max_examples=60, deadline=None)
 def test_round_trip_property_q3(w1, w2):
     _round_trip(CodeParams(q=3, n=4, m=3, blocks=2), w1, w2)
+
+
+SMALL_FEASIBLE = [
+    (q, n, m)
+    for q in range(2, 5)
+    for n in range(1, 9)
+    for m in range((n + 1) // 2, n + 1)
+    if validate_params(q, n, m).feasible
+]
+
+
+def _messages(params):
+    digits = params.message_digits
+    return st.lists(st.integers(1, params.q), min_size=digits, max_size=digits)
+
+
+@given(st.sampled_from(SMALL_FEASIBLE), st.integers(1, 4), st.data())
+@settings(max_examples=150, deadline=None)
+def test_round_trip_property_feasible_params(qnm, blocks, data):
+    params = CodeParams(*qnm, blocks=blocks)
+    _round_trip(params, data.draw(_messages(params)), data.draw(_messages(params)))
+
+
+@st.composite
+def _transcripts(draw, params):
+    """Any outputs at all, or a valid transcript with a few outputs replaced."""
+    output = st.sets(st.integers(1, params.q), min_size=1, max_size=2).map(frozenset)
+    length = params.blocks * params.n
+    if draw(st.booleans()):
+        return draw(st.lists(output, min_size=length, max_size=length + 4))
+    w1, w2 = draw(_messages(params)), draw(_messages(params))
+    transcript = _encode(params, w1, w2).transcript
+    for _ in range(draw(st.integers(0, 2))):
+        transcript[draw(st.integers(0, len(transcript) - 1))] = draw(output)
+    return transcript
+
+
+@given(
+    st.sampled_from([(q, n, m) for q, n, m in SMALL_FEASIBLE if n <= 6]),
+    st.integers(1, 3),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_decode_rejects_or_reproduces_any_transcript(qnm, blocks, data):
+    params = CodeParams(*qnm, blocks=blocks)
+    transcript = data.draw(_transcripts(params))
+    try:
+        decoded = decode_transcript(params, transcript)
+    except ValueError:
+        return
+    assert all(1 <= d <= params.q for d in decoded.w1 + decoded.w2)
+    assert _encode(params, decoded.w1, decoded.w2).transcript == transcript
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +479,19 @@ def test_jsonl_report_lines():
     assert summary["max_uncertainty"] == str(report.max_uncertainty)
 
 
-@pytest.mark.skipif(
-    not os.environ.get("UNION_CHANNEL_LONG_TESTS"),
-    reason="full-length run; set UNION_CHANNEL_LONG_TESTS=1 (needs ~1 GB RAM, minutes)",
-)
 def test_simulate_full_length_run():
     # code length 17339, rate >= 0.764, one trial
     params = CodeParams(q=2, n=17, m=13, blocks=1019)
-    report = simulate(params, trials=1, seed=0)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        report = simulate(params, trials=1, seed=0)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 10.0, f"elapsed={elapsed:.2f}s"
+    assert peak < 100 * 2**20, f"peak={peak / 2**20:.1f} MB"
     assert report.errors == 0
     assert report.max_uncertainty <= 35840
     assert report.max_uses <= 17339

@@ -1,10 +1,12 @@
-"""Golden stdout for every CLI example in README.md.
+"""Golden stdout for every CLI example in README.md, and for multi-block codec runs.
 
 Each README command runs through ``cli.main`` in process, in the ``csv`` and
 ``jsonl`` formats and, except for the 1000-trial ``codec`` run, in the human
-``table`` format. The sha256 of its stdout and its exit status must match
-``golden_cli.json``. The file pins output bytes so that a refactor can show
-it changed none; re-record it only for an intended change of output.
+``table`` format. The multi-block codec runs (many blocks, so the true index
+is tracked far past the README's B=3) run in one format each. The sha256 of
+its stdout and its exit status must match ``golden_cli.json``. The file pins
+output bytes so that a refactor can show it changed none; re-record it only
+for an intended change of output.
 """
 
 import hashlib
@@ -26,12 +28,17 @@ README_COMMANDS = [
     "params --q 2 --n-max 17",
 ]
 
+MULTI_BLOCK_CASES = [
+    "codec --q 2 --n 12 --m 9 --B 200 --trials 3 --seed 1 --format jsonl",
+    "codec --q 3 --n 10 --m 7 --B 20 --trials 50 --seed 1 --format csv",
+]
+
 CASES = [
     f"{command} --format {fmt}"
     for command in README_COMMANDS
     for fmt in ("table", "csv", "jsonl")
     if not (fmt == "table" and command.startswith("codec"))
-]
+] + MULTI_BLOCK_CASES
 
 
 def test_golden_file_covers_every_case():
