@@ -113,9 +113,13 @@ def _cmd_lemma(args) -> int:
 
     grid_value = None
     if args.q in (2, 3):
-        result = oracle.grid_max_joint_entropy(
-            args.q, args.theta, args.resolution, seed=args.seed
-        )
+        try:
+            result = oracle.grid_max_joint_entropy(
+                args.q, args.theta, args.resolution, seed=args.seed
+            )
+        except ValueError as exc:
+            sys.stderr.write(f"refused: {exc}\n")
+            return 1
         grid_value = result.value
     elif args.samples == 0:
         sys.stderr.write(

@@ -127,6 +127,7 @@ def uses_bound(params: CodeParams) -> int:
 
 def resolution_digits(size: int, q: int) -> int:
     """Smallest d with q^d >= size (base-q digits needed to index ``size`` items)."""
+    check_alphabet(q)
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
     d = 0
@@ -149,12 +150,13 @@ def pattern_count(q: int, n: int, m: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _completions(q: int, n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    # table[n_rem][m_rem] = number of patterns over n_rem positions with m_rem stars
+def _completions(q: int, n: int) -> tuple[tuple[int, ...], ...]:
+    # table[n_rem][m_rem] = number of patterns over n_rem positions with m_rem
+    # stars; table[k][-1] (column n) is 0 for every k < n
     return tuple(
         tuple(
             math.comb(n_rem, m_rem) * q ** (n_rem - m_rem) if m_rem <= n_rem else 0
-            for m_rem in range(m + 1)
+            for m_rem in range(n + 1)
         )
         for n_rem in range(n + 1)
     )
@@ -167,49 +169,42 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
     remain) precedes symbols 1..q, and skipping an option advances the rank
     by the number of its completions.
     """
-    total = pattern_count(q, n, m)
+    if not 0 <= m <= n:
+        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    cnt = _completions(q, n)
+    total = cnt[n][m]
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} out of range [0, {total})")
-    cnt = _completions(q, n, m)
     out = []
     m_rem = m
-    for pos in range(n):
-        n_rem = n - pos
-        if m_rem > 0:
-            c = cnt[n_rem - 1][m_rem - 1]
-            if rank < c:
-                out.append(STAR)
-                m_rem -= 1
-                continue
-            rank -= c
-        c = cnt[n_rem - 1][m_rem]
-        digit = rank // c
+    for row in reversed(cnt[:n]):  # completions over the positions after this one
+        c = row[m_rem - 1]  # with a star here; 0 once the stars are placed
+        if rank < c:
+            out.append(STAR)
+            m_rem -= 1
+            continue
+        digit, rank = divmod(rank - c, row[m_rem])
         out.append(int(digit) + 1)
-        rank -= digit * c
     return tuple(out)
 
 
 def rank_pattern(pattern: Sequence[int], q: int, m: int | None = None) -> int:
-    """Inverse of :func:`unrank_pattern` for a pattern over {STAR} u [q]."""
-    n = len(pattern)
-    stars = sum(1 for s in pattern if s == STAR)
+    """Inverse of :func:`unrank_pattern` for a pattern over {STAR} u [q].
+
+    One right-to-left pass; ``k`` positions and ``stars`` stars lie to the right.
+    """
+    cnt = _completions(q, len(pattern))
+    rank = 0
+    stars = 0
+    for k, s in enumerate(reversed(pattern)):
+        if s == STAR:
+            stars += 1
+        elif 1 <= s <= q:
+            rank += cnt[k][stars - 1] + (s - 1) * cnt[k][stars]
+        else:
+            raise ValueError(f"pattern symbol {s!r} outside alphabet [1, {q}]")
     if m is not None and stars != m:
         raise ValueError(f"pattern has {stars} stars, expected {m}")
-    m = stars
-    for s in pattern:
-        if s != STAR and not 1 <= s <= q:
-            raise ValueError(f"pattern symbol {s!r} outside alphabet [1, {q}]")
-    cnt = _completions(q, n, m)
-    rank = 0
-    m_rem = m
-    for pos, s in enumerate(pattern):
-        n_rem = n - pos
-        if s == STAR:
-            m_rem -= 1
-            continue
-        if m_rem > 0:
-            rank += cnt[n_rem - 1][m_rem - 1]
-        rank += (s - 1) * cnt[n_rem - 1][m_rem]
     return rank
 
 
@@ -235,24 +230,21 @@ def _consistent_pattern(h: int, outputs: Sequence[Output], n: int, m: int) -> tu
     """The h-th pattern, in rank order, that the block's outputs allow.
 
     It stars every pair output and shows the received symbol wherever else
-    it has no star; a star sorts before a symbol, so rank order is the
-    lexicographic order of the star placements among the singletons.
+    it has no star; a star sorts before a symbol, so rank order is the order
+    of the star placements among the singletons: the q=1 pattern space.
     """
     free = sum(1 for y in outputs if len(y) == 1)
-    stars = m - (n - free)  # stars still to place among the singletons
-    out = []
-    for y in outputs:
-        if len(y) == 1:
-            free -= 1
-            c = math.comb(free, stars - 1) if stars else 0  # completions with a star
-            if h >= c:
-                h -= c
-                (sym,) = y
-                out.append(sym)
-                continue
-            stars -= 1
-        out.append(STAR)
-    return tuple(out)
+    placement = iter(unrank_pattern(h, 1, free, m - (n - free)))
+    return tuple(
+        min(y) if len(y) == 1 and next(placement) != STAR else STAR for y in outputs
+    )
+
+
+def _consistent_rank(pattern: Sequence[int], outputs: Sequence[Output]) -> int:
+    """Inverse of :func:`_consistent_pattern` for a pattern the outputs allow."""
+    return rank_pattern(
+        [STAR if s == STAR else 1 for s, y in zip(pattern, outputs) if len(y) == 1], 1
+    )
 
 
 def _consistent_below(limit: int, outputs: Sequence[Output], q: int, n: int, m: int) -> int:
@@ -330,9 +322,12 @@ class SessionState:
     index: int
     block_digests: list[bytes]
     transcript: list[Output]
-    uses: int
     block: int
     max_uncertainty: int
+
+    @property
+    def uses(self) -> int:
+        return len(self.transcript)
 
 
 def new_session(
@@ -357,7 +352,6 @@ def new_session(
         index=0,
         block_digests=[],
         transcript=[],
-        uses=0,
         block=0,
         max_uncertainty=1,
     )
@@ -372,9 +366,10 @@ def run_block(state: SessionState) -> SessionState:
     start = state.block * m
     digits = zip(state.w1[start : start + m], state.w2[start : start + m])
 
+    pattern = unrank_pattern(state.index, q, n, m)
     outputs: list[Output] = []
     child = 0  # one bit per pair output: which order of the pair is true
-    for s in unrank_pattern(state.index, q, n, m):
+    for s in pattern:
         x1, x2 = next(digits) if s == STAR else (s, s)
         y = channel(x1, x2)
         if len(y) == 2:
@@ -387,11 +382,10 @@ def run_block(state: SessionState) -> SessionState:
             state.known_other_1.append(x1 if len(y) == 1 else (set(y) - {x1}).pop())
             state.known_other_2.append(x2 if len(y) == 1 else (set(y) - {x2}).pop())
     state.transcript.extend(outputs)
-    state.uses += n
 
     pair_count = sum(1 for y in outputs if len(y) == 2)
     size = _consistent_below(state.size, outputs, q, n, m) << pair_count
-    h = _consistent_below(state.index, outputs, q, n, m)
+    h = _consistent_rank(pattern, outputs)
     if h << pair_count >= size:
         raise ProtocolViolation("true message prefix missing from uncertainty set")
     if size > survivor_bound(n, m, pair_count):
@@ -420,7 +414,6 @@ def run_final_block(state: SessionState) -> SessionState:
         digit, remaining = divmod(remaining, params.q**j)
         # both senders transmit the same symbol, so the output is a singleton
         state.transcript.append(channel(digit + 1, digit + 1))
-    state.uses += digits
     return state
 
 

@@ -328,7 +328,7 @@ def grid_max_joint_entropy(
         raise ValueError(f"grid search supports q in {{2, 3}}, got {q}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
-    if resolution <= 0.0 or resolution > 0.5:
+    if not 0.0 < resolution <= 0.5:
         raise ValueError(f"resolution must lie in (0, 0.5], got {resolution!r}")
     if q == 2:
         return _grid_q2(theta, resolution)

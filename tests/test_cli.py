@@ -70,6 +70,27 @@ def test_lemma_grid_pass(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize(
+    "q, theta, resolution, message",
+    [
+        ("2", "0.75", "0", "resolution must lie in (0, 0.5], got 0.0"),
+        ("2", "0.75", "-1", "resolution must lie in (0, 0.5], got -1.0"),
+        ("2", "0.75", "0.9", "resolution must lie in (0, 0.5], got 0.9"),
+        ("2", "0.75", "nan", "resolution must lie in (0, 0.5], got nan"),
+        ("3", "0.5", "1e-5", "simplex grid step below 1e-3"),
+    ],
+)
+def test_lemma_refuses_bad_resolution_in_one_line(capsys, q, theta, resolution, message):
+    code, out, err = run_cli(
+        capsys, "lemma", "--q", q, "--theta", theta, "--resolution", resolution
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("refused: ")
+    assert message in err
+
+
 def test_lemma_near_uniform_q3(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -31,6 +31,7 @@ from union_channel import (
     unrank_pattern,
     validate_params,
 )
+from union_channel.codec import _consistent_pattern, _consistent_rank
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +113,45 @@ def test_pattern_errors():
         unrank_pattern(4, 2, 2, 1)
     with pytest.raises(ValueError):
         unrank_pattern(-1, 2, 2, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pattern has 1 stars, expected 2"):
         rank_pattern((STAR, 1), 2, m=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pattern symbol 3 outside alphabet \[1, 2\]"):
         rank_pattern((STAR, 3), 2)
+
+
+def test_round_trip_exhaustive_q1():
+    # q=1 is the space of star placements the codec ranks a block's
+    # consistent patterns in
+    for n in range(13):
+        for m in range(n + 1):
+            total = pattern_count(1, n, m)
+            assert total == math.comb(n, m)
+            previous = None
+            for r in range(total):
+                pattern = unrank_pattern(r, 1, n, m)
+                assert set(pattern) <= {STAR, 1}
+                assert rank_pattern(pattern, 1, m=m) == r
+                if previous is not None:
+                    assert pattern > previous
+                previous = pattern
+
+
+def test_consistent_rank_inverts_consistent_pattern():
+    rng = random.Random(11)
+    for _ in range(200):
+        q = rng.randint(2, 4)
+        n = rng.randint(1, 8)
+        m = rng.randint(0, n)
+        outputs = [
+            frozenset(rng.sample(range(1, q + 1), rng.choice((1, 1, 2))))
+            for _ in range(n)
+        ]
+        p = sum(1 for y in outputs if len(y) == 2)
+        if p > m:
+            continue
+        for h in range(math.comb(n - p, m - p)):
+            pattern = _consistent_pattern(h, outputs, n, m)
+            assert _consistent_rank(pattern, outputs) == h
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +323,9 @@ def test_resolution_digits():
     assert resolution_digits(7, 3) == 2
     assert resolution_digits(9, 3) == 2
     assert resolution_digits(10, 3) == 3
+    for q in (1, 0):
+        with pytest.raises(ValueError, match="alphabet size must be at least 2"):
+            resolution_digits(5, q)
 
 
 def test_run_block_order_errors():

@@ -157,6 +157,8 @@ def test_grid_rejects_bad_arguments():
         grid_max_joint_entropy(4, 0.5, 1e-3)
     with pytest.raises(ValueError):
         grid_max_joint_entropy(2, 0.5, 0.0)
+    with pytest.raises(ValueError, match=r"resolution must lie in \(0, 0.5\], got nan"):
+        grid_max_joint_entropy(2, 0.5, float("nan"))
     with pytest.raises(ValueError):
         grid_max_joint_entropy(3, 0.5, 1e-4)  # simplex grid would explode
 
