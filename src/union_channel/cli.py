@@ -13,9 +13,10 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 from . import capacity, codec, oracle
 
@@ -99,6 +100,12 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
+    if args.q not in (2, 3) and args.resolution is not None:
+        sys.stderr.write(
+            f"refused: --resolution sets the grid oracle's step; the grid covers "
+            f"q in {{2, 3}} only, got q={args.q}\n"
+        )
+        return 1
     if args.resolution is None:
         # the q=3 search grids a 2-simplex, quadratic in 1/resolution
         args.resolution = 1e-4 if args.q == 2 else 1e-2
@@ -251,8 +258,22 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one stderr line, without the usage text."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="union-channel",
         description="Capacities and zero-error coding for the two-user union channel.",
     )
@@ -277,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--samples", type=_positive_int, default=0, nargs="?", const=100_000)
     p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
-    p.add_argument("--tolerance", type=float, default=None)
+    p.add_argument("--tolerance", type=_nonnegative_float, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_lemma)
 

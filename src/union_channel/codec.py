@@ -28,7 +28,6 @@ import json
 import math
 import multiprocessing
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
 from functools import lru_cache
@@ -177,14 +176,14 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
         raise ValueError(f"rank {rank} out of range [0, {total})")
     out = []
     m_rem = m
-    for row in reversed(cnt[:n]):  # completions over the positions after this one
+    for row in cnt[-2::-1]:  # rows n-1..0 (none if n=0): completions after this position
         c = row[m_rem - 1]  # with a star here; 0 once the stars are placed
         if rank < c:
             out.append(STAR)
             m_rem -= 1
             continue
         digit, rank = divmod(rank - c, row[m_rem])
-        out.append(int(digit) + 1)
+        out.append(digit + 1)
     return tuple(out)
 
 
@@ -248,15 +247,36 @@ def _consistent_rank(pattern: Sequence[int], outputs: Sequence[Output]) -> int:
 
 
 def _consistent_below(limit: int, outputs: Sequence[Output], q: int, n: int, m: int) -> int:
-    """How many patterns the block's outputs allow rank below ``limit``."""
+    """How many patterns the block's outputs allow rank below ``limit``.
+
+    One walk along the pattern at rank ``limit``: each allowed option (a
+    star; at a singleton ``y`` also ``min(y)``) below its entry adds
+    C(free, stars), the ways to place the stars still due on the singletons
+    after it; the walk ends where the entry itself is not allowed.
+    """
     p = sum(1 for y in outputs if len(y) == 2)
-    if p > m:
+    free, stars = n - p, m - p
+    if stars < 0:
         return 0
-    return bisect_left(
-        range(math.comb(n - p, m - p)),
-        limit,
-        key=lambda h: rank_pattern(_consistent_pattern(h, outputs, n, m), q, m),
-    )
+    comb = _completions(1, free)  # comb[k][j] = C(k, j); comb[k][-1] = 0 for k < free
+    if limit >= _completions(q, n)[n][m]:
+        return comb[free][stars]
+    below = 0
+    for s, y in zip(unrank_pattern(limit, q, n, m), outputs):
+        if len(y) == 2:
+            if s != STAR:
+                return below + comb[free][stars]
+            continue
+        free -= 1
+        if s == STAR:
+            if not stars:
+                return below
+            stars -= 1
+            continue
+        below += comb[free][stars - 1]  # a star here
+        if min(y) != s:
+            return below + (comb[free][stars] if min(y) < s else 0)
+    return below
 
 
 def advance_uncertainty(

@@ -91,6 +91,44 @@ def test_lemma_refuses_bad_resolution_in_one_line(capsys, q, theta, resolution, 
     assert message in err
 
 
+@pytest.mark.parametrize("q, resolution", [("4", "-5"), ("4", "0.01"), ("5", "nan")])
+def test_lemma_refuses_resolution_without_grid(capsys, q, resolution):
+    code, out, err = run_cli(
+        capsys,
+        "lemma", "--q", q, "--theta", "0.5", "--samples", "1000",
+        "--resolution", resolution,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("refused: --resolution")
+    assert f"got q={q}" in err
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "abc"])
+def test_lemma_refuses_bad_tolerance_at_parse_time(capsys, tolerance):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "--q", "2", "--theta", "0.75", "--tolerance", tolerance])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "argument --tolerance" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_lemma_accepts_zero_tolerance(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        "lemma", "--q", "2", "--theta", "0.75", "--resolution", "1e-3",
+        "--tolerance", "0", "--format", "jsonl",
+    )
+    record = json.loads(out)
+    assert record["tolerance"] == 0.0
+    assert record["gap"] > 0  # the grid lies a hair below the closed form
+    assert code == 1 and record["status"] == "FAIL"
+
+
 def test_lemma_near_uniform_q3(capsys):
     code, out, _ = run_cli(
         capsys,

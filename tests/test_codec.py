@@ -4,11 +4,12 @@ import random
 import re
 import time
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from union_channel import (
     STAR,
@@ -31,7 +32,7 @@ from union_channel import (
     unrank_pattern,
     validate_params,
 )
-from union_channel.codec import _consistent_pattern, _consistent_rank
+from union_channel.codec import _consistent_below, _consistent_pattern, _consistent_rank
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def test_unrank_full_enumeration_tiny():
 
 
 def test_rank_zero_is_stars_then_ones():
-    for q, n, m in [(2, 5, 2), (3, 6, 3), (4, 4, 1)]:
+    for q, n, m in [(2, 5, 2), (3, 6, 3), (4, 4, 1), (3, 0, 0)]:
         assert unrank_pattern(0, q, n, m) == (STAR,) * m + (1,) * (n - m)
 
 
@@ -152,6 +153,48 @@ def test_consistent_rank_inverts_consistent_pattern():
         for h in range(math.comb(n - p, m - p)):
             pattern = _consistent_pattern(h, outputs, n, m)
             assert _consistent_rank(pattern, outputs) == h
+
+
+def _consistent_below_bisect(limit, outputs, q, n, m):
+    # reference count: bisect over the consistent patterns in rank order
+    p = sum(1 for y in outputs if len(y) == 2)
+    if p > m:
+        return 0
+    return bisect_left(
+        range(math.comb(n - p, m - p)),
+        limit,
+        key=lambda h: rank_pattern(_consistent_pattern(h, outputs, n, m), q, m),
+    )
+
+
+@st.composite
+def _count_cases(draw):
+    q = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 9))
+    m = draw(st.integers(0, n))
+    singleton = st.integers(1, q).map(lambda a: frozenset((a,)))
+    pair = st.lists(st.integers(1, q), min_size=2, max_size=2, unique=True).map(frozenset)
+    output = st.one_of(singleton, pair) if q > 1 else singleton
+    if q > 1 and draw(st.booleans()):
+        output = pair  # an all-pair block
+    outputs = draw(st.lists(output, min_size=n, max_size=n))
+    total = pattern_count(q, n, m)
+    limit = draw(st.one_of(st.integers(0, total - 1), st.integers(total, 2 * total + 3)))
+    return q, n, m, outputs, limit
+
+
+@given(_count_cases())
+@example((2, 4, 3, [frozenset((1,)), frozenset((1, 2))] * 2, 7))  # p <= m
+@example((2, 3, 2, [frozenset((1, 2))] * 3, 5))  # all pairs, p > m
+@example((3, 3, 3, [frozenset((2, 3))] * 3, 1))  # all pairs, p == m
+@example((2, 5, 3, [frozenset((2,))] * 5, 40))  # limit == |S|
+@example((2, 5, 3, [frozenset((1,)), frozenset((1, 2))] * 2 + [frozenset((2,))], 10**6))  # > |S|
+@settings(max_examples=400, deadline=None)
+def test_consistent_below_matches_bisect(case):
+    q, n, m, outputs, limit = case
+    assert _consistent_below(limit, outputs, q, n, m) == _consistent_below_bisect(
+        limit, outputs, q, n, m
+    )
 
 
 # ---------------------------------------------------------------------------
