@@ -22,6 +22,11 @@ from . import capacity, codec, oracle
 
 THREADS_ENV = "UNION_CHANNEL_THREADS"
 
+# the sampler holds a few float arrays of samples * q entries at once; a run
+# at the cap peaks at 150-250 MB of RSS (q = 5 and q = 2), the default
+# 5e5 entries at about 40 MB
+MAX_SAMPLER_ENTRIES = 10**7
+
 FORMATS = ("table", "csv", "jsonl")
 
 
@@ -104,6 +109,13 @@ def _cmd_lemma(args) -> int:
         sys.stderr.write(
             f"refused: --resolution sets the grid oracle's step; the grid covers "
             f"q in {{2, 3}} only, got q={args.q}\n"
+        )
+        return 1
+    if args.samples * args.q > MAX_SAMPLER_ENTRIES:
+        sys.stderr.write(
+            f"refused: --samples {args.samples} at q={args.q} draws "
+            f"{args.samples * args.q} values; samples * q must be at most "
+            f"{MAX_SAMPLER_ENTRIES}\n"
         )
         return 1
     if args.resolution is None:
@@ -258,6 +270,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 def _nonnegative_float(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < math.inf:  # also refuses nan
@@ -297,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True)
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--samples", type=_positive_int, default=0, nargs="?", const=100_000)
-    p.add_argument("--seed", type=int, default=oracle.DEFAULT_SEED)
+    p.add_argument("--seed", type=_nonnegative_int, default=oracle.DEFAULT_SEED)
     p.add_argument("--tolerance", type=_nonnegative_float, default=None)
     add_common(p)
     p.set_defaults(func=_cmd_lemma)

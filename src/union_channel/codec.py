@@ -23,7 +23,6 @@ party tracks only its size and the true prefix's index in it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import multiprocessing
@@ -225,15 +224,16 @@ def _star_options(y: Output) -> tuple[bytes, ...]:
     return (bytes((a, b)), bytes((b, a)))
 
 
-def _consistent_pattern(h: int, outputs: Sequence[Output], n: int, m: int) -> tuple[int, ...]:
-    """The h-th pattern, in rank order, that the block's outputs allow.
+def _consistent_pattern(
+    h: int, outputs: Sequence[Output], p: int, n: int, m: int
+) -> tuple[int, ...]:
+    """The h-th pattern, in rank order, that the block's ``p`` pair outputs allow.
 
     It stars every pair output and shows the received symbol wherever else
     it has no star; a star sorts before a symbol, so rank order is the order
     of the star placements among the singletons: the q=1 pattern space.
     """
-    free = sum(1 for y in outputs if len(y) == 1)
-    placement = iter(unrank_pattern(h, 1, free, m - (n - free)))
+    placement = iter(unrank_pattern(h, 1, n - p, m - p))
     return tuple(
         min(y) if len(y) == 1 and next(placement) != STAR else STAR for y in outputs
     )
@@ -246,15 +246,16 @@ def _consistent_rank(pattern: Sequence[int], outputs: Sequence[Output]) -> int:
     )
 
 
-def _consistent_below(limit: int, outputs: Sequence[Output], q: int, n: int, m: int) -> int:
-    """How many patterns the block's outputs allow rank below ``limit``.
+def _consistent_below(
+    limit: int, outputs: Sequence[Output], p: int, q: int, n: int, m: int
+) -> int:
+    """How many patterns the outputs (``p`` of them pairs) allow rank below ``limit``.
 
     One walk along the pattern at rank ``limit``: each allowed option (a
     star; at a singleton ``y`` also ``min(y)``) below its entry adds
     C(free, stars), the ways to place the stars still due on the singletons
     after it; the walk ends where the entry itself is not allowed.
     """
-    p = sum(1 for y in outputs if len(y) == 2)
     free, stars = n - p, m - p
     if stars < 0:
         return 0
@@ -297,24 +298,15 @@ def advance_uncertainty(
     """
     if len(outputs) != n:
         raise ValueError(f"expected {n} outputs, got {len(outputs)}")
+    p = sum(1 for y in outputs if len(y) == 2)
     new: list[bytes] = []
-    for h in range(_consistent_below(len(uncertainty), outputs, q, n, m)):
-        pattern = _consistent_pattern(h, outputs, n, m)
+    for h in range(_consistent_below(len(uncertainty), outputs, p, q, n, m)):
+        pattern = _consistent_pattern(h, outputs, p, n, m)
         prefix = uncertainty[rank_pattern(pattern, q, m)]
         options = [_star_options(y) for s, y in zip(pattern, outputs) if s == STAR]
         for combo in product(*options):
             new.append(prefix + b"".join(combo))
     return new
-
-
-def _append_digest(digests: list[bytes], size: int, outputs: Sequence[Output]) -> None:
-    # the set after a block is fixed by the set before it and the outputs,
-    # so chaining the new size and the outputs fingerprints the whole set
-    h = hashlib.sha256(digests[-1] if digests else b"")
-    h.update(f"{size};".encode())
-    for y in outputs:
-        h.update(bytes((min(y), max(y))))
-    digests.append(h.digest())
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +318,11 @@ class SessionState:
     """One run of the block protocol, seen from all three parties at once.
 
     ``known_other_*`` hold the digits each sender has deduced about the
-    other's message purely from feedback; ``size`` and ``index`` are the
-    length of the shared sorted set of interleaved pair prefixes and the
-    position of the true prefix in it; ``block_digests`` fingerprint the set
-    after every block so a transcript-only decoder replay can be checked
-    against the encoders' bookkeeping.
+    other's message purely from feedback. ``sizes`` holds the length of the
+    shared sorted set of interleaved pair prefixes: 1 before the first
+    block, then its length after each block, so a transcript-only decoder
+    replay can be checked against it. ``index`` is the position of the true
+    prefix in the current set.
     """
 
     params: CodeParams
@@ -338,12 +330,21 @@ class SessionState:
     w2: bytes
     known_other_1: bytearray
     known_other_2: bytearray
-    size: int
+    sizes: list[int]
     index: int
-    block_digests: list[bytes]
     transcript: list[Output]
-    block: int
-    max_uncertainty: int
+
+    @property
+    def size(self) -> int:
+        return self.sizes[-1]
+
+    @property
+    def max_uncertainty(self) -> int:
+        return max(self.sizes)
+
+    @property
+    def block(self) -> int:
+        return len(self.sizes) - 1
 
     @property
     def uses(self) -> int:
@@ -368,12 +369,9 @@ def new_session(
         w2=bytes(w2),
         known_other_1=bytearray(),
         known_other_2=bytearray(),
-        size=1,
+        sizes=[1],
         index=0,
-        block_digests=[],
         transcript=[],
-        block=0,
-        max_uncertainty=1,
     )
 
 
@@ -389,6 +387,7 @@ def run_block(state: SessionState) -> SessionState:
     pattern = unrank_pattern(state.index, q, n, m)
     outputs: list[Output] = []
     child = 0  # one bit per pair output: which order of the pair is true
+    p = 0
     for s in pattern:
         x1, x2 = next(digits) if s == STAR else (s, s)
         y = channel(x1, x2)
@@ -396,6 +395,7 @@ def run_block(state: SessionState) -> SessionState:
             if s != STAR:
                 raise ProtocolViolation("pair output at a symbol position")
             child = (child << 1) | (x1 > x2)
+            p += 1
         outputs.append(y)
         if s == STAR:
             # feedback: each sender deduces the other's digit from the output
@@ -403,21 +403,17 @@ def run_block(state: SessionState) -> SessionState:
             state.known_other_2.append(x2 if len(y) == 1 else (set(y) - {x2}).pop())
     state.transcript.extend(outputs)
 
-    pair_count = sum(1 for y in outputs if len(y) == 2)
-    size = _consistent_below(state.size, outputs, q, n, m) << pair_count
+    size = _consistent_below(state.size, outputs, p, q, n, m) << p
     h = _consistent_rank(pattern, outputs)
-    if h << pair_count >= size:
+    if h << p >= size:
         raise ProtocolViolation("true message prefix missing from uncertainty set")
-    if size > survivor_bound(n, m, pair_count):
+    if size > survivor_bound(n, m, p):
         raise ProtocolViolation(
             f"uncertainty set overflow: {size} candidates after a block "
-            f"with {pair_count} pair outputs"
+            f"with {p} pair outputs"
         )
-    _append_digest(state.block_digests, size, outputs)
-    state.size = size
-    state.index = (h << pair_count) + child
-    state.max_uncertainty = max(state.max_uncertainty, size)
-    state.block += 1
+    state.sizes.append(size)
+    state.index = (h << p) + child
     return state
 
 
@@ -441,7 +437,7 @@ def run_final_block(state: SessionState) -> SessionState:
 class DecodeResult:
     w1: tuple[int, ...]
     w2: tuple[int, ...]
-    block_digests: tuple[bytes, ...]
+    sizes: tuple[int, ...]
 
 
 def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> DecodeResult:
@@ -461,14 +457,13 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     if len(transcript) < pos:
         raise ValueError("transcript too short for the declared block count")
     blocks = [transcript[start : start + n] for start in range(0, pos, n)]
-    digests: list[bytes] = []
-    size = 1
-    for b, outputs in enumerate(blocks):
-        pair_count = sum(1 for y in outputs if len(y) == 2)
-        size = _consistent_below(size, outputs, q, n, m) << pair_count
+    pair_counts = [sum(1 for y in outputs if len(y) == 2) for outputs in blocks]
+    sizes = [1]
+    for b, (outputs, p) in enumerate(zip(blocks, pair_counts)):
+        size = _consistent_below(sizes[-1], outputs, p, q, n, m) << p
         if not size:
             raise ValueError(f"transcript inconsistent at block {b}: no candidate left")
-        _append_digest(digests, size, outputs)
+        sizes.append(size)
     digits = resolution_digits(size, q)
     if pos + digits != len(transcript):
         raise ValueError(
@@ -486,9 +481,9 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     # walk back: each rank splits into a surviving pattern and, one digit per
     # star (base 2 at a pair output, base 1 at a singleton), the pair orders
     pairs = []  # digit pairs, last first
-    for outputs in reversed(blocks):
-        h, child = divmod(rank, 1 << sum(1 for y in outputs if len(y) == 2))
-        pattern = _consistent_pattern(h, outputs, n, m)
+    for outputs, p in zip(reversed(blocks), reversed(pair_counts)):
+        h, child = divmod(rank, 1 << p)
+        pattern = _consistent_pattern(h, outputs, p, n, m)
         for s, y in zip(reversed(pattern), reversed(outputs)):
             if s == STAR:
                 child, order = divmod(child, len(y))
@@ -498,7 +493,7 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     return DecodeResult(
         w1=tuple(element[0::2]),
         w2=tuple(element[1::2]),
-        block_digests=tuple(digests),
+        sizes=tuple(sizes),
     )
 
 
@@ -549,7 +544,7 @@ def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     run_final_block(state)
 
     decoded = decode_transcript(params, state.transcript)
-    if decoded.block_digests != tuple(state.block_digests):
+    if decoded.sizes != tuple(state.sizes):
         raise ProtocolViolation("decoder replay disagrees with encoder bookkeeping")
     if state.uses > uses_bound(params):
         raise ProtocolViolation("channel-use bound exceeded")

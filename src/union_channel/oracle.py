@@ -233,6 +233,10 @@ def _interpolated_max(
 def _grid_q2(theta: float, resolution: float) -> GridSearchResult:
     # one free coordinate per side; the partner mass is solved exactly from
     # a1*b1 + (1-a1)(1-b1) = theta, so every evaluated pair is feasible
+    if resolution < 1e-6:
+        raise ValueError(
+            f"grid step below 1e-6 means >1M points per side; got {resolution!r}"
+        )
     steps = round(1.0 / resolution)
     a1 = np.linspace(0.0, 1.0, steps + 1)
     denom = 2.0 * a1 - 1.0

@@ -78,6 +78,7 @@ def test_lemma_grid_pass(capsys):
         ("2", "0.75", "0.9", "resolution must lie in (0, 0.5], got 0.9"),
         ("2", "0.75", "nan", "resolution must lie in (0, 0.5], got nan"),
         ("3", "0.5", "1e-5", "simplex grid step below 1e-3"),
+        ("2", "0.75", "1e-8", "grid step below 1e-6"),
     ],
 )
 def test_lemma_refuses_bad_resolution_in_one_line(capsys, q, theta, resolution, message):
@@ -103,6 +104,32 @@ def test_lemma_refuses_resolution_without_grid(capsys, q, resolution):
     assert err.count("\n") == 1
     assert err.startswith("refused: --resolution")
     assert f"got q={q}" in err
+
+
+@pytest.mark.parametrize(
+    "q, samples", [("2", "5000001"), ("5", "2000001"), ("4", "1000000000000")]
+)
+def test_lemma_refuses_sampler_above_cap_in_one_line(capsys, q, samples):
+    code, out, err = run_cli(
+        capsys, "lemma", "--q", q, "--theta", "0.5", "--samples", samples
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"refused: --samples {samples} at q={q}")
+    assert "at most 10000000" in err
+
+
+@pytest.mark.parametrize("q", ["2", "3", "5"])
+def test_lemma_refuses_negative_seed_at_parse_time(capsys, q):
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "--q", q, "--theta", "0.5", "--samples", "10", "--seed", "-1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "argument --seed: must be >= 0, got -1" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf", "-inf", "abc"])

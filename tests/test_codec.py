@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -32,7 +33,14 @@ from union_channel import (
     unrank_pattern,
     validate_params,
 )
-from union_channel.codec import _consistent_below, _consistent_pattern, _consistent_rank
+from union_channel import codec
+from union_channel.codec import (
+    ProtocolViolation,
+    SessionState,
+    _consistent_below,
+    _consistent_pattern,
+    _consistent_rank,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +159,7 @@ def test_consistent_rank_inverts_consistent_pattern():
         if p > m:
             continue
         for h in range(math.comb(n - p, m - p)):
-            pattern = _consistent_pattern(h, outputs, n, m)
+            pattern = _consistent_pattern(h, outputs, p, n, m)
             assert _consistent_rank(pattern, outputs) == h
 
 
@@ -163,7 +171,7 @@ def _consistent_below_bisect(limit, outputs, q, n, m):
     return bisect_left(
         range(math.comb(n - p, m - p)),
         limit,
-        key=lambda h: rank_pattern(_consistent_pattern(h, outputs, n, m), q, m),
+        key=lambda h: rank_pattern(_consistent_pattern(h, outputs, p, n, m), q, m),
     )
 
 
@@ -192,7 +200,8 @@ def _count_cases(draw):
 @settings(max_examples=400, deadline=None)
 def test_consistent_below_matches_bisect(case):
     q, n, m, outputs, limit = case
-    assert _consistent_below(limit, outputs, q, n, m) == _consistent_below_bisect(
+    p = sum(1 for y in outputs if len(y) == 2)
+    assert _consistent_below(limit, outputs, p, q, n, m) == _consistent_below_bisect(
         limit, outputs, q, n, m
     )
 
@@ -357,7 +366,26 @@ def test_session_state_matches_materialised_set(params):
                 run_block(state)
                 uncertainty = _materialised(params, state.transcript)
                 assert len(uncertainty) == state.size
+                assert state.sizes[b + 1] == len(uncertainty)
                 assert uncertainty[state.index] == _interleaved(w1, w2, (b + 1) * params.m)
+
+
+def test_session_state_derives_size_block_and_peak_from_sizes():
+    fields = [f.name for f in dataclasses.fields(SessionState)]
+    assert fields == [
+        "params", "w1", "w2", "known_other_1", "known_other_2", "sizes", "index", "transcript"
+    ]
+    params = CodeParams(q=2, n=5, m=3, blocks=2)
+    state = new_session(params, (1, 2, 1, 2, 2, 1), (2, 1, 1, 1, 2, 2))
+    assert (state.sizes, state.size, state.block, state.max_uncertainty) == ([1], 1, 0, 1)
+    for b in range(params.blocks):
+        run_block(state)
+        assert len(state.sizes) == b + 2
+        assert (state.size, state.block) == (state.sizes[-1], b + 1)
+        assert state.max_uncertainty == max(state.sizes)
+    for name in ("size", "block", "max_uncertainty", "uses"):
+        with pytest.raises(AttributeError):
+            setattr(state, name, 0)
 
 
 def test_resolution_digits():
@@ -432,7 +460,7 @@ def _round_trip(params, w1, w2):
     decoded = decode_transcript(params, state.transcript)
     assert decoded.w1 == tuple(w1)
     assert decoded.w2 == tuple(w2)
-    assert decoded.block_digests == tuple(state.block_digests)
+    assert decoded.sizes == tuple(state.sizes)
 
 
 @pytest.mark.parametrize(
@@ -544,6 +572,19 @@ def test_simulate_deterministic_and_order_independent():
     assert first == second
     parallel = simulate(params, trials=30, seed=9, workers=2)
     assert parallel == first
+
+
+def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
+    decode = codec.decode_transcript
+
+    def altered(params, transcript):
+        decoded = decode(params, transcript)
+        sizes = decoded.sizes[:-1] + (decoded.sizes[-1] + 1,)
+        return dataclasses.replace(decoded, sizes=sizes)
+
+    monkeypatch.setattr(codec, "decode_transcript", altered)
+    with pytest.raises(ProtocolViolation, match="decoder replay disagrees"):
+        simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials=1, seed=0)
 
 
 def test_jsonl_report_lines():

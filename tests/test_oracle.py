@@ -161,6 +161,8 @@ def test_grid_rejects_bad_arguments():
         grid_max_joint_entropy(2, 0.5, float("nan"))
     with pytest.raises(ValueError):
         grid_max_joint_entropy(3, 0.5, 1e-4)  # simplex grid would explode
+    with pytest.raises(ValueError, match="grid step below 1e-6"):
+        grid_max_joint_entropy(2, 0.75, 1e-8)  # 1e8-point arrays
 
 
 # ---------------------------------------------------------------------------
