@@ -140,13 +140,16 @@ def case_discriminant(q: int) -> float:
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Computed symmetric rates for one alphabet size."""
+    """Computed symmetric rates for one alphabet size.
+
+    The field order is the column order of the CLI's capacity and table CSV.
+    """
 
     q: int
+    r_no_feedback: float  # 1 - (q-1)/(2q log2 q)
     r_feedback: float  # symmetric capacity with feedback, base q
     theta_star: float  # maximizing agreement probability in [1/q, 2/(q+1)]
     case: str
-    r_no_feedback: float  # 1 - (q-1)/(2q log2 q)
     r_zero_error_lower: float  # zero-error feedback lower bound (rate_root)
 
 
@@ -184,10 +187,10 @@ def avg_feedback_capacity(q: int) -> CapacityReport:
         case = CASE_OUTPUT_PEAK
     report = CapacityReport(
         q=q,
+        r_no_feedback=avg_capacity_no_feedback(q),
         r_feedback=r,
         theta_star=theta_star,
         case=case,
-        r_no_feedback=avg_capacity_no_feedback(q),
         r_zero_error_lower=rate_root(q),
     )
     if report.r_zero_error_lower > r + 1e-9 or report.r_no_feedback > r + 1e-9:

@@ -4,7 +4,8 @@ Output formats: ``table`` (human, 5 decimal places), ``csv`` and ``jsonl``
 (full double precision; exact integers as decimal strings). Every command
 is deterministic given its flags, including the seed; the machine formats
 are byte-identical across runs. The environment variable
-``UNION_CHANNEL_THREADS`` overrides the worker count for codec trials.
+``UNION_CHANNEL_THREADS`` (1 to 64) overrides the worker count for codec
+trials.
 """
 
 from __future__ import annotations
@@ -57,25 +58,7 @@ def _emit_fields(row: dict, labels: dict, width: int) -> None:
         sys.stdout.write(f"{labels.get(key, key):<{width}}{_fmt5(value)}\n")
 
 
-def _capacity_row(report: capacity.CapacityReport) -> dict:
-    return {
-        "q": report.q,
-        "r_no_feedback": report.r_no_feedback,
-        "r_feedback": report.r_feedback,
-        "theta_star": report.theta_star,
-        "case": report.case,
-        "r_zero_error_lower": report.r_zero_error_lower,
-    }
-
-
-_CAPACITY_HEADERS = [
-    "q",
-    "r_no_feedback",
-    "r_feedback",
-    "theta_star",
-    "case",
-    "r_zero_error_lower",
-]
+_CAPACITY_HEADERS = [f.name for f in dataclasses.fields(capacity.CapacityReport)]
 
 _CAPACITY_LABELS = {
     "r_no_feedback": "R(E)",
@@ -87,7 +70,7 @@ _CAPACITY_LABELS = {
 
 def _cmd_capacity(args) -> int:
     report = capacity.avg_feedback_capacity(args.q)
-    row = _capacity_row(report)
+    row = dataclasses.asdict(report)
     if args.format == "table":
         _emit_fields(row, _CAPACITY_LABELS, 20)
     else:
@@ -97,7 +80,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = [
-        _capacity_row(capacity.avg_feedback_capacity(q))
+        dataclasses.asdict(capacity.avg_feedback_capacity(q))
         for q in range(2, args.q_max + 1)
     ]
     _emit_rows(_CAPACITY_HEADERS, rows, args.format, sys.stdout)
@@ -197,27 +180,15 @@ def _cmd_lemma(args) -> int:
 
 
 def _workers_from_env() -> int:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
     try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise SystemExit(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return workers
+        return _number(int, 1, 64)(os.environ.get(THREADS_ENV, "1"))
+    except argparse.ArgumentTypeError as exc:
+        sys.stderr.write(f"union-channel codec: error: {THREADS_ENV}: {exc}\n")
+        raise SystemExit(2) from None
 
 
 def _cmd_codec(args) -> int:
     try:
-        check = codec.validate_params(args.q, args.n, args.m)
-        if not check.feasible:
-            sys.stderr.write(
-                f"infeasible (q={args.q}, n={args.n}, m={args.m}): "
-                f"lhs={check.lhs} rhs={check.rhs} (need n/2 <= m <= n and lhs <= rhs)\n"
-            )
-            return 1
         params = codec.CodeParams(q=args.q, n=args.n, m=args.m, blocks=args.B)
     except ValueError as exc:
         sys.stderr.write(f"refused: {exc}\n")
@@ -232,6 +203,7 @@ def _cmd_codec(args) -> int:
         rows = [dataclasses.asdict(r) for r in report.records]
         _emit_rows(["trial", "uses", "max_uncertainty", "ok"], rows, "csv", sys.stdout)
     else:
+        check = codec.validate_params(params.q, params.n, params.m)
         sys.stdout.write(
             f"q={params.q} n={params.n} m={params.m} blocks={params.blocks} "
             f"trials={report.trials} seed={report.seed}\n"
@@ -263,25 +235,28 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
-    return value
+def _number(kind: type, lo, hi=math.inf):
+    """An argparse ``type=`` that parses ``kind`` and keeps it in ``[lo, hi]``.
 
+    NaN and infinities are refused too, so every accepted value is finite.
+    """
+    if hi < math.inf:
+        span = f"in [{lo}, {hi}]"
+    else:
+        span = f"finite and >= {lo}" if kind is float else f">= {lo}"
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not lo <= value <= hi or value == math.inf:  # nan fails lo <= value
+            raise argparse.ArgumentTypeError(f"must be {span}, got {text}")
+        return value
 
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < math.inf:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
-    return value
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,64 +276,52 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
 
+    # each numeric option's range is checked once, by its type=; --q stops at
+    # 2**53, beyond which alphabet sizes are not exact floats, and block
+    # lengths at 64, the largest n that `params` searches
+
     p = sub.add_parser("capacity", help="symmetric rates for one alphabet size")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
     add_common(p)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("table", help="capacity table for q = 2..q-max")
-    p.add_argument("--q-max", type=int, required=True)
+    p.add_argument("--q-max", type=_number(int, 2, 1000), required=True)
     add_common(p)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("lemma", help="oracle vs closed-form joint-entropy maximum")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--theta", type=_number(float, 0, 1), required=True)
+    # the grid oracle owns the range of its step; see oracle.grid_max_joint_entropy
     p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--samples", type=_positive_int, default=0, nargs="?", const=100_000)
-    p.add_argument("--seed", type=_nonnegative_int, default=oracle.DEFAULT_SEED)
-    p.add_argument("--tolerance", type=_nonnegative_float, default=None)
+    p.add_argument("--samples", type=_number(int, 1), default=0, nargs="?", const=100_000)
+    p.add_argument("--seed", type=_number(int, 0), default=oracle.DEFAULT_SEED)
+    p.add_argument("--tolerance", type=_number(float, 0), default=None)
     add_common(p)
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("codec", help="run the zero-error protocol simulation")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--m", type=_positive_int, required=True)
-    p.add_argument("--B", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=codec.DEFAULT_SEED)
+    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--n", type=_number(int, 1, 64), required=True)
+    p.add_argument("--m", type=_number(int, 1, 64), required=True)
+    p.add_argument("--B", type=_number(int, 1, 10**4), required=True)
+    p.add_argument("--trials", type=_number(int, 1, 10**6), default=100)
+    p.add_argument("--seed", type=_number(int, 0), default=codec.DEFAULT_SEED)
     add_common(p)
     p.set_defaults(func=_cmd_codec)
 
     p = sub.add_parser("params", help="feasible (n, m) pairs and their rates")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n-max", type=_positive_int, default=64)
+    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--n-max", type=_number(int, 1, 64), default=64)
     add_common(p)
     p.set_defaults(func=_cmd_params)
 
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args) -> None:
-    q = getattr(args, "q", None)
-    if q is not None and q < 2:
-        parser.error(f"--q must be at least 2, got {q}")
-    q_max = getattr(args, "q_max", None)
-    if q_max is not None and not 2 <= q_max <= 1000:
-        parser.error(f"--q-max must lie in [2, 1000], got {q_max}")
-    n_max = getattr(args, "n_max", None)
-    if n_max is not None and n_max > 64:
-        parser.error(f"--n-max must be at most 64, got {n_max}")
-    theta = getattr(args, "theta", None)
-    if theta is not None and not 0.0 <= theta <= 1.0:
-        parser.error(f"--theta must lie in [0, 1], got {theta}")
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from union_channel import avg_feedback_capacity, rate_root
-from union_channel.cli import main
+from union_channel.cli import _workers_from_env, main
 
 
 def run_cli(capsys, *argv):
@@ -285,6 +285,42 @@ def test_codec_thread_env_invalid(capsys, monkeypatch):
         main(["codec", "--q", "2", "--n", "5", "--m", "3", "--B", "1"])
 
 
+# parse level only: _workers_from_env returns the count and starts no pool
+@pytest.mark.parametrize(
+    "raw",
+    ["0", "-1", "65", "nan", "1e300", "1" * 400, "abc"],
+    ids=["0", "-1", "65", "nan", "1e300", "400-digit", "abc"],
+)
+def test_codec_thread_env_refused_at_parse_level(capsys, monkeypatch, raw):
+    monkeypatch.setenv("UNION_CHANNEL_THREADS", raw)
+    with pytest.raises(SystemExit) as exc:
+        _workers_from_env()
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "UNION_CHANNEL_THREADS: " in captured.err
+
+
+def test_codec_thread_env_bounds(monkeypatch):
+    monkeypatch.delenv("UNION_CHANNEL_THREADS", raising=False)
+    assert _workers_from_env() == 1
+    for raw in ("1", "64"):
+        monkeypatch.setenv("UNION_CHANNEL_THREADS", raw)
+        assert _workers_from_env() == int(raw)
+
+
+def test_codec_refuses_negative_seed_at_parse_time(capsys):
+    # random.Random hashes abs(seed), so -5 would silently rerun seed 5
+    with pytest.raises(SystemExit) as exc:
+        main(["codec", "--q", "2", "--n", "5", "--m", "3", "--B", "1", "--seed", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "argument --seed: must be >= 0, got -5" in captured.err
+
+
 def test_params_listing(capsys):
     code, out, _ = run_cli(capsys, "params", "--q", "2", "--n-max", "17", "--format", "csv")
     assert code == 0
@@ -308,3 +344,51 @@ def test_params_n_max_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["params", "--q", "2", "--n-max", "65"])
     assert exc.value.code == 2
+
+
+# one valid argv per subcommand; every option in it is numeric
+_BASE_ARGV = [
+    ["capacity", "--q", "3"],
+    ["table", "--q-max", "3"],
+    [
+        "lemma", "--q", "2", "--theta", "0.75", "--resolution", "1e-3",
+        "--samples", "1000", "--seed", "1", "--tolerance", "0.05",
+    ],
+    [
+        "codec", "--q", "2", "--n", "5", "--m", "3", "--B", "2",
+        "--trials", "2", "--seed", "1",
+    ],
+    ["params", "--q", "2", "--n-max", "8"],
+]
+_HOSTILE = {
+    "0": "0", "-1": "-1", "nan": "nan", "inf": "inf", "1e-300": "1e-300",
+    "1e300": "1e300", "400-digit": "1" * 400, "abc": "abc",
+}
+
+
+def _hostile_argvs():
+    for base in _BASE_ARGV:
+        for i in range(2, len(base), 2):
+            for label, value in _HOSTILE.items():
+                argv = base[:i] + [value] + base[i + 1 :]
+                yield pytest.param(argv, id=f"{base[0]} {base[i - 1]}={label}")
+
+
+@pytest.mark.parametrize("argv", _hostile_argvs())
+def test_hostile_numeric_value_gets_a_one_line_answer(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in captured.err
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+    elif code == 1:
+        assert captured.err.count("\n") == 1 or (
+            captured.err == "" and "FAIL" in captured.out
+        )
+    else:
+        assert captured.err == ""
