@@ -28,8 +28,8 @@ import math
 import multiprocessing
 import random
 from dataclasses import dataclass
-from itertools import product
-from functools import lru_cache
+from itertools import islice, product
+from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
 from .entropy import binary_entropy, check_alphabet
@@ -215,13 +215,16 @@ def channel(x1: int, x2: int) -> Output:
     return frozenset((x1, x2))
 
 
+@lru_cache(maxsize=None)
+def _valid_outputs(q: int) -> frozenset[Output]:
+    # the q(q+1)/2 outputs of the channel over [1, q], built without calling it
+    return frozenset(frozenset((a, b)) for a in range(1, q + 1) for b in range(a, q + 1))
+
+
 def _star_options(y: Output) -> tuple[bytes, ...]:
     # digit pairs consistent with the output at a star position, in sorted order
-    if len(y) == 1:
-        (a,) = y
-        return (bytes((a, a)),)
-    a, b = sorted(y)
-    return (bytes((a, b)), bytes((b, a)))
+    lo, hi = min(y), max(y)
+    return (bytes((lo, hi)), bytes((hi, lo)))[: len(y)]
 
 
 def _consistent_pattern(
@@ -360,9 +363,10 @@ def new_session(
             raise ValueError(
                 f"{name} must have {params.message_digits} digits, got {len(w)}"
             )
-        for d in w:
-            if not 1 <= d <= params.q:
-                raise ValueError(f"{name} digit {d!r} outside alphabet [1, {params.q}]")
+        if not set(w).issubset(range(1, params.q + 1)):
+            for d in w:
+                if not 1 <= d <= params.q:
+                    raise ValueError(f"{name} digit {d!r} outside alphabet [1, {params.q}]")
     return SessionState(
         params=params,
         w1=bytes(w1),
@@ -386,22 +390,27 @@ def run_block(state: SessionState) -> SessionState:
 
     pattern = unrank_pattern(state.index, q, n, m)
     outputs: list[Output] = []
+    known_1, known_2 = state.known_other_1, state.known_other_2
     child = 0  # one bit per pair output: which order of the pair is true
-    p = 0
     for s in pattern:
-        x1, x2 = next(digits) if s == STAR else (s, s)
-        y = channel(x1, x2)
-        if len(y) == 2:
-            if s != STAR:
+        if s != STAR:
+            outputs.append(y := channel(s, s))
+            if len(y) == 2:
                 raise ProtocolViolation("pair output at a symbol position")
-            child = (child << 1) | (x1 > x2)
-            p += 1
-        outputs.append(y)
-        if s == STAR:
-            # feedback: each sender deduces the other's digit from the output
-            state.known_other_1.append(x1 if len(y) == 1 else (set(y) - {x1}).pop())
-            state.known_other_2.append(x2 if len(y) == 1 else (set(y) - {x2}).pop())
+            continue
+        x1, x2 = next(digits)
+        outputs.append(y := channel(x1, x2))
+        # feedback: each sender deduces the other's digit from the output
+        if len(y) == 1:
+            known_1.append(x1)
+            known_2.append(x2)
+            continue
+        a, b = y
+        known_1.append(b if a == x1 else a)
+        known_2.append(b if a == x2 else a)
+        child = (child << 1) | (x1 > x2)
     state.transcript.extend(outputs)
+    p = sum(map(len, outputs)) - n  # pair outputs
 
     size = _consistent_below(state.size, outputs, p, q, n, m) << p
     h = _consistent_rank(pattern, outputs)
@@ -447,8 +456,10 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     [q], and for a transcript that no message pair can produce.
     """
     q, n, m = params.q, params.n, params.m
+    valid = _valid_outputs(q)
     for pos, y in enumerate(transcript):
-        if not (1 <= len(y) <= 2 and min(y) >= 1 and max(y) <= q):
+        # a set or list equal to a valid output is refused too, not hashed
+        if type(y) is not frozenset or y not in valid:
             raise ValueError(
                 f"output {sorted(y)} at position {pos} is not a 1- or 2-element "
                 f"subset of [1, {q}]"
@@ -457,7 +468,7 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     if len(transcript) < pos:
         raise ValueError("transcript too short for the declared block count")
     blocks = [transcript[start : start + n] for start in range(0, pos, n)]
-    pair_counts = [sum(1 for y in outputs if len(y) == 2) for outputs in blocks]
+    pair_counts = [sum(map(len, outputs)) - n for outputs in blocks]
     sizes = [1]
     for b, (outputs, p) in enumerate(zip(blocks, pair_counts)):
         size = _consistent_below(sizes[-1], outputs, p, q, n, m) << p
@@ -478,23 +489,20 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
         rank = rank * q + (sym - 1)
     if rank >= size:
         raise ValueError(f"decoded rank {rank} outside uncertainty set")
-    # walk back: each rank splits into a surviving pattern and, one digit per
-    # star (base 2 at a pair output, base 1 at a singleton), the pair orders
-    pairs = []  # digit pairs, last first
+    # walk back: each rank splits into a surviving pattern and, one bit per
+    # pair output (last pair lowest), the pair orders
+    w1, w2 = [], []  # digits, last first
     for outputs, p in zip(reversed(blocks), reversed(pair_counts)):
         h, child = divmod(rank, 1 << p)
         pattern = _consistent_pattern(h, outputs, p, n, m)
         for s, y in zip(reversed(pattern), reversed(outputs)):
-            if s == STAR:
-                child, order = divmod(child, len(y))
-                pairs.append(_star_options(y)[order])
+            if s == STAR:  # a pair's bit is 1 when sender 1 sent the larger digit
+                child, larger_first = divmod(child, len(y))
+                lo, hi = min(y), max(y)
+                w1.append(hi if larger_first else lo)
+                w2.append(lo if larger_first else hi)
         rank = rank_pattern(pattern, q, m)
-    element = b"".join(reversed(pairs))
-    return DecodeResult(
-        w1=tuple(element[0::2]),
-        w2=tuple(element[1::2]),
-        sizes=tuple(sizes),
-    )
+    return DecodeResult(w1=tuple(w1[::-1]), w2=tuple(w2[::-1]), sizes=tuple(sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +532,18 @@ class SimulationReport:
     records: tuple[TrialRecord, ...]
 
 
+def _draw_digits(rng: random.Random, q: int, count: int) -> tuple[int, ...]:
+    # the next count values of rng.randint(1, q), in fewer calls: CPython's randint
+    # is 1 + getrandbits(q.bit_length()), redrawn while >= q (a test pins this)
+    draws = iter(partial(rng.getrandbits, q.bit_length()), None)
+    return tuple(islice((r + 1 for r in draws if r < q), count))
+
+
 def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     params, seed, trial = args
     rng = random.Random(seed ^ trial)
-    w1 = tuple(rng.randint(1, params.q) for _ in range(params.message_digits))
-    w2 = tuple(rng.randint(1, params.q) for _ in range(params.message_digits))
+    w1 = _draw_digits(rng, params.q, params.message_digits)
+    w2 = _draw_digits(rng, params.q, params.message_digits)
 
     state = new_session(params, w1, w2)
     for b in range(params.blocks):

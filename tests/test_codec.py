@@ -442,6 +442,19 @@ def test_decode_rejects_impossible_outputs(outputs, message):
         decode_transcript(params, [frozenset(y) for y in outputs])
 
 
+@pytest.mark.parametrize("output", [[1, 1], {1, 2}], ids=["list", "set"])
+def test_decode_rejects_outputs_that_are_not_frozensets(output):
+    # the list once decoded to w2=(1, 2), whose re-encoding differs, and the
+    # set, equal to the true output {1, 2}, was accepted; both are refused
+    params = CodeParams(q=2, n=3, m=2, blocks=1)
+    transcript = _encode(params, w1=(1, 2), w2=(2, 2)).transcript
+    assert transcript[0] == frozenset((1, 2))
+    transcript[0] = output
+    message = f"output {sorted(output)} at position 0 is not a 1- or 2-element"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decode_transcript(params, transcript)
+
+
 def test_channel_is_the_unordered_union():
     assert channel(1, 2) == frozenset((1, 2)) == channel(2, 1)
     assert channel(3, 3) == frozenset((3,))
@@ -585,6 +598,31 @@ def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
     monkeypatch.setattr(codec, "decode_transcript", altered)
     with pytest.raises(ProtocolViolation, match="decoder replay disagrees"):
         simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials=1, seed=0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**40 + 3])
+def test_draw_digits_matches_randint(seed):
+    for q in range(2, 256):
+        r = random.Random(seed)
+        expected = tuple(r.randint(1, q) for _ in range(500))
+        assert codec._draw_digits(random.Random(seed), q, 500) == expected, q
+
+
+@pytest.mark.parametrize(
+    "faulty_channel, message",
+    [
+        # each sender must deduce the other's digit from the output; a
+        # channel that shows one input only leaves at least one sender wrong
+        (lambda x1, x2: frozenset((x1,)), "mis-deduced"),
+        (lambda x1, x2: frozenset((x2,)), "mis-deduced"),
+        (lambda x1, x2: frozenset((x1, 3 - x2)), "pair output at a symbol position"),
+    ],
+    ids=["shows-x1", "shows-x2", "flips-x2"],
+)
+def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, message):
+    monkeypatch.setattr(codec, "channel", faulty_channel)
+    with pytest.raises(ProtocolViolation, match=message):
+        simulate(CodeParams(q=2, n=17, m=13, blocks=3), trials=1)
 
 
 def test_jsonl_report_lines():
