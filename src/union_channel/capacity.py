@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .codec import rate_root
-from .entropy import check_alphabet, entropy_q, grouped_entropy
-from .solvers import bisect_root
+from .entropy import bisect_root, check_alphabet, entropy_q, grouped_entropy
 
 CASE_CURVE_INTERSECTION = "curve_intersection"
 CASE_CHORD_INTERSECTION = "chord_intersection"
@@ -232,40 +231,28 @@ def cover_leung_witness(q: int, theta: float) -> CoverLeungWitness:
     if len(points) == 1:
         points.append((0.0, points[0][1]))  # keep 2q atoms for U
 
-    def conditional(top: float, v: int, x: int) -> float:
-        return top if x == v else (1.0 - top) / (q - 1)
-
+    # one pass over the joint: each entry also feeds its (u, v) block's two
+    # conditional rows and the pair marginal, summed in the joint's order
     joint: dict[tuple[int, int, int, int], float] = {}
+    pair_marginal: dict[tuple[int, int], float] = {}
+    h1 = h2 = 0.0
     for u, (weight, theta_u) in enumerate(points):
         top = top_symbol_mass(theta_u, q)
+        p_uv = weight / q
         for v in range(1, q + 1):
-            p_uv = weight / q
+            cond = [top if x == v else (1.0 - top) / (q - 1) for x in range(1, q + 1)]
+            row1 = [0.0] * q
+            row2 = [0.0] * q
             for x1 in range(1, q + 1):
                 for x2 in range(1, q + 1):
-                    joint[(u, v, x1, x2)] = (
-                        p_uv * conditional(top, v, x1) * conditional(top, v, x2)
-                    )
-
-    def conditional_entropy(axis: int) -> float:
-        total = 0.0
-        for u, (weight, _) in enumerate(points):
-            if weight == 0.0:
-                continue
-            for v in range(1, q + 1):
-                p_uv = weight / q
-                row = []
-                for x in range(1, q + 1):
-                    mass = 0.0
-                    for other in range(1, q + 1):
-                        key = (u, v, x, other) if axis == 1 else (u, v, other, x)
-                        mass += joint[key]
-                    row.append(mass / p_uv)
-                total += p_uv * entropy_q(row, q)
-        return total
-
-    pair_marginal: dict[tuple[int, int], float] = {}
-    for (u, v, x1, x2), p in joint.items():
-        pair_marginal[(x1, x2)] = pair_marginal.get((x1, x2), 0.0) + p
+                    p = p_uv * cond[x1 - 1] * cond[x2 - 1]
+                    joint[(u, v, x1, x2)] = p
+                    row1[x1 - 1] += p
+                    row2[x2 - 1] += p
+                    pair_marginal[(x1, x2)] = pair_marginal.get((x1, x2), 0.0) + p
+            if weight != 0.0:
+                h1 += p_uv * entropy_q([mass / p_uv for mass in row1], q)
+                h2 += p_uv * entropy_q([mass / p_uv for mass in row2], q)
 
     output_dist: dict[frozenset, float] = {}
     for (x1, x2), p in pair_marginal.items():
@@ -273,8 +260,6 @@ def cover_leung_witness(q: int, theta: float) -> CoverLeungWitness:
         output_dist[key] = output_dist.get(key, 0.0) + p
     h_output = entropy_q(list(output_dist.values()), q)
 
-    h1 = conditional_entropy(1)
-    h2 = conditional_entropy(2)
     return CoverLeungWitness(
         q=q,
         theta=theta,

@@ -46,7 +46,7 @@ def _emit_rows(headers: list[str], rows: list[dict], fmt: str, out) -> None:
         writer.writerows(rows)
         return
     display = [{k: _fmt5(v) for k, v in row.items()} for row in rows]
-    widths = {h: max(len(h), *(len(r[h]) for r in display)) for h in headers}
+    widths = {h: max([len(h), *(len(r[h]) for r in display)]) for h in headers}
     out.write("  ".join(h.ljust(widths[h]) for h in headers).rstrip() + "\n")
     for row in display:
         out.write("  ".join(row[h].ljust(widths[h]) for h in headers).rstrip() + "\n")

@@ -27,13 +27,12 @@ import json
 import math
 import multiprocessing
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice, product
 from functools import lru_cache, partial
 from typing import Iterator, Sequence
 
-from .entropy import binary_entropy, check_alphabet
-from .solvers import bisect_root
+from .entropy import binary_entropy, bisect_root, check_alphabet
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255
@@ -460,8 +459,12 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     for pos, y in enumerate(transcript):
         # a set or list equal to a valid output is refused too, not hashed
         if type(y) is not frozenset or y not in valid:
+            try:
+                shown = sorted(y)
+            except TypeError:  # not iterable, or elements without an order
+                shown = repr(y)
             raise ValueError(
-                f"output {sorted(y)} at position {pos} is not a 1- or 2-element "
+                f"output {shown} at position {pos} is not a 1- or 2-element "
                 f"subset of [1, {q}]"
             )
     pos = params.blocks * n
@@ -619,32 +622,13 @@ def report_jsonl_lines(report: SimulationReport) -> Iterator[str]:
     serialized as decimal strings.
     """
     for r in report.records:
-        yield json.dumps(
-            {
-                "trial": r.trial,
-                "uses": r.uses,
-                "max_uncertainty": str(r.max_uncertainty),
-                "ok": r.ok,
-            }
-        )
-    yield json.dumps(
-        {
-            "summary": True,
-            "q": report.params.q,
-            "n": report.params.n,
-            "m": report.params.m,
-            "blocks": report.params.blocks,
-            "trials": report.trials,
-            "seed": report.seed,
-            "errors": report.errors,
-            "max_uncertainty": str(report.max_uncertainty),
-            "min_uses": report.min_uses,
-            "max_uses": report.max_uses,
-            "mean_uses": report.mean_uses,
-            "uses_bound": report.uses_bound,
-            "achieved_rate": report.achieved_rate,
-        }
-    )
+        yield json.dumps({**asdict(r), "max_uncertainty": str(r.max_uncertainty)})
+    summary = {"summary": True, **asdict(report.params)}
+    for f in fields(report):
+        if f.name not in ("params", "records"):
+            summary[f.name] = getattr(report, f.name)
+    summary["max_uncertainty"] = str(report.max_uncertainty)
+    yield json.dumps(summary)
 
 
 # ---------------------------------------------------------------------------

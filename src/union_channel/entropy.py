@@ -1,4 +1,4 @@
-"""Shannon entropy primitives in base q and base 2.
+"""Shannon entropy primitives in base q and base 2, and a bisection root finder.
 
 Every probability input is validated (entries nonnegative, unit sum within
 ``PROB_TOL``); inputs in this package come from closed forms, so a larger
@@ -9,7 +9,7 @@ by an explicit branch so degenerate distributions never produce a NaN.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 PROB_TOL = 1e-12
 
@@ -74,3 +74,36 @@ def binary_entropy(p: float) -> float:
     if p < 1.0:
         total += (1.0 - p) * math.log2(1.0 - p)
     return -total
+
+
+def bisect_root(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-12
+) -> float:
+    """Bisection root of ``f`` on ``[lo, hi]``, within 200 halvings.
+
+    The bracket must straddle a sign change; a same-sign bracket raises
+    RuntimeError because every caller here constructs brackets that are
+    guaranteed by a monotonicity argument.
+    """
+    flo = f(lo)
+    fhi = f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo < 0.0) == (fhi < 0.0):
+        raise RuntimeError(
+            f"no sign change on [{lo}, {hi}]: f(lo)={flo}, f(hi)={fhi}"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= tol:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (flo < 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -230,7 +230,9 @@ def _interpolated_max(
     return float(values[i]), ap[i], bp[i]
 
 
-def _grid_q2(theta: float, resolution: float) -> GridSearchResult:
+def _grid_q2(
+    theta: float, resolution: float
+) -> tuple[float, np.ndarray, np.ndarray] | None:
     # one free coordinate per side; the partner mass is solved exactly from
     # a1*b1 + (1-a1)(1-b1) = theta, so every evaluated pair is feasible
     if resolution < 1e-6:
@@ -244,7 +246,7 @@ def _grid_q2(theta: float, resolution: float) -> GridSearchResult:
     b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
     ok &= (b1 >= -1e-12) & (b1 <= 1.0 + 1e-12)
     if not ok.any():
-        return GridSearchResult(None, None, None, resolution)
+        return None
     b1 = np.clip(b1, 0.0, 1.0)
     pairs_a = np.stack([a1, 1.0 - a1], axis=1)
     pairs_b = np.stack([b1, 1.0 - b1], axis=1)
@@ -252,12 +254,7 @@ def _grid_q2(theta: float, resolution: float) -> GridSearchResult:
         ok, _row_entropies(pairs_a, 2) + _row_entropies(pairs_b, 2), -np.inf
     )
     i = int(np.argmax(values))
-    return GridSearchResult(
-        value=float(values[i]),
-        a=tuple(float(x) for x in pairs_a[i]),
-        b=tuple(float(x) for x in pairs_b[i]),
-        resolution=resolution,
-    )
+    return float(values[i]), pairs_a[i], pairs_b[i]
 
 
 def _simplex_grid(step: float) -> np.ndarray:
@@ -272,7 +269,7 @@ def _simplex_grid(step: float) -> np.ndarray:
 
 def _grid_q3(
     theta: float, resolution: float, seed: int, refinements: int
-) -> GridSearchResult:
+) -> tuple[float, np.ndarray, np.ndarray] | None:
     # scan the 2-simplex for one side; the other side runs over the same
     # point (the symmetric family) plus seeded random directions, every pair
     # pulled onto the theta constraint by interpolation toward uniform
@@ -291,27 +288,21 @@ def _grid_q3(
         sides_a.append(grid)
         sides_b.append(g / s)
     best = _interpolated_max(np.vstack(sides_a), np.vstack(sides_b), theta, 3)
-    if best is None:
-        return GridSearchResult(None, None, None, resolution)
+    if best is None or refinements <= 0:
+        return best
     value, a_best, b_best = best
-    if refinements > 0:
-        scale = 2.0 * resolution
-        pa = np.maximum(a_best[None, :] + rng.normal(0.0, scale, (refinements, 3)), 0.0)
-        pb = np.maximum(b_best[None, :] + rng.normal(0.0, scale, (refinements, 3)), 0.0)
-        sa = pa.sum(axis=1)
-        sb = pb.sum(axis=1)
-        keep = (sa > 0.0) & (sb > 0.0)
-        refined = _interpolated_max(
-            pa[keep] / sa[keep][:, None], pb[keep] / sb[keep][:, None], theta, 3
-        )
-        if refined is not None and refined[0] > value:
-            value, a_best, b_best = refined
-    return GridSearchResult(
-        value=value,
-        a=tuple(float(x) for x in a_best),
-        b=tuple(float(x) for x in b_best),
-        resolution=resolution,
+    scale = 2.0 * resolution
+    pa = np.maximum(a_best[None, :] + rng.normal(0.0, scale, (refinements, 3)), 0.0)
+    pb = np.maximum(b_best[None, :] + rng.normal(0.0, scale, (refinements, 3)), 0.0)
+    sa = pa.sum(axis=1)
+    sb = pb.sum(axis=1)
+    keep = (sa > 0.0) & (sb > 0.0)
+    refined = _interpolated_max(
+        pa[keep] / sa[keep][:, None], pb[keep] / sb[keep][:, None], theta, 3
     )
+    if refined is not None and refined[0] > value:
+        return refined
+    return best
 
 
 def grid_max_joint_entropy(
@@ -335,8 +326,13 @@ def grid_max_joint_entropy(
     if not 0.0 < resolution <= 0.5:
         raise ValueError(f"resolution must lie in (0, 0.5], got {resolution!r}")
     if q == 2:
-        return _grid_q2(theta, resolution)
-    return _grid_q3(theta, resolution, seed, refinements)
+        best = _grid_q2(theta, resolution)
+    else:
+        best = _grid_q3(theta, resolution, seed, refinements)
+    if best is None:
+        return GridSearchResult(None, None, None, resolution)
+    value, a, b = best
+    return GridSearchResult(value, tuple(a.tolist()), tuple(b.tolist()), resolution)
 
 
 def random_feasible_sampler(

@@ -340,6 +340,13 @@ def test_params_empty(capsys):
     assert list(csv.DictReader(io.StringIO(out))) == []
 
 
+def test_params_empty_table(capsys):
+    # with no feasible pair the table is its header and the root line
+    code, out, err = run_cli(capsys, "params", "--q", "6", "--n-max", "1")
+    assert (code, err) == (0, "")
+    assert out == "n  m  rate  gap_to_root\nrate_root(q=6) = 0.84952\n"
+
+
 def test_params_n_max_cap(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["params", "--q", "2", "--n-max", "65"])

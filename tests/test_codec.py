@@ -455,6 +455,17 @@ def test_decode_rejects_outputs_that_are_not_frozensets(output):
         decode_transcript(params, transcript)
 
 
+@pytest.mark.parametrize(
+    "output", [5, None, frozenset({1, "a"})], ids=["int", "None", "unorderable"]
+)
+def test_decode_refuses_outputs_that_cannot_be_sorted(output):
+    # sorted(output) once raised a TypeError from inside the refusal's message
+    params = CodeParams(q=2, n=3, m=2, blocks=1)
+    message = f"output {output!r} at position 0 is not a 1- or 2-element subset"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decode_transcript(params, [output, frozenset({1}), frozenset({1})])
+
+
 def test_channel_is_the_unordered_union():
     assert channel(1, 2) == frozenset((1, 2)) == channel(2, 1)
     assert channel(3, 3) == frozenset((3,))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from union_channel import binary_entropy, entropy_q, grouped_entropy
-from union_channel.solvers import bisect_root
+from union_channel.entropy import bisect_root
 
 
 def test_uniform_has_unit_entropy():

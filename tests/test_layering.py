@@ -1,0 +1,49 @@
+"""The package's internal import graph, read from the source with ``ast``.
+
+Modules depend only downward: ``entropy`` at the bottom, ``cli`` on top. A
+new module or a new internal import must be declared here.
+"""
+
+import ast
+from pathlib import Path
+
+import union_channel
+
+PACKAGE_DIR = Path(union_channel.__file__).parent
+
+EXPECTED_IMPORTS = {
+    "entropy": set(),
+    "codec": {"entropy"},
+    "capacity": {"entropy", "codec"},
+    "oracle": {"entropy"},
+    "cli": {"capacity", "codec", "oracle"},
+}
+
+
+def _internal_imports(path: Path) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative to the package
+                base = f"union_channel.{base}".rstrip(".")
+            # `from . import x` names modules; `from .x import y` names x's members
+            names = [base] if node.module else [f"{base}.{a.name}" for a in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "union_channel":
+                found.add(parts[1] if len(parts) > 1 else "__init__")
+    return found
+
+
+def test_internal_imports_are_exactly_the_declared_layers():
+    actual = {
+        path.stem: _internal_imports(path)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert actual == EXPECTED_IMPORTS
