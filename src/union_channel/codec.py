@@ -164,7 +164,8 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
 
     Positional counting: at each position the STAR option (when stars
     remain) precedes symbols 1..q, and skipping an option advances the rank
-    by the number of its completions.
+    by the number of its completions. Uncached on purpose: sweeps over a
+    pattern space rarely repeat a rank; the codec goes through ``_pattern_at``.
     """
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
@@ -205,6 +206,16 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int | None = None) -> int:
     return rank
 
 
+# Memos for the block step, shared by the encoder and the decoder. Both wrap
+# pure functions of ints and an immutable tuple, so a hit returns the tuple or
+# int a fresh call would, and lru_cache never stores a raised ValueError: the
+# decoder's replay still computes its sizes from the transcript alone. They
+# wrap the function objects, so the public names stay uncached. Twenty trials
+# of q=2, n=12, m=9, B=200 leave about 730 patterns and 500 ranks in them.
+_pattern_at = lru_cache(maxsize=1024)(unrank_pattern)  # full at n=64, q=255: 0.83 MB
+_rank_at = lru_cache(maxsize=1024)(rank_pattern)  # full at n=64, q=255: 0.82 MB
+
+
 # ---------------------------------------------------------------------------
 # Channel and uncertainty evolution
 
@@ -235,7 +246,7 @@ def _consistent_pattern(
     it has no star; a star sorts before a symbol, so rank order is the order
     of the star placements among the singletons: the q=1 pattern space.
     """
-    placement = iter(unrank_pattern(h, 1, n - p, m - p))
+    placement = iter(_pattern_at(h, 1, n - p, m - p))
     return tuple(
         min(y) if len(y) == 1 and next(placement) != STAR else STAR for y in outputs
     )
@@ -265,7 +276,7 @@ def _consistent_below(
     if limit >= _completions(q, n)[n][m]:
         return comb[free][stars]
     below = 0
-    for s, y in zip(unrank_pattern(limit, q, n, m), outputs):
+    for s, y in zip(_pattern_at(limit, q, n, m), outputs):
         if len(y) == 2:
             if s != STAR:
                 return below + comb[free][stars]
@@ -387,7 +398,7 @@ def run_block(state: SessionState) -> SessionState:
     start = state.block * m
     digits = zip(state.w1[start : start + m], state.w2[start : start + m])
 
-    pattern = unrank_pattern(state.index, q, n, m)
+    pattern = _pattern_at(state.index, q, n, m)
     outputs: list[Output] = []
     known_1, known_2 = state.known_other_1, state.known_other_2
     child = 0  # one bit per pair output: which order of the pair is true
@@ -504,7 +515,7 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
                 lo, hi = min(y), max(y)
                 w1.append(hi if larger_first else lo)
                 w2.append(lo if larger_first else hi)
-        rank = rank_pattern(pattern, q, m)
+        rank = _rank_at(pattern, q, m)
     return DecodeResult(w1=tuple(w1[::-1]), w2=tuple(w2[::-1]), sizes=tuple(sizes))
 
 
@@ -549,9 +560,10 @@ def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     w2 = _draw_digits(rng, params.q, params.message_digits)
 
     state = new_session(params, w1, w2)
+    peak = uncertainty_peak_bound(params.n, params.m)
     for b in range(params.blocks):
         run_block(state)
-        if state.size > uncertainty_peak_bound(params.n, params.m):
+        if state.size > peak:
             raise ProtocolViolation("uncertainty peak bound exceeded")
         # sender symmetry: feedback-deduced digits must match the real messages
         learned = (b + 1) * params.m

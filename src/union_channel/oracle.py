@@ -230,11 +230,10 @@ def _interpolated_max(
     return float(values[i]), ap[i], bp[i]
 
 
-def _grid_q2(
-    theta: float, resolution: float
-) -> tuple[float, np.ndarray, np.ndarray] | None:
+def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.ndarray]:
     # one free coordinate per side; the partner mass is solved exactly from
-    # a1*b1 + (1-a1)(1-b1) = theta, so every evaluated pair is feasible
+    # a1*b1 + (1-a1)(1-b1) = theta, so every evaluated pair is feasible; at
+    # a1 = 0 it is b1 = 1 - theta, so for theta in [0, 1] one pair always is
     if resolution < 1e-6:
         raise ValueError(
             f"grid step below 1e-6 means >1M points per side; got {resolution!r}"
@@ -245,8 +244,6 @@ def _grid_q2(
     ok = np.abs(denom) > 1e-12
     b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
     ok &= (b1 >= -1e-12) & (b1 <= 1.0 + 1e-12)
-    if not ok.any():
-        return None
     b1 = np.clip(b1, 0.0, 1.0)
     pairs_a = np.stack([a1, 1.0 - a1], axis=1)
     pairs_b = np.stack([b1, 1.0 - b1], axis=1)

@@ -611,6 +611,87 @@ def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
         simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials=1, seed=0)
 
 
+# ---------------------------------------------------------------------------
+# pattern memos of the block step
+
+MEMOS = (codec._pattern_at, codec._rank_at)
+MEMO_CODES = [
+    CodeParams(q=2, n=12, m=9, blocks=20),
+    CodeParams(q=2, n=17, m=13, blocks=3),
+    CodeParams(q=3, n=10, m=7, blocks=6),
+    CodeParams(q=3, n=4, m=3, blocks=10),
+]
+
+
+def _clear_memos():
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_public_pattern_functions_stay_uncached():
+    for fn in (codec.unrank_pattern, codec.rank_pattern):
+        assert not hasattr(fn, "cache_info")
+    assert codec._pattern_at.__wrapped__ is codec.unrank_pattern
+    assert codec._rank_at.__wrapped__ is codec.rank_pattern
+
+
+def test_pattern_memos_are_bounded():
+    for memo in MEMOS:
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0  # None means unbounded
+
+
+@pytest.mark.parametrize("params", MEMO_CODES, ids=str)
+def test_cold_and_warm_memos_decode_alike(params):
+    rng = random.Random(f"memo:{params}")
+    for _ in range(3):
+        w1, w2 = (
+            [rng.randint(1, params.q) for _ in range(params.message_digits)]
+            for _ in range(2)
+        )
+        _clear_memos()
+        cold_state = _encode(params, w1, w2)
+        _clear_memos()
+        cold = decode_transcript(params, cold_state.transcript)
+        warm_state = _encode(params, w1, w2)
+        warm = decode_transcript(params, warm_state.transcript)
+        assert warm_state.transcript == cold_state.transcript
+        assert warm_state.sizes == cold_state.sizes
+        assert warm == cold
+        assert (cold.w1, cold.w2) == (tuple(w1), tuple(w2))
+        assert cold.sizes == tuple(cold_state.sizes)
+
+
+def test_simulate_with_memos_is_worker_independent():
+    params = MEMO_CODES[0]
+    _clear_memos()
+    parallel = simulate(params, trials=8, seed=3, workers=2)
+    assert parallel == simulate(params, trials=8, seed=3, workers=1)
+
+
+def test_full_pattern_memos_stay_within_4_mb():
+    # worst case for the codec's alphabet and block length: n = 64, q = 255,
+    # one star (the largest ranks); the rank memo holds its own patterns
+    q, n, m = 255, 64, 1
+    total = pattern_count(q, n, m)
+    sizes = [memo.cache_info().maxsize for memo in MEMOS]
+    unrank_pattern(0, q, n, m)  # the shared completion table is not a memo's
+    _clear_memos()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(sizes[0]):
+            codec._pattern_at(total - 1 - i, q, n, m)
+        for i in range(sizes[1]):
+            codec._rank_at(unrank_pattern(total - 1 - sizes[0] - i, q, n, m), q, m)
+        held = tracemalloc.get_traced_memory()[0] - before
+        assert [memo.cache_info().currsize for memo in MEMOS] == sizes
+    finally:
+        tracemalloc.stop()
+        _clear_memos()
+    assert held <= 4 * 2**20
+
+
 @pytest.mark.parametrize("seed", [0, 1, 0x5EED, 2**40 + 3])
 def test_draw_digits_matches_randint(seed):
     for q in range(2, 256):

@@ -125,6 +125,15 @@ def test_grid_q2_point_mass_at_one():
     assert result.value == 0.0
 
 
+@pytest.mark.parametrize("resolution", [0.5, 0.25, 0.01])
+@pytest.mark.parametrize("theta", [0.0, 0.001, 0.5, 0.999, 1.0])
+def test_grid_q2_always_finds_a_feasible_pair(theta, resolution):
+    # a1 = 0 pairs with b1 = 1 - theta, which lies in [0, 1]
+    result = grid_max_joint_entropy(2, theta, resolution)
+    assert result.value is not None
+    assert result.a is not None and result.b is not None
+
+
 def test_grid_q2_unimodal_over_theta():
     values = [
         grid_max_joint_entropy(2, i / 20, 1e-3).value for i in range(21)
