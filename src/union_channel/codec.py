@@ -83,6 +83,9 @@ class CodeParams:
     blocks: int
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if type(value := getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an int, got {value!r}")
         if self.q > MAX_CODEC_ALPHABET:
             raise ValueError(
                 f"codec digits are stored one per byte; q must be <= "
@@ -186,8 +189,8 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def rank_pattern(pattern: Sequence[int], q: int, m: int | None = None) -> int:
-    """Inverse of :func:`unrank_pattern` for a pattern over {STAR} u [q].
+def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
+    """Inverse of :func:`unrank_pattern` for a pattern over {STAR} u [q] with ``m`` stars.
 
     One right-to-left pass; ``k`` positions and ``stars`` stars lie to the right.
     """
@@ -201,7 +204,7 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int | None = None) -> int:
             rank += cnt[k][stars - 1] + (s - 1) * cnt[k][stars]
         else:
             raise ValueError(f"pattern symbol {s!r} outside alphabet [1, {q}]")
-    if m is not None and stars != m:
+    if stars != m:
         raise ValueError(f"pattern has {stars} stars, expected {m}")
     return rank
 
@@ -231,12 +234,6 @@ def _valid_outputs(q: int) -> frozenset[Output]:
     return frozenset(frozenset((a, b)) for a in range(1, q + 1) for b in range(a, q + 1))
 
 
-def _star_options(y: Output) -> tuple[bytes, ...]:
-    # digit pairs consistent with the output at a star position, in sorted order
-    lo, hi = min(y), max(y)
-    return (bytes((lo, hi)), bytes((hi, lo)))[: len(y)]
-
-
 def _consistent_pattern(
     h: int, outputs: Sequence[Output], p: int, n: int, m: int
 ) -> tuple[int, ...]:
@@ -249,13 +246,6 @@ def _consistent_pattern(
     placement = iter(_pattern_at(h, 1, n - p, m - p))
     return tuple(
         min(y) if len(y) == 1 and next(placement) != STAR else STAR for y in outputs
-    )
-
-
-def _consistent_rank(pattern: Sequence[int], outputs: Sequence[Output]) -> int:
-    """Inverse of :func:`_consistent_pattern` for a pattern the outputs allow."""
-    return rank_pattern(
-        [STAR if s == STAR else 1 for s, y in zip(pattern, outputs) if len(y) == 1], 1
     )
 
 
@@ -300,25 +290,28 @@ def advance_uncertainty(
     n: int,
     m: int,
 ) -> list[bytes]:
-    """One block of bookkeeping on an explicit set: filter and extend it.
+    """One block of bookkeeping on an explicit set, literally as defined.
 
     A candidate survives iff its pattern (the one at the candidate's list
     position) shows exactly the received singleton at every symbol position;
-    each survivor is extended by every digit-pair assignment consistent with
-    the outputs at its star positions (singleton -> one pair, two-element
-    output -> both orders). The result is sorted. The protocol keeps only
-    the set's size and the true index; this list serves tests.
+    each survivor is extended by every digit pair whose union is the output
+    at each of its star positions (one pair for a singleton, both orders
+    for a pair). Sorted equal-length prefixes give a sorted result. The
+    protocol keeps only the set's size and the true index; this list is the
+    tests' literal reference for that implicit bookkeeping.
     """
     if len(outputs) != n:
         raise ValueError(f"expected {n} outputs, got {len(outputs)}")
-    p = sum(1 for y in outputs if len(y) == 2)
     new: list[bytes] = []
-    for h in range(_consistent_below(len(uncertainty), outputs, p, q, n, m)):
-        pattern = _consistent_pattern(h, outputs, p, n, m)
-        prefix = uncertainty[rank_pattern(pattern, q, m)]
-        options = [_star_options(y) for s, y in zip(pattern, outputs) if s == STAR]
-        for combo in product(*options):
-            new.append(prefix + b"".join(combo))
+    for idx, prefix in enumerate(uncertainty):
+        pattern = unrank_pattern(idx, q, n, m)
+        if any(s != STAR and y != {s} for s, y in zip(pattern, outputs)):
+            continue
+        options = [
+            sorted(bytes(xs) for xs in product(y, repeat=2) if set(xs) == y)
+            for s, y in zip(pattern, outputs) if s == STAR
+        ]
+        new.extend(prefix + b"".join(combo) for combo in product(*options))
     return new
 
 
@@ -368,19 +361,25 @@ def new_session(
     params: CodeParams, w1: Sequence[int], w2: Sequence[int]
 ) -> SessionState:
     """Start a protocol session for two messages of ``blocks * m`` digits."""
+    stored = []
     for name, w in (("w1", w1), ("w2", w2)):
         if len(w) != params.message_digits:
             raise ValueError(
                 f"{name} must have {params.message_digits} digits, got {len(w)}"
             )
-        if not set(w).issubset(range(1, params.q + 1)):
+        try:  # bytes() stores a digit only if it has __index__ and lies in [0, 255]
+            stored.append(bytes(w))
+            valid = set(stored[-1]).issubset(range(1, params.q + 1))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
             for d in w:
-                if not 1 <= d <= params.q:
+                if not hasattr(d, "__index__") or not 1 <= d <= params.q:
                     raise ValueError(f"{name} digit {d!r} outside alphabet [1, {params.q}]")
     return SessionState(
         params=params,
-        w1=bytes(w1),
-        w2=bytes(w2),
+        w1=stored[0],
+        w2=stored[1],
         known_other_1=bytearray(),
         known_other_2=bytearray(),
         sizes=[1],
@@ -423,7 +422,7 @@ def run_block(state: SessionState) -> SessionState:
     p = sum(map(len, outputs)) - n  # pair outputs
 
     size = _consistent_below(state.size, outputs, p, q, n, m) << p
-    h = _consistent_rank(pattern, outputs)
+    h = _consistent_below(state.index, outputs, p, q, n, m)  # the outputs allow its pattern
     if h << p >= size:
         raise ProtocolViolation("true message prefix missing from uncertainty set")
     if size > survivor_bound(n, m, p):

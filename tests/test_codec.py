@@ -39,7 +39,6 @@ from union_channel.codec import (
     SessionState,
     _consistent_below,
     _consistent_pattern,
-    _consistent_rank,
 )
 
 
@@ -85,6 +84,17 @@ def test_code_params_rejects_infeasible():
         CodeParams(q=300, n=4, m=3, blocks=1)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("blocks", 1.5), ("blocks", 2.0), ("blocks", True), ("q", 2.5), ("n", 4.0), ("m", "3")],
+)
+def test_code_params_refuses_a_field_that_is_not_an_int(name, value):
+    fields = {"q": 2, "n": 4, "m": 3, "blocks": 1, name: value}
+    message = f"{name} must be an int, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CodeParams(**fields)
+
+
 # ---------------------------------------------------------------------------
 # star patterns
 
@@ -125,7 +135,7 @@ def test_pattern_errors():
     with pytest.raises(ValueError, match=r"pattern has 1 stars, expected 2"):
         rank_pattern((STAR, 1), 2, m=2)
     with pytest.raises(ValueError, match=r"pattern symbol 3 outside alphabet \[1, 2\]"):
-        rank_pattern((STAR, 3), 2)
+        rank_pattern((STAR, 3), 2, 1)
 
 
 def test_round_trip_exhaustive_q1():
@@ -145,7 +155,9 @@ def test_round_trip_exhaustive_q1():
                 previous = pattern
 
 
-def test_consistent_rank_inverts_consistent_pattern():
+def test_consistent_below_ranks_each_allowed_pattern():
+    # the walk to an allowed pattern's rank r counts the allowed patterns
+    # below it, so it inverts _consistent_pattern; one rank on, it counts it too
     rng = random.Random(11)
     for _ in range(200):
         q = rng.randint(2, 4)
@@ -159,8 +171,9 @@ def test_consistent_rank_inverts_consistent_pattern():
         if p > m:
             continue
         for h in range(math.comb(n - p, m - p)):
-            pattern = _consistent_pattern(h, outputs, p, n, m)
-            assert _consistent_rank(pattern, outputs) == h
+            r = rank_pattern(_consistent_pattern(h, outputs, p, n, m), q, m)
+            assert _consistent_below(r, outputs, p, q, n, m) == h
+            assert _consistent_below(r + 1, outputs, p, q, n, m) == h + 1
 
 
 def _consistent_below_bisect(limit, outputs, q, n, m):
@@ -207,34 +220,27 @@ def test_consistent_below_matches_bisect(case):
 
 
 # ---------------------------------------------------------------------------
-# uncertainty evolution: DFS vs a literal per-candidate reference
+# uncertainty evolution: the implicit walk vs the literal advance_uncertainty
 
 
-def _advance_reference(uncertainty, outputs, q, n, m):
-    """Filter candidates one by one, the way the update is defined."""
-    out = []
-    for idx, cand in enumerate(uncertainty):
-        pattern = unrank_pattern(idx, q, n, m)
-        if any(
-            s != STAR and outputs[k] != frozenset((s,))
-            for k, s in enumerate(pattern)
-        ):
-            continue
-        options = []
-        for k, s in enumerate(pattern):
-            if s != STAR:
-                continue
-            y = outputs[k]
-            if len(y) == 1:
-                (a,) = y
-                options.append((bytes((a, a)),))
-            else:
-                a, b = sorted(y)
-                options.append((bytes((a, b)), bytes((b, a))))
-        for combo in product(*options):
-            out.append(cand + b"".join(combo))
-    out.sort()
-    return out
+def _advance_implicit(uncertainty, outputs, q, n, m):
+    """The set the protocol's bookkeeping implies, in its own index order.
+
+    The walk counts the K allowed patterns below the set's size; the h-th
+    of them, ranked in the full space, picks its candidate; its 2^p children
+    follow the pair orders, last pair lowest, smaller digit first.
+    """
+    p = sum(1 for y in outputs if len(y) == 2)
+    new = []
+    for h in range(_consistent_below(len(uncertainty), outputs, p, q, n, m)):
+        pattern = _consistent_pattern(h, outputs, p, n, m)
+        prefix = uncertainty[rank_pattern(pattern, q, m)]
+        options = [
+            (bytes((min(y), max(y))), bytes((max(y), min(y))))[: len(y)]
+            for s, y in zip(pattern, outputs) if s == STAR
+        ]
+        new.extend(prefix + b"".join(combo) for combo in product(*options))
+    return new
 
 
 def test_advance_hand_example():
@@ -263,7 +269,7 @@ def test_advance_matches_reference_randomized():
                 outputs.append(frozenset(rng.sample(range(1, q + 1), 2)))
             else:
                 outputs.append(frozenset((rng.randint(1, q),)))
-        assert advance_uncertainty(uncertainty, outputs, q, n, m) == _advance_reference(
+        assert advance_uncertainty(uncertainty, outputs, q, n, m) == _advance_implicit(
             uncertainty, outputs, q, n, m
         )
 
@@ -415,6 +421,24 @@ def test_new_session_validates_messages():
         new_session(params, w1=(1,), w2=(1, 2))
     with pytest.raises(ValueError):
         new_session(params, w1=(1, 3), w2=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "w1, w2, bad",
+    [
+        ([1.0, 2], [1, 1], "w1 digit 1.0"),
+        (["a", 1], [1, 1], "w1 digit 'a'"),
+        ([None, 1], [1, 1], "w1 digit None"),
+        ([1, 2], [2, 1.5], "w2 digit 1.5"),
+        ([1, 256], [1, 1], "w1 digit 256"),
+        ([1, 2], [-1, 1], "w2 digit -1"),
+        ([1, 2], [1, 3], "w2 digit 3"),
+    ],
+)
+def test_new_session_refuses_a_digit_it_cannot_store(w1, w2, bad):
+    params = CodeParams(2, 3, 2, 1)
+    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} outside alphabet \[1, 2\]$"):
+        new_session(params, w1, w2)
 
 
 def test_decode_rejects_malformed_transcript():
