@@ -28,10 +28,6 @@ CASE_CHORD_INTERSECTION = "chord_intersection"
 CASE_OUTPUT_PEAK = "output_peak"
 
 
-def _logq(x: float, q: int) -> float:
-    return math.log(x) / math.log(q)
-
-
 def top_symbol_mass(theta: float, q: int) -> float:
     """Larger root a of q*a^2 - 2*a + 1 = (q-1)*theta, for theta in [1/q, 1].
 
@@ -73,23 +69,13 @@ def envelope_line(theta: float, q: int) -> float:
     tp = tangent_point(q)
     if not 1.0 / q <= theta <= tp:
         raise ValueError(f"theta must lie in [1/{q}, {tp}], got {theta!r}")
-    slope = 2.0 * (q - 1) * _logq(q - 1, q) / (q - 2)
+    slope = 2.0 * (q - 1) * math.log(q - 1, q) / (q - 2)
     return 2.0 - slope * (theta - 1.0 / q)
-
-
-@dataclass(frozen=True)
-class EnvelopeSupport:
-    """Mixture of curve points achieving the envelope: (weight, abscissa) pairs."""
-
-    points: tuple[tuple[float, float], ...]
-
-    def mean_abscissa(self) -> float:
-        return sum(w * t for w, t in self.points)
 
 
 class EnvelopeValue(NamedTuple):
     value: float
-    support: EnvelopeSupport
+    support: tuple[tuple[float, float], ...]  # (weight, abscissa) pairs
 
 
 def concave_envelope(theta: float, q: int) -> EnvelopeValue:
@@ -103,14 +89,10 @@ def concave_envelope(theta: float, q: int) -> EnvelopeValue:
     check_alphabet(q)
     if not 1.0 / q <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/{q}, 1], got {theta!r}")
-    if q == 2 or theta >= tangent_point(q):
-        return EnvelopeValue(
-            max_joint_entropy(theta, q), EnvelopeSupport(((1.0, theta),))
-        )
-    tp = tangent_point(q)
-    p2 = (theta - 1.0 / q) / (tp - 1.0 / q)
-    support = EnvelopeSupport(((1.0 - p2, 1.0 / q), (p2, tp)))
-    return EnvelopeValue(envelope_line(theta, q), support)
+    if q > 2 and theta < (tp := tangent_point(q)):
+        p2 = (theta - 1.0 / q) / (tp - 1.0 / q)
+        return EnvelopeValue(envelope_line(theta, q), ((1.0 - p2, 1.0 / q), (p2, tp)))
+    return EnvelopeValue(max_joint_entropy(theta, q), ((1.0, theta),))
 
 
 def output_entropy(theta: float, q: int) -> float:
@@ -227,7 +209,7 @@ def cover_leung_witness(q: int, theta: float) -> CoverLeungWitness:
     check_alphabet(q)
     if not 1.0 / q <= theta <= 2.0 / (q + 1):
         raise ValueError(f"theta must lie in [1/{q}, 2/{q + 1}], got {theta!r}")
-    points = list(concave_envelope(theta, q).support.points)
+    points = list(concave_envelope(theta, q).support)
     if len(points) == 1:
         points.append((0.0, points[0][1]))  # keep 2q atoms for U
 

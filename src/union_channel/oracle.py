@@ -155,14 +155,10 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
     if not 1.0 / q < theta <= 1.0:
         raise ValueError(f"theta must lie in (1/{q}, 1], got {theta!r}")
     p = theta * q - 1.0
-    if grid_points == 1:
-        ts_all = [1.0 / q]
-    else:
-        step = (1.0 - 2.0 / q) / (grid_points - 1)
-        ts_all = [1.0 / q + i * step for i in range(grid_points)]
+    step = (1.0 - 2.0 / q) / max(grid_points - 1, 1)
     ts, values, ratios = [], [], []
     sign_ok = True
-    for t in ts_all:
+    for t in (1.0 / q + i * step for i in range(grid_points)):
         a = (1.0 + math.sqrt(p * (1.0 - t) / t)) / q
         b = (1.0 - math.sqrt(p * t / (1.0 - t))) / q
         if b < 0.0:
@@ -212,10 +208,23 @@ def _row_entropies(x: np.ndarray, q: int) -> np.ndarray:
     return -terms.sum(axis=-1) / math.log(q)
 
 
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """The rows of x scaled to unit sum; all-zero rows are dropped."""
+    sums = x.sum(axis=1)
+    keep = sums > 0.0
+    return x[keep] / sums[keep][:, None]
+
+
 def _interpolated_max(
     a: np.ndarray, b: np.ndarray, theta: float, q: int
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Max H(a') + H(b') over rows interpolated onto the theta constraint."""
+    """Max H(a') + H(b') over rows interpolated onto the theta constraint.
+
+    Rows are paired by position up to the shorter side; any pairing of two
+    pmfs is a candidate.
+    """
+    count = min(len(a), len(b))
+    a, b = a[:count], b[:count]
     theta0 = (a * b).sum(axis=1)
     lo = np.minimum(theta0, 1.0 / q)
     hi = np.maximum(theta0, 1.0 / q)
@@ -234,10 +243,6 @@ def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.nda
     # one free coordinate per side; the partner mass is solved exactly from
     # a1*b1 + (1-a1)(1-b1) = theta, so every evaluated pair is feasible; at
     # a1 = 0 it is b1 = 1 - theta, so for theta in [0, 1] one pair always is
-    if resolution < 1e-6:
-        raise ValueError(
-            f"grid step below 1e-6 means >1M points per side; got {resolution!r}"
-        )
     steps = round(1.0 / resolution)
     a1 = np.linspace(0.0, 1.0, steps + 1)
     denom = 2.0 * a1 - 1.0
@@ -270,33 +275,17 @@ def _grid_q3(
     # scan the 2-simplex for one side; the other side runs over the same
     # point (the symmetric family) plus seeded random directions, every pair
     # pulled onto the theta constraint by interpolation toward uniform
-    if resolution < 1e-3:
-        raise ValueError(
-            f"simplex grid step below 1e-3 means >500k points; got {resolution!r}"
-        )
     rng = np.random.default_rng(seed)
     grid = _simplex_grid(resolution)
-    sides_a = [grid]
-    sides_b = [grid]
-    for _ in range(2):
-        g = rng.gamma(0.5, size=grid.shape)
-        s = g.sum(axis=1, keepdims=True)
-        s[s == 0.0] = 1.0
-        sides_a.append(grid)
-        sides_b.append(g / s)
-    best = _interpolated_max(np.vstack(sides_a), np.vstack(sides_b), theta, 3)
+    sides_b = [grid] + [_unit_rows(rng.gamma(0.5, size=grid.shape)) for _ in range(2)]
+    best = _interpolated_max(np.vstack([grid] * 3), np.vstack(sides_b), theta, 3)
     if best is None or refinements <= 0:
         return best
     value, a_best, b_best = best
     scale = 2.0 * resolution
-    pa = np.maximum(a_best[None, :] + rng.normal(0.0, scale, (refinements, 3)), 0.0)
-    pb = np.maximum(b_best[None, :] + rng.normal(0.0, scale, (refinements, 3)), 0.0)
-    sa = pa.sum(axis=1)
-    sb = pb.sum(axis=1)
-    keep = (sa > 0.0) & (sb > 0.0)
-    refined = _interpolated_max(
-        pa[keep] / sa[keep][:, None], pb[keep] / sb[keep][:, None], theta, 3
-    )
+    pa = _unit_rows(np.maximum(a_best + rng.normal(0.0, scale, (refinements, 3)), 0.0))
+    pb = _unit_rows(np.maximum(b_best + rng.normal(0.0, scale, (refinements, 3)), 0.0))
+    refined = _interpolated_max(pa, pb, theta, 3)
     if refined is not None and refined[0] > value:
         return refined
     return best
@@ -323,8 +312,16 @@ def grid_max_joint_entropy(
     if not 0.0 < resolution <= 0.5:
         raise ValueError(f"resolution must lie in (0, 0.5], got {resolution!r}")
     if q == 2:
+        if resolution < 1e-6:
+            raise ValueError(
+                f"grid step below 1e-6 means >1M points per side; got {resolution!r}"
+            )
         best = _grid_q2(theta, resolution)
     else:
+        if resolution < 1e-3:
+            raise ValueError(
+                f"simplex grid step below 1e-3 means >500k points; got {resolution!r}"
+            )
         best = _grid_q3(theta, resolution, seed, refinements)
     if best is None:
         return GridSearchResult(None, None, None, resolution)
@@ -351,19 +348,8 @@ def random_feasible_sampler(
     per = max(1, samples // len(batches))
     best = -math.inf
     for conc, symmetric in batches:
-        draw = rng.gamma(conc, size=(per, q))
-        sums = draw.sum(axis=1)
-        keep = sums > 0.0
-        a = draw[keep] / sums[keep][:, None]
-        if symmetric:
-            b = a
-        else:
-            draw_b = rng.gamma(conc, size=(per, q))
-            sums_b = draw_b.sum(axis=1)
-            keep_b = sums_b > 0.0
-            b = draw_b[keep_b] / sums_b[keep_b][:, None]
-            count = min(len(a), len(b))
-            a, b = a[:count], b[:count]
+        a = _unit_rows(rng.gamma(conc, size=(per, q)))
+        b = a if symmetric else _unit_rows(rng.gamma(conc, size=(per, q)))
         result = _interpolated_max(a, b, theta, q)
         if result is not None and result[0] > best:
             best = result[0]

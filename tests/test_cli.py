@@ -187,6 +187,28 @@ def test_lemma_infeasible_without_sampler(capsys):
     assert "infeasible" in err
 
 
+def test_lemma_below_uniform_theta_has_no_closed_form(capsys):
+    code, out, err = run_cli(
+        capsys, "lemma", "--q", "3", "--theta", "0.2", "--resolution", "0.02"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].split() == ["status", "NO-CLOSED-FORM"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "3", "--theta", "0.001", "--resolution", "0.02"],  # grid finds none
+        ["--q", "4", "--theta", "0.9999", "--samples", "100"],  # sampler accepts none
+    ],
+    ids=["grid", "sampler"],
+)
+def test_lemma_without_a_feasible_pair_says_so_in_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, "lemma", *argv)
+    assert code == 1 and out == ""
+    assert err == "infeasible: no feasible pair found at this theta\n"
+
+
 def test_lemma_sampler_below_uniform_theta(capsys):
     code, _, err = run_cli(
         capsys, "lemma", "--q", "5", "--theta", "0.1", "--samples", "100"

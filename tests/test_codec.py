@@ -360,6 +360,8 @@ def test_final_block_zero_uses_when_unique():
         CodeParams(q=2, n=5, m=3, blocks=2),
         CodeParams(q=3, n=4, m=3, blocks=1),
         CodeParams(q=2, n=2, m=1, blocks=3),
+        # q > 2 over more than one block: the candidate filter rejects here
+        CodeParams(q=3, n=3, m=2, blocks=2),
     ],
 )
 def test_session_state_matches_materialised_set(params):
@@ -450,6 +452,14 @@ def test_decode_rejects_malformed_transcript():
         decode_transcript(params, state.transcript[:-1])
     with pytest.raises(ValueError):
         decode_transcript(params, state.transcript + [frozenset((1,))])
+
+
+def test_decode_refuses_a_transcript_shorter_than_its_blocks():
+    # two valid outputs where blocks * n = 6 are needed
+    with pytest.raises(
+        ValueError, match="^transcript too short for the declared block count$"
+    ):
+        decode_transcript(CodeParams(2, 3, 2, 2), [frozenset({1})] * 2)
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,20 @@ def test_binary_entropy_fixed_point():
     assert binary_entropy(0.77291) == pytest.approx(0.77291, abs=1e-5)
 
 
+@pytest.mark.parametrize(
+    "f, root",
+    [(lambda x: x, 0.0), (lambda x: x - 1.0, 1.0), (lambda x: x - 0.5, 0.5)],
+    ids=["lo", "hi", "mid"],
+)
+def test_bisect_root_returns_an_exact_zero(f, root):
+    assert bisect_root(f, 0.0, 1.0) == root
+
+
+def test_bisect_root_refuses_a_bracket_without_a_sign_change():
+    with pytest.raises(RuntimeError, match=r"^no sign change on \[0.0, 1.0\]"):
+        bisect_root(lambda x: x + 1.0, 0.0, 1.0)
+
+
 def test_binary_entropy_symmetric_on_grid():
     for i in range(1001):
         a = i / 1000

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from union_channel import (
@@ -11,7 +12,12 @@ from union_channel import (
     two_level_point,
     two_level_value,
 )
-from union_channel.oracle import FeasiblePair, derivative_sign_expression
+from union_channel.oracle import (
+    FeasiblePair,
+    GridSearchResult,
+    _unit_rows,
+    derivative_sign_expression,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +180,27 @@ def test_grid_rejects_bad_arguments():
         grid_max_joint_entropy(2, 0.75, 1e-8)  # 1e8-point arrays
 
 
+def test_grid_step_caps_follow_the_general_checks():
+    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 2.0"):
+        grid_max_joint_entropy(3, 2.0, 1e-4)
+    with pytest.raises(ValueError, match=r"resolution must lie in \(0, 0.5\], got -1.0"):
+        grid_max_joint_entropy(3, 0.5, -1.0)
+    with pytest.raises(ValueError, match="simplex grid step below 1e-3 means >500k points"):
+        grid_max_joint_entropy(3, 0.5, 1e-4)
+
+
+def test_grid_q3_without_a_feasible_pair():
+    # no pair the q=3 search draws has an inner product this low, though
+    # feasible pairs exist
+    assert grid_max_joint_entropy(3, 0.001, 0.02) == GridSearchResult(None, None, None, 0.02)
+
+
+def test_unit_rows_scales_rows_and_drops_all_zero_ones():
+    x = np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0], [2.0, 2.0, 4.0]])
+    rows = _unit_rows(x)
+    assert rows.tolist() == [[0.25, 0.75, 0.0], [0.25, 0.25, 0.5]]
+
+
 # ---------------------------------------------------------------------------
 # randomized sampler
 
@@ -194,6 +221,11 @@ def test_sampler_at_uniform_theta():
     for q in (3, 5):
         best = random_feasible_sampler(q, 1.0 / q, 5_000, seed=3)
         assert best == pytest.approx(2.0, abs=1e-9)
+
+
+def test_sampler_with_nothing_feasible_returns_minus_infinity():
+    # no drawn pair's inner product reaches theta this close to 1
+    assert random_feasible_sampler(4, 0.9999, 100) == -math.inf
 
 
 def test_sampler_deterministic_given_seed():
@@ -217,6 +249,14 @@ def test_monotonicity_coarse_q3():
     assert report.ts == (1 / 3,)
     assert report.decreasing
     assert report.derivative_sign_ok
+
+
+def test_monotonicity_single_point_is_the_left_end():
+    report = two_level_monotonicity(4, 0.5, 1)
+    assert report.ts == (0.25,)
+    assert report.decreasing
+    with pytest.raises(ValueError, match="need at least one grid point, got 0"):
+        two_level_monotonicity(4, 0.5, 0)
 
 
 def test_monotonicity_fine_q6():
