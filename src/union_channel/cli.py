@@ -153,9 +153,9 @@ def _cmd_lemma(args) -> int:
     if tolerance is None:
         tolerance = 1e-3 if grid_value is not None else 0.02
 
-    if closed_form is None:
+    if closed_form is None:  # nothing to compare with, so no gap and no tolerance
         status = "NO-CLOSED-FORM"
-        gap = None
+        gap = tolerance = None
         ok = True
     else:
         gap = closed_form - best

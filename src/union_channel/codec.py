@@ -19,6 +19,12 @@ decoding is exact, never merely probable.
 Digits are 1..q and are stored in ``bytes`` (one digit per byte), so the
 alphabet is capped at 255 here. The uncertainty set is never stored: each
 party tracks only its size and the true prefix's index in it.
+
+Each party reads a block's outputs as *symbol codes*, one byte per output:
+the symbol of a singleton, STAR (0) for a pair. A star pattern is allowed
+by a block iff it stars every pair and shows the code wherever else it has
+no star, so the survivor walk and the decoder's walk back run over bytes.
+The decoder looks a whole transcript up in a cached per-q code table.
 """
 
 from __future__ import annotations
@@ -28,8 +34,8 @@ import math
 import multiprocessing
 import random
 from dataclasses import asdict, dataclass, fields
-from itertools import islice, product
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import chain, product
 from typing import Iterator, Sequence
 
 from .entropy import binary_entropy, bisect_root, check_alphabet
@@ -209,14 +215,13 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
     return rank
 
 
-# Memos for the block step, shared by the encoder and the decoder. Both wrap
-# pure functions of ints and an immutable tuple, so a hit returns the tuple or
-# int a fresh call would, and lru_cache never stores a raised ValueError: the
-# decoder's replay still computes its sizes from the transcript alone. They
-# wrap the function objects, so the public names stay uncached. Twenty trials
-# of q=2, n=12, m=9, B=200 leave about 730 patterns and 500 ranks in them.
+# Memo for the block step, shared by the encoder and the decoder. It wraps a
+# pure function of ints, so a hit returns the tuple a fresh call would, and
+# lru_cache never stores a raised ValueError: the decoder's replay still
+# computes its sizes from the transcript alone. It wraps the function object,
+# so the public name stays uncached. Twenty trials of q=2, n=12, m=9, B=200
+# leave about 730 patterns in it.
 _pattern_at = lru_cache(maxsize=1024)(unrank_pattern)  # full at n=64, q=255: 0.83 MB
-_rank_at = lru_cache(maxsize=1024)(rank_pattern)  # full at n=64, q=255: 0.82 MB
 
 
 # ---------------------------------------------------------------------------
@@ -229,35 +234,27 @@ def channel(x1: int, x2: int) -> Output:
 
 
 @lru_cache(maxsize=None)
-def _valid_outputs(q: int) -> frozenset[Output]:
-    # the q(q+1)/2 outputs of the channel over [1, q], built without calling it
-    return frozenset(frozenset((a, b)) for a in range(1, q + 1) for b in range(a, q + 1))
-
-
-def _consistent_pattern(
-    h: int, outputs: Sequence[Output], p: int, n: int, m: int
-) -> tuple[int, ...]:
-    """The h-th pattern, in rank order, that the block's ``p`` pair outputs allow.
-
-    It stars every pair output and shows the received symbol wherever else
-    it has no star; a star sorts before a symbol, so rank order is the order
-    of the star placements among the singletons: the q=1 pattern space.
-    """
-    placement = iter(_pattern_at(h, 1, n - p, m - p))
-    return tuple(
-        min(y) if len(y) == 1 and next(placement) != STAR else STAR for y in outputs
-    )
+def _symbol_codes(q: int) -> dict[Output, int]:
+    # the q(q+1)/2 outputs of the channel over [1, q], built without calling
+    # it, each with its code: the symbol of a singleton, STAR for a pair
+    return {
+        frozenset((a, b)): STAR if a != b else a
+        for a in range(1, q + 1)
+        for b in range(a, q + 1)
+    }
 
 
 def _consistent_below(
-    limit: int, outputs: Sequence[Output], p: int, q: int, n: int, m: int
+    limit: int, codes: bytes, p: int, q: int, n: int, m: int
 ) -> int:
-    """How many patterns the outputs (``p`` of them pairs) allow rank below ``limit``.
+    """How many patterns a block's output ``codes`` (``p`` pairs) allow rank below ``limit``.
 
-    One walk along the pattern at rank ``limit``: each allowed option (a
-    star; at a singleton ``y`` also ``min(y)``) below its entry adds
-    C(free, stars), the ways to place the stars still due on the singletons
-    after it; the walk ends where the entry itself is not allowed.
+    A pattern is allowed iff it stars every pair output (code STAR) and
+    shows the received symbol wherever else it has no star. One walk along
+    the pattern at rank ``limit``: each allowed option (a star; at a
+    singleton also its symbol) below its entry adds C(free, stars), the ways
+    to place the stars still due on the singletons after it; the walk ends
+    where the entry itself is not allowed.
     """
     free, stars = n - p, m - p
     if stars < 0:
@@ -266,8 +263,8 @@ def _consistent_below(
     if limit >= _completions(q, n)[n][m]:
         return comb[free][stars]
     below = 0
-    for s, y in zip(_pattern_at(limit, q, n, m), outputs):
-        if len(y) == 2:
+    for s, c in zip(_pattern_at(limit, q, n, m), codes):
+        if c == STAR:
             if s != STAR:
                 return below + comb[free][stars]
             continue
@@ -278,8 +275,8 @@ def _consistent_below(
             stars -= 1
             continue
         below += comb[free][stars - 1]  # a star here
-        if min(y) != s:
-            return below + (comb[free][stars] if min(y) < s else 0)
+        if c != s:
+            return below + (comb[free][stars] if c < s else 0)
     return below
 
 
@@ -397,15 +394,22 @@ def run_block(state: SessionState) -> SessionState:
     start = state.block * m
     digits = zip(state.w1[start : start + m], state.w2[start : start + m])
 
-    pattern = _pattern_at(state.index, q, n, m)
     outputs: list[Output] = []
+    codes = bytearray()
     known_1, known_2 = state.known_other_1, state.known_other_2
     child = 0  # one bit per pair output: which order of the pair is true
-    for s in pattern:
+    p = 0  # pair outputs
+    shown = []  # at each symbol position: the singletons before it
+    for s in _pattern_at(state.index, q, n, m):
         if s != STAR:
             outputs.append(y := channel(s, s))
-            if len(y) == 2:
-                raise ProtocolViolation("pair output at a symbol position")
+            if len(y) != 1 or s not in y:
+                raise ProtocolViolation(
+                    "pair output at a symbol position" if len(y) == 2
+                    else "true message prefix missing from uncertainty set"
+                )
+            shown.append(len(codes) - p)
+            codes.append(s)
             continue
         x1, x2 = next(digits)
         outputs.append(y := channel(x1, x2))
@@ -413,16 +417,25 @@ def run_block(state: SessionState) -> SessionState:
         if len(y) == 1:
             known_1.append(x1)
             known_2.append(x2)
+            codes.extend(y)
             continue
         a, b = y
         known_1.append(b if a == x1 else a)
         known_2.append(b if a == x2 else a)
         child = (child << 1) | (x1 > x2)
+        codes.append(STAR)
+        p += 1
     state.transcript.extend(outputs)
-    p = sum(map(len, outputs)) - n  # pair outputs
 
-    size = _consistent_below(state.size, outputs, p, q, n, m) << p
-    h = _consistent_below(state.index, outputs, p, q, n, m)  # the outputs allow its pattern
+    size = _consistent_below(state.size, codes, p, q, n, m) << p
+    # h, the true pattern's rank among the allowed ones, counts the allowed
+    # patterns that agree with it up to one of its symbol positions and star
+    # that one: at the j-th, with i singletons before it, free - 1 - i
+    # singletons and stars - (i - j) of their stars follow, and C(singletons
+    # after, singleton stars after - 1) of the placements there do that
+    free, stars = n - p, m - p
+    comb = _completions(1, free)
+    h = sum(comb[free - 1 - i][stars - 1 - i + j] for j, i in enumerate(shown))
     if h << p >= size:
         raise ProtocolViolation("true message prefix missing from uncertainty set")
     if size > survivor_bound(n, m, p):
@@ -458,17 +471,66 @@ class DecodeResult:
     sizes: tuple[int, ...]
 
 
+def _walk_back(
+    rank: int, codes: bytes, outputs: Sequence[Output], p: int, q: int, n: int, m: int
+) -> tuple[int, list[int], list[int]]:
+    """One block of the decoder's walk back: the rank before the block, and its digits.
+
+    ``rank`` splits into ``h``, the surviving pattern's position among the
+    star placements on the block's singletons (the q=1 pattern space), and
+    one bit per pair output, first pair highest, set when sender 1 sent the
+    larger digit. One left-to-right pass unranks ``h``, ranks the pattern it
+    gives in the full space, and reads both senders' digits at its stars.
+    """
+    h, child = divmod(rank, 1 << p)
+    free, stars = n - p, m - p  # singletons, and their stars, from here on
+    comb = _completions(1, free)
+    m_rem, rank, bit = m, 0, 1 << p
+    w1: list[int] = []
+    w2: list[int] = []
+    for row, c, y in zip(_completions(q, n)[-2::-1], codes, outputs):
+        if c == STAR:  # a pair output: a star in every allowed pattern
+            m_rem -= 1
+            bit >>= 1
+            a, b = y
+            if (a < b) == (child & bit > 0):  # now sender 1 sent a
+                a, b = b, a
+            w1.append(a)
+            w2.append(b)
+            continue
+        free -= 1
+        skip = comb[free][stars - 1]  # the placements with a star here
+        if h < skip:
+            stars -= 1
+            m_rem -= 1
+            w1.append(c)
+            w2.append(c)
+        else:
+            h -= skip
+            rank += row[m_rem - 1] + (c - 1) * row[m_rem]
+    return rank, w1, w2
+
+
 def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> DecodeResult:
     """Recover both messages from channel outputs alone (no message access).
 
-    Raises ValueError for an output that is not a 1- or 2-element subset of
-    [q], and for a transcript that no message pair can produce.
+    Raises ValueError for an output that is not a frozenset of one or two
+    ints in [1, q], and for a transcript that no message pair can produce.
     """
     q, n, m = params.q, params.n, params.m
-    valid = _valid_outputs(q)
-    for pos, y in enumerate(transcript):
-        # a set or list equal to a valid output is refused too, not hashed
-        if type(y) is not frozenset or y not in valid:
+    table = _symbol_codes(q)
+    try:  # the accepting path: C-level passes over the outputs and their elements
+        codes = bytes(map(table.__getitem__, transcript))
+        frozensets = {*map(type, transcript)} <= {frozenset}
+        valid = frozensets and {*map(type, chain.from_iterable(transcript))} <= {int}
+    except (KeyError, TypeError):  # not a valid output, or not even hashable
+        valid = False
+    if not valid:  # find the first bad output to name it
+        for pos, y in enumerate(transcript):
+            # a set or list equal to a valid output is refused too, not hashed,
+            # and so is a frozenset holding a bool or a float equal to a digit
+            if type(y) is frozenset and y in table and {*map(type, y)} == {int}:
+                continue
             try:
                 shown = sorted(y)
             except TypeError:  # not iterable, or elements without an order
@@ -478,44 +540,41 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
                 f"subset of [1, {q}]"
             )
     pos = params.blocks * n
-    if len(transcript) < pos:
+    if len(codes) < pos:
         raise ValueError("transcript too short for the declared block count")
-    blocks = [transcript[start : start + n] for start in range(0, pos, n)]
-    pair_counts = [sum(map(len, outputs)) - n for outputs in blocks]
+    starts = range(0, pos, n)
+    pair_counts = [codes.count(STAR, start, start + n) for start in starts]
     sizes = [1]
-    for b, (outputs, p) in enumerate(zip(blocks, pair_counts)):
-        size = _consistent_below(sizes[-1], outputs, p, q, n, m) << p
+    for b, (start, p) in enumerate(zip(starts, pair_counts)):
+        size = _consistent_below(sizes[-1], codes[start : start + n], p, q, n, m) << p
         if not size:
             raise ValueError(f"transcript inconsistent at block {b}: no candidate left")
         sizes.append(size)
     digits = resolution_digits(size, q)
-    if pos + digits != len(transcript):
+    if pos + digits != len(codes):
         raise ValueError(
-            f"transcript length {len(transcript)} does not match "
+            f"transcript length {len(codes)} does not match "
             f"{pos} block uses plus {digits} resolution uses"
         )
+    if STAR in codes[pos:]:
+        raise ValueError("resolution uses must be singleton outputs")
     rank = 0
-    for y in transcript[pos : pos + digits]:
-        if len(y) != 1:
-            raise ValueError("resolution uses must be singleton outputs")
-        (sym,) = y
-        rank = rank * q + (sym - 1)
+    for c in codes[pos:]:
+        rank = rank * q + (c - 1)
     if rank >= size:
         raise ValueError(f"decoded rank {rank} outside uncertainty set")
-    # walk back: each rank splits into a surviving pattern and, one bit per
-    # pair output (last pair lowest), the pair orders
-    w1, w2 = [], []  # digits, last first
-    for outputs, p in zip(reversed(blocks), reversed(pair_counts)):
-        h, child = divmod(rank, 1 << p)
-        pattern = _consistent_pattern(h, outputs, p, n, m)
-        for s, y in zip(reversed(pattern), reversed(outputs)):
-            if s == STAR:  # a pair's bit is 1 when sender 1 sent the larger digit
-                child, larger_first = divmod(child, len(y))
-                lo, hi = min(y), max(y)
-                w1.append(hi if larger_first else lo)
-                w2.append(lo if larger_first else hi)
-        rank = _rank_at(pattern, q, m)
-    return DecodeResult(w1=tuple(w1[::-1]), w2=tuple(w2[::-1]), sizes=tuple(sizes))
+    w1, w2 = [], []  # per block, last block first
+    for start, p in zip(reversed(starts), reversed(pair_counts)):
+        rank, d1, d2 = _walk_back(
+            rank, codes[start : start + n], transcript[start : start + n], p, q, n, m
+        )
+        w1.append(d1)
+        w2.append(d2)
+    return DecodeResult(
+        w1=tuple(chain.from_iterable(reversed(w1))),
+        w2=tuple(chain.from_iterable(reversed(w2))),
+        sizes=tuple(sizes),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -545,31 +604,55 @@ class SimulationReport:
     records: tuple[TrialRecord, ...]
 
 
+@lru_cache(maxsize=None)
+def _digit_bytes(q: int) -> tuple[bytes, bytes]:
+    # per top byte of a 32-bit word: the digit its top q.bit_length() bits give,
+    # and the top bytes whose draw randint rejects
+    top = [b >> (8 - q.bit_length()) for b in range(256)]
+    return bytes(min(r + 1, q) for r in top), bytes(b for b, r in enumerate(top) if r >= q)
+
+
 def _draw_digits(rng: random.Random, q: int, count: int) -> tuple[int, ...]:
-    # the next count values of rng.randint(1, q), in fewer calls: CPython's randint
-    # is 1 + getrandbits(q.bit_length()), redrawn while >= q (a test pins this)
-    draws = iter(partial(rng.getrandbits, q.bit_length()), None)
-    return tuple(islice((r + 1 for r in draws if r < q), count))
+    # the next count values of rng.randint(1, q), from whole 32-bit words:
+    # CPython's randint is 1 + getrandbits(k), k = q.bit_length() <= 8,
+    # redrawn while >= q, and getrandbits(k) is the top k bits of the next
+    # word; getrandbits(32 * w) is the next w words, lowest first, so its
+    # little-endian bytes [3::4] are their top bytes. One word per digit
+    # still due never takes a word past the last digit (a test pins the
+    # stream and the generator's state)
+    table, rejects = _digit_bytes(q)
+    digits = b""
+    while len(digits) < count:
+        words = count - len(digits)
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        digits += top.translate(table, rejects)
+    return tuple(digits)
+
+
+def _check_feedback(state: SessionState, start: int, stop: int) -> None:
+    # sender symmetry: the digits each sender deduced from feedback since
+    # ``start`` must be the other's message digits up to ``stop``
+    if state.known_other_1[start:] != state.w2[start:stop]:
+        raise ProtocolViolation("sender 1 mis-deduced the other message")
+    if state.known_other_2[start:] != state.w1[start:stop]:
+        raise ProtocolViolation("sender 2 mis-deduced the other message")
 
 
 def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     params, seed, trial = args
+    m = params.m
     rng = random.Random(seed ^ trial)
     w1 = _draw_digits(rng, params.q, params.message_digits)
     w2 = _draw_digits(rng, params.q, params.message_digits)
 
     state = new_session(params, w1, w2)
-    peak = uncertainty_peak_bound(params.n, params.m)
-    for b in range(params.blocks):
+    peak = uncertainty_peak_bound(params.n, m)
+    for start in range(0, params.message_digits, m):
         run_block(state)
         if state.size > peak:
             raise ProtocolViolation("uncertainty peak bound exceeded")
-        # sender symmetry: feedback-deduced digits must match the real messages
-        learned = (b + 1) * params.m
-        if bytes(state.known_other_1) != state.w2[:learned]:
-            raise ProtocolViolation("sender 1 mis-deduced the other message")
-        if bytes(state.known_other_2) != state.w1[:learned]:
-            raise ProtocolViolation("sender 2 mis-deduced the other message")
+        _check_feedback(state, start, start + m)  # the block's new digits
+    _check_feedback(state, 0, params.message_digits)
     run_final_block(state)
 
     decoded = decode_transcript(params, state.transcript)

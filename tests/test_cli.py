@@ -195,6 +195,21 @@ def test_lemma_below_uniform_theta_has_no_closed_form(capsys):
     assert out.splitlines()[-1].split() == ["status", "NO-CLOSED-FORM"]
 
 
+def test_lemma_no_closed_form_row_reports_no_tolerance(capsys):
+    # nothing is compared on that row, so no tolerance is reported, as no gap is
+    argv = ["lemma", "--q", "3", "--theta", "0.2", "--resolution", "0.02"]
+    code, out, _ = run_cli(capsys, *argv, "--format", "jsonl")
+    record = json.loads(out)
+    assert code == 0 and record["status"] == "NO-CLOSED-FORM"
+    assert record["gap"] is None and record["tolerance"] is None
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert code == 0 and row["status"] == "NO-CLOSED-FORM"
+    assert row["gap"] == row["tolerance"] == ""
+    code, out, _ = run_cli(capsys, *argv)
+    assert "tolerance     None" in out.splitlines()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -34,12 +34,7 @@ from union_channel import (
     validate_params,
 )
 from union_channel import codec
-from union_channel.codec import (
-    ProtocolViolation,
-    SessionState,
-    _consistent_below,
-    _consistent_pattern,
-)
+from union_channel.codec import ProtocolViolation, SessionState, _consistent_below, _walk_back
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +150,24 @@ def test_round_trip_exhaustive_q1():
                 previous = pattern
 
 
+def _codes(outputs):
+    # reference symbol codes: the symbol of a singleton, STAR for a pair
+    return bytes(min(y) if len(y) == 1 else STAR for y in outputs)
+
+
+def _consistent_pattern(h, outputs, p, n, m):
+    """The h-th pattern, in rank order, that the block's ``p`` pair outputs allow.
+
+    It stars every pair output and shows the received symbol wherever else
+    it has no star; a star sorts before a symbol, so rank order is the order
+    of the star placements among the singletons: the q=1 pattern space.
+    """
+    placement = iter(unrank_pattern(h, 1, n - p, m - p))
+    return tuple(
+        min(y) if len(y) == 1 and next(placement) != STAR else STAR for y in outputs
+    )
+
+
 def test_consistent_below_ranks_each_allowed_pattern():
     # the walk to an allowed pattern's rank r counts the allowed patterns
     # below it, so it inverts _consistent_pattern; one rank on, it counts it too
@@ -172,8 +185,8 @@ def test_consistent_below_ranks_each_allowed_pattern():
             continue
         for h in range(math.comb(n - p, m - p)):
             r = rank_pattern(_consistent_pattern(h, outputs, p, n, m), q, m)
-            assert _consistent_below(r, outputs, p, q, n, m) == h
-            assert _consistent_below(r + 1, outputs, p, q, n, m) == h + 1
+            assert _consistent_below(r, _codes(outputs), p, q, n, m) == h
+            assert _consistent_below(r + 1, _codes(outputs), p, q, n, m) == h + 1
 
 
 def _consistent_below_bisect(limit, outputs, q, n, m):
@@ -214,9 +227,38 @@ def _count_cases(draw):
 def test_consistent_below_matches_bisect(case):
     q, n, m, outputs, limit = case
     p = sum(1 for y in outputs if len(y) == 2)
-    assert _consistent_below(limit, outputs, p, q, n, m) == _consistent_below_bisect(
+    assert _consistent_below(limit, _codes(outputs), p, q, n, m) == _consistent_below_bisect(
         limit, outputs, q, n, m
     )
+
+
+@pytest.mark.parametrize("q, n, m", [(2, 5, 3), (3, 4, 3), (2, 6, 4), (3, 5, 3)])
+def test_walk_back_matches_the_reference_pattern(q, n, m):
+    # every output block and every rank it allows: the fused pass unranks h
+    # to the reference pattern (its digits sit at that pattern's stars), ranks
+    # that pattern in the full space, and reads the pair bits first pair highest
+    valid = [frozenset((a, b)) for a in range(1, q + 1) for b in range(a, q + 1)]
+    for outputs in product(valid, repeat=n):
+        p = sum(len(y) == 2 for y in outputs)
+        if p > m:
+            continue
+        for h in range(math.comb(n - p, m - p)):
+            pattern = _consistent_pattern(h, outputs, p, n, m)
+            previous = rank_pattern(pattern, q, m)
+            starred = [sorted(y) for s, y in zip(pattern, outputs) if s == STAR]
+            for child in range(1 << p):
+                bits = iter(f"{child:0{p}b}" if p else "")
+                w1, w2 = [], []
+                for y in starred:
+                    lo, hi = y[0], y[-1]
+                    if len(y) == 2 and next(bits) == "1":
+                        lo, hi = hi, lo
+                    w1.append(lo)
+                    w2.append(hi)
+                rank = (h << p) + child
+                assert _walk_back(rank, _codes(outputs), outputs, p, q, n, m) == (
+                    previous, w1, w2
+                ), (outputs, h, child)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +274,7 @@ def _advance_implicit(uncertainty, outputs, q, n, m):
     """
     p = sum(1 for y in outputs if len(y) == 2)
     new = []
-    for h in range(_consistent_below(len(uncertainty), outputs, p, q, n, m)):
+    for h in range(_consistent_below(len(uncertainty), _codes(outputs), p, q, n, m)):
         pattern = _consistent_pattern(h, outputs, p, n, m)
         prefix = uncertainty[rank_pattern(pattern, q, m)]
         options = [
@@ -500,6 +542,29 @@ def test_decode_refuses_outputs_that_cannot_be_sorted(output):
         decode_transcript(params, [output, frozenset({1}), frozenset({1})])
 
 
+@pytest.mark.parametrize(
+    "pos, output",
+    [
+        (0, frozenset({True, 2})),
+        (0, frozenset({1.0, 2.0})),
+        (1, frozenset({2.0})),
+        (3, frozenset({True})),  # a resolution use
+    ],
+    ids=["bool-pair", "float-pair", "float-singleton", "bool-resolution"],
+)
+def test_decode_refuses_elements_that_are_not_ints(pos, output):
+    # each equals the valid output it replaces, so it was once accepted and
+    # decoded to bool or float digits, e.g. w1=(1.0, 2)
+    params = CodeParams(q=2, n=3, m=2, blocks=1)
+    transcript = _encode(params, w1=(1, 2), w2=(2, 2)).transcript
+    assert transcript == [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})]
+    assert transcript[pos] == output
+    transcript[pos] = output
+    message = f"output {sorted(output)} at position {pos} is not a 1- or 2-element"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decode_transcript(params, transcript)
+
+
 def test_channel_is_the_unordered_union():
     assert channel(1, 2) == frozenset((1, 2)) == channel(2, 1)
     assert channel(3, 3) == frozenset((3,))
@@ -518,6 +583,7 @@ def _round_trip(params, w1, w2):
     decoded = decode_transcript(params, state.transcript)
     assert decoded.w1 == tuple(w1)
     assert decoded.w2 == tuple(w2)
+    assert {type(d) for d in decoded.w1 + decoded.w2} == {int}
     assert decoded.sizes == tuple(state.sizes)
 
 
@@ -646,9 +712,9 @@ def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# pattern memos of the block step
+# the pattern memo of the block step
 
-MEMOS = (codec._pattern_at, codec._rank_at)
+MEMOS = (codec._pattern_at,)
 MEMO_CODES = [
     CodeParams(q=2, n=12, m=9, blocks=20),
     CodeParams(q=2, n=17, m=13, blocks=3),
@@ -666,7 +732,6 @@ def test_public_pattern_functions_stay_uncached():
     for fn in (codec.unrank_pattern, codec.rank_pattern):
         assert not hasattr(fn, "cache_info")
     assert codec._pattern_at.__wrapped__ is codec.unrank_pattern
-    assert codec._rank_at.__wrapped__ is codec.rank_pattern
 
 
 def test_pattern_memos_are_bounded():
@@ -705,7 +770,7 @@ def test_simulate_with_memos_is_worker_independent():
 
 def test_full_pattern_memos_stay_within_4_mb():
     # worst case for the codec's alphabet and block length: n = 64, q = 255,
-    # one star (the largest ranks); the rank memo holds its own patterns
+    # one star (the largest ranks)
     q, n, m = 255, 64, 1
     total = pattern_count(q, n, m)
     sizes = [memo.cache_info().maxsize for memo in MEMOS]
@@ -716,8 +781,6 @@ def test_full_pattern_memos_stay_within_4_mb():
         before = tracemalloc.get_traced_memory()[0]
         for i in range(sizes[0]):
             codec._pattern_at(total - 1 - i, q, n, m)
-        for i in range(sizes[1]):
-            codec._rank_at(unrank_pattern(total - 1 - sizes[0] - i, q, n, m), q, m)
         held = tracemalloc.get_traced_memory()[0] - before
         assert [memo.cache_info().currsize for memo in MEMOS] == sizes
     finally:
@@ -734,6 +797,18 @@ def test_draw_digits_matches_randint(seed):
         assert codec._draw_digits(random.Random(seed), q, 500) == expected, q
 
 
+@pytest.mark.parametrize("count", [1, 7, 500])
+def test_draw_digits_leaves_the_randint_state(count):
+    # an over-draw would shift the stream the second message is drawn from
+    for q in range(2, 256):
+        r = random.Random(q)
+        for _ in range(count):
+            r.randint(1, q)
+        drawn = random.Random(q)
+        codec._draw_digits(drawn, q, count)
+        assert drawn.getstate() == r.getstate(), q
+
+
 @pytest.mark.parametrize(
     "faulty_channel, message",
     [
@@ -742,8 +817,13 @@ def test_draw_digits_matches_randint(seed):
         (lambda x1, x2: frozenset((x1,)), "mis-deduced"),
         (lambda x1, x2: frozenset((x2,)), "mis-deduced"),
         (lambda x1, x2: frozenset((x1, 3 - x2)), "pair output at a symbol position"),
+        # a singleton that is not the sent symbol rules the true pattern out
+        (
+            lambda x1, x2: frozenset((3 - x1,)) if x1 == x2 else frozenset((x1, x2)),
+            "true message prefix missing",
+        ),
     ],
-    ids=["shows-x1", "shows-x2", "flips-x2"],
+    ids=["shows-x1", "shows-x2", "flips-x2", "flips-singletons"],
 )
 def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, message):
     monkeypatch.setattr(codec, "channel", faulty_channel)
