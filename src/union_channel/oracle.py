@@ -11,7 +11,10 @@ the closed forms without sharing a code path with them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -41,21 +44,21 @@ class FeasiblePair:
 
 
 def _interpolate(
-    a: np.ndarray, b: np.ndarray, theta0: np.ndarray, theta: float, q: int
-) -> tuple[np.ndarray, np.ndarray]:
+    theta0: np.ndarray, theta: float, q: int, *sides: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Slide each row pair (a, b) toward uniform until its inner product is theta.
 
     Mixing both with the uniform vector j at weight t gives inner product
     (1-t)^2 * theta0 + (2-t) * t / q, which runs from theta0 = a.b at t = 0
     to 1/q at t = 1; the quadratic is solved for the root in [0, 1]. Rows
-    already at theta0 = 1/q stay put.
+    already at theta0 = 1/q stay put. Each side is moved by the same t.
     """
     denom = theta0 - 1.0 / q
     safe = np.abs(denom) > 1e-15
     c = np.where(safe, (theta - theta0) / np.where(safe, denom, 1.0), 0.0)
     t = 1.0 - np.sqrt(np.maximum(1.0 + c, 0.0))
     keep, shift = (1.0 - t)[:, None], (t / q)[:, None]
-    return keep * a + shift, keep * b + shift
+    return tuple(keep * x + shift for x in sides)
 
 
 def interpolate_to_theta(
@@ -79,8 +82,8 @@ def interpolate_to_theta(
             f"theta {theta_target!r} not between inner product {theta0!r} and 1/q"
         )
     ap, bp = _interpolate(
-        np.array([a], dtype=float), np.array([b], dtype=float),
         np.array([theta0]), theta_target, q,
+        np.array([a], dtype=float), np.array([b], dtype=float),
     )
     return FeasiblePair(tuple(ap[0].tolist()), tuple(bp[0].tolist()), theta_target)
 
@@ -191,10 +194,17 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
 # ---------------------------------------------------------------------------
 # Exhaustive and randomized searches
 
+# rows per numpy pass: the searches walk their candidate rows this many at a
+# time, so their memory no longer grows with the sample or refinement count
+_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    """Best feasible pair found by the grid; ``value`` is None if none exist."""
+    """Best feasible pair found by the grid.
+
+    Both grids find a pair at every theta in [0, 1], so no field is None.
+    """
 
     value: float | None
     a: tuple[float, ...] | None
@@ -215,14 +225,69 @@ def _unit_rows(x: np.ndarray) -> np.ndarray:
     return x[keep] / sums[keep][:, None]
 
 
+def _row_chunks(x: np.ndarray) -> Iterator[np.ndarray]:
+    return (x[start : start + _CHUNK_ROWS] for start in range(0, len(x), _CHUNK_ROWS))
+
+
+def _drawn_unit_rows(
+    draw: Callable[..., np.ndarray], rows: int, width: int
+) -> Iterator[np.ndarray]:
+    """The unit rows of ``draw(size=(rows, width))``, drawn a chunk at a time.
+
+    numpy continues one stream across draws of consecutive sizes, so the
+    chunks hold the rows of the whole draw and leave the generator where the
+    whole draw would. Nothing is drawn until the chunks are asked for.
+    """
+    for start in range(0, rows, _CHUNK_ROWS):
+        yield _unit_rows(draw(size=(min(_CHUNK_ROWS, rows - start), width)))
+
+
+def _gathered(chunks: Iterable[np.ndarray], rows: int, width: int) -> np.ndarray:
+    """The chunks (at most ``rows`` rows in all) as one array, built in place."""
+    out = np.empty((rows, width))
+    end = 0
+    for chunk in chunks:
+        out[end : end + len(chunk)] = chunk
+        end += len(chunk)
+    return out[:end]
+
+
+def _paired(
+    a: np.ndarray, rows: int, b_chunks: Iterable[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pair b's chunks by position with the first ``rows`` rows of a, repeated end to end.
+
+    This is the pairing of the whole of b with those rows up to the shorter
+    side. b is drawn to its end even after the rows run out, so the
+    generator is left where a whole draw of b would leave it.
+    """
+    start = 0
+    for b in b_chunks:
+        index = np.arange(start, min(start + len(b), rows))
+        start += len(b)
+        if len(index):
+            yield a.take(index, axis=0, mode="wrap"), b
+
+
+def _first_max(found: Iterable[tuple | None]) -> tuple | None:
+    """The first of the results with the greatest value (index 0), as argmax picks."""
+    best = None
+    for item in found:
+        if item is not None and (best is None or item[0] > best[0]):
+            best = item
+    return best
+
+
 def _interpolated_max(
     a: np.ndarray, b: np.ndarray, theta: float, q: int
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Max H(a') + H(b') over rows interpolated onto the theta constraint.
 
     Rows are paired by position up to the shorter side; any pairing of two
-    pmfs is a candidate.
+    pmfs is a candidate. When b is a, each row is interpolated and its
+    entropy taken once, and doubled (x + x == 2 * x exactly).
     """
+    symmetric = b is a
     count = min(len(a), len(b))
     a, b = a[:count], b[:count]
     theta0 = (a * b).sum(axis=1)
@@ -231,20 +296,27 @@ def _interpolated_max(
     mask = (theta >= lo - 1e-15) & (theta <= hi + 1e-15)
     if not mask.any():
         return None
-    # rebind so the unmasked rows can be freed before the interpolated copies exist
-    a, b, theta0 = a[mask], b[mask], theta0[mask]
-    ap, bp = _interpolate(a, b, theta0, theta, q)
-    values = _row_entropies(ap, q) + _row_entropies(bp, q)
+    a, theta0 = a[mask], theta0[mask]
+    if symmetric:
+        (ap,) = _interpolate(theta0, theta, q, a)
+        bp, values = ap, 2.0 * _row_entropies(ap, q)
+    else:
+        ap, bp = _interpolate(theta0, theta, q, a, b[mask])
+        values = _row_entropies(ap, q) + _row_entropies(bp, q)
     i = int(np.argmax(values))
     return float(values[i]), ap[i], bp[i]
 
 
-def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.ndarray]:
-    # one free coordinate per side; the partner mass is solved exactly from
-    # a1*b1 + (1-a1)(1-b1) = theta, so every evaluated pair is feasible; at
-    # a1 = 0 it is b1 = 1 - theta, so for theta in [0, 1] one pair always is
-    steps = round(1.0 / resolution)
-    a1 = np.linspace(0.0, 1.0, steps + 1)
+def _best_pair(
+    pairs: Iterable[tuple[np.ndarray, np.ndarray]], theta: float, q: int
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """:func:`_interpolated_max` over chunks of row pairs, the first maximum kept."""
+    return _first_max(_interpolated_max(a, b, theta, q) for a, b in pairs)
+
+
+def _grid_q2_chunk(a1: np.ndarray, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
+    # the partner mass is solved exactly from a1*b1 + (1-a1)(1-b1) = theta,
+    # so every evaluated pair is feasible; infeasible ones score -inf
     denom = 2.0 * a1 - 1.0
     ok = np.abs(denom) > 1e-12
     b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
@@ -259,36 +331,68 @@ def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.nda
     return float(values[i]), pairs_a[i], pairs_b[i]
 
 
+def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.ndarray]:
+    # one free coordinate per side; at a1 = 0 the partner is b1 = 1 - theta,
+    # so for theta in [0, 1] one pair is always feasible
+    a1 = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
+    return _first_max(_grid_q2_chunk(chunk, theta) for chunk in _row_chunks(a1))
+
+
 def _simplex_grid(step: float) -> np.ndarray:
+    """The points (i, j, k - i - j) / k with k = 1 / step, i major and j minor."""
     k = round(1.0 / step)
-    pts = [
-        (i / k, j / k, (k - i - j) / k)
-        for i in range(k + 1)
-        for j in range(k + 1 - i)
-    ]
-    return np.array(pts)
+    lengths = np.arange(k + 1, 0, -1)  # k + 1 - i values of j for each i
+    i = np.repeat(np.arange(k + 1), lengths)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    points = np.stack([i, j, k - i - j], axis=1, dtype=float)
+    points /= k  # in place: float64 i / k is correctly rounded, as Python's is
+    return points
+
+
+def _disjoint_pairs(grid: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # each point with a zero coordinate against the vertex at that coordinate:
+    # inner product 0, so interpolation reaches every theta in [0, 1/3]
+    for c in range(3):
+        points = grid[grid[:, c] == 0.0]
+        vertex = np.zeros_like(points)
+        vertex[:, c] = 1.0
+        yield points, vertex
 
 
 def _grid_q3(
     theta: float, resolution: float, seed: int, refinements: int
-) -> tuple[float, np.ndarray, np.ndarray] | None:
+) -> tuple[float, np.ndarray, np.ndarray]:
     # scan the 2-simplex for one side; the other side runs over the same
-    # point (the symmetric family) plus seeded random directions, every pair
-    # pulled onto the theta constraint by interpolation toward uniform
+    # point (the symmetric family, whose vertices reach every theta in
+    # [1/3, 1]), then two sides of seeded random directions, then the
+    # disjoint vertices (every theta in [0, 1/3]); every pair is pulled onto
+    # the theta constraint by interpolation toward uniform
     rng = np.random.default_rng(seed)
     grid = _simplex_grid(resolution)
-    sides_b = [grid] + [_unit_rows(rng.gamma(0.5, size=grid.shape)) for _ in range(2)]
-    best = _interpolated_max(np.vstack([grid] * 3), np.vstack(sides_b), theta, 3)
-    if best is None or refinements <= 0:
+    directions = _drawn_unit_rows(partial(rng.gamma, 0.5), 2 * len(grid), 3)
+    best = _best_pair(
+        chain(
+            ((rows, rows) for rows in _row_chunks(grid)),
+            _paired(grid, 2 * len(grid), directions),
+            _disjoint_pairs(grid),
+        ),
+        theta, 3,
+    )
+    if refinements <= 0:
         return best
+    # local refinements: jitter both incumbent rows; pa is drawn whole
+    # before pb, as one draw of each would be
     value, a_best, b_best = best
     scale = 2.0 * resolution
-    pa = _unit_rows(np.maximum(a_best + rng.normal(0.0, scale, (refinements, 3)), 0.0))
-    pb = _unit_rows(np.maximum(b_best + rng.normal(0.0, scale, (refinements, 3)), 0.0))
-    refined = _interpolated_max(pa, pb, theta, 3)
-    if refined is not None and refined[0] > value:
-        return refined
-    return best
+
+    def jitter(centre: np.ndarray) -> Callable[..., np.ndarray]:
+        return lambda size: np.maximum(centre + rng.normal(0.0, scale, size), 0.0)
+
+    pa = _gathered(_drawn_unit_rows(jitter(a_best), refinements, 3), refinements, 3)
+    refined = _best_pair(
+        _paired(pa, len(pa), _drawn_unit_rows(jitter(b_best), refinements, 3)), theta, 3
+    )
+    return _first_max((best, refined))
 
 
 def grid_max_joint_entropy(
@@ -323,10 +427,22 @@ def grid_max_joint_entropy(
                 f"simplex grid step below 1e-3 means >500k points; got {resolution!r}"
             )
         best = _grid_q3(theta, resolution, seed, refinements)
-    if best is None:
-        return GridSearchResult(None, None, None, resolution)
     value, a, b = best
     return GridSearchResult(value, tuple(a.tolist()), tuple(b.tolist()), resolution)
+
+
+def _sampled_pairs(
+    draw: Callable[..., np.ndarray], rows: int, q: int, symmetric: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """One sampler batch: each drawn row with itself, or two drawn sides.
+
+    The first side of two is drawn whole before the second, as one draw of
+    each would be; it is freed with the returned iterator.
+    """
+    if symmetric:
+        return ((a, a) for a in _drawn_unit_rows(draw, rows, q))
+    a = _gathered(_drawn_unit_rows(draw, rows, q), rows, q)
+    return _paired(a, len(a), _drawn_unit_rows(draw, rows, q))
 
 
 def random_feasible_sampler(
@@ -348,9 +464,8 @@ def random_feasible_sampler(
     per = max(1, samples // len(batches))
     best = -math.inf
     for conc, symmetric in batches:
-        a = _unit_rows(rng.gamma(conc, size=(per, q)))
-        b = a if symmetric else _unit_rows(rng.gamma(conc, size=(per, q)))
-        result = _interpolated_max(a, b, theta, q)
+        draw = partial(rng.gamma, conc)
+        result = _best_pair(_sampled_pairs(draw, per, q, symmetric), theta, q)
         if result is not None and result[0] > best:
             best = result[0]
     return best

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from union_channel import (
+    entropy_q,
     grid_max_joint_entropy,
     interpolate_to_theta,
     max_joint_entropy,
@@ -12,9 +14,10 @@ from union_channel import (
     two_level_point,
     two_level_value,
 )
+from union_channel import oracle
 from union_channel.oracle import (
     FeasiblePair,
-    GridSearchResult,
+    _simplex_grid,
     _unit_rows,
     derivative_sign_expression,
 )
@@ -189,10 +192,92 @@ def test_grid_step_caps_follow_the_general_checks():
         grid_max_joint_entropy(3, 0.5, 1e-4)
 
 
-def test_grid_q3_without_a_feasible_pair():
-    # no pair the q=3 search draws has an inner product this low, though
-    # feasible pairs exist
-    assert grid_max_joint_entropy(3, 0.001, 0.02) == GridSearchResult(None, None, None, 0.02)
+@pytest.mark.parametrize("q, resolution", [(2, 0.5), (2, 0.01), (3, 0.5), (3, 0.1), (3, 0.02)])
+def test_grids_return_a_feasible_pair_at_every_theta(q, resolution):
+    # the q=3 grid's disjoint side (a point with a zero coordinate against the
+    # vertex there) reaches theta below every sampled inner product
+    for theta in sorted({i / 40 for i in range(41)} | {0.001, 0.005, 1 / 3}):
+        result = grid_max_joint_entropy(q, theta, resolution, refinements=2_000)
+        pair = FeasiblePair(result.a, result.b, theta)
+        assert result.value == pytest.approx(
+            entropy_q(pair.a, q) + entropy_q(pair.b, q), abs=1e-12
+        )
+    # at theta 0 the supports are disjoint: sizes 1 and q - 1 at best
+    assert grid_max_joint_entropy(q, 0.0, resolution).value == pytest.approx(
+        math.log(q - 1, q), abs=1e-12
+    )
+
+
+def _simplex_grid_reference(step):
+    k = round(1.0 / step)
+    pts = [(i / k, j / k, (k - i - j) / k) for i in range(k + 1) for j in range(k + 1 - i)]
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("step", [0.5, 0.3, 0.02, 0.01, 0.001])
+def test_simplex_grid_matches_the_point_list(step):
+    grid, expected = _simplex_grid(step), _simplex_grid_reference(step)
+    assert grid.shape == expected.shape and grid.dtype == expected.dtype
+    assert grid.tobytes() == expected.tobytes()
+
+
+def _oracle_outputs():
+    samples = [
+        random_feasible_sampler(q, theta, 600, seed=seed)
+        for q in (3, 4, 5)
+        for theta, seed in ((1.0 / q, 1), (0.5, 2), (0.8, 3))
+    ]
+    grids = [
+        grid_max_joint_entropy(q, theta, resolution, seed=seed, refinements=refinements)
+        for q, theta, resolution, seed, refinements in (
+            (2, 0.75, 0.01, 0, 0),
+            (2, 0.1, 0.01, 0, 0),
+            (3, 0.5, 0.5, 4, 400),
+            (3, 0.9, 0.5, 5, 400),
+            (3, 0.02, 0.5, 6, 400),
+            (3, 0.7, 0.1, 7, 400),
+        )
+    ]
+    return repr(samples), repr(grids)
+
+
+def test_chunk_size_leaves_every_result_bit_identical(monkeypatch):
+    dropped = []
+
+    def unit_rows(x):
+        rows = _unit_rows(x)
+        dropped.append(len(x) - len(rows))
+        return rows
+
+    monkeypatch.setattr(oracle, "_unit_rows", unit_rows)
+    expected = _oracle_outputs()
+    # the q=3 refinements at resolution 0.5 do drop all-zero rows, so the
+    # positional pairing of the two sides shifts
+    assert sum(dropped) > 0
+    for rows in (1, 7, 10**9):
+        monkeypatch.setattr(oracle, "_CHUNK_ROWS", rows)
+        assert _oracle_outputs() == expected, rows
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        # 100k refinement rows a side: about 15 MiB while both sides were held whole
+        lambda: grid_max_joint_entropy(3, 0.5, 0.01),
+        # 50k rows a batch side: 13.1 MiB while every batch was held whole
+        lambda: random_feasible_sampler(5, 0.5, 300_000),
+    ],
+    ids=["grid-q3", "sampler-q5"],
+)
+def test_oracles_run_in_bounded_memory(search):
+    # tracemalloc sees numpy's buffers, so the peak is a count of bytes, not a clock
+    tracemalloc.start()
+    try:
+        search()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, f"peak={peak / 2**20:.2f} MiB"
 
 
 def test_unit_rows_scales_rows_and_drops_all_zero_ones():
