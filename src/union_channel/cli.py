@@ -102,9 +102,6 @@ def _cmd_lemma(args) -> int:
             f"{MAX_SAMPLER_ENTRIES}\n"
         )
         return 1
-    if args.resolution is None:
-        # the q=3 search grids a 2-simplex, quadratic in 1/resolution
-        args.resolution = 1e-4 if args.q == 2 else 1e-2
     # user-typed decimals like 0.3333333 for 1/3 land a hair below 1/q;
     # snap those onto the closed form's left boundary
     theta_closed = args.theta if args.theta >= 1.0 / args.q else None
@@ -294,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lemma", help="oracle vs closed-form joint-entropy maximum")
     p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
     p.add_argument("--theta", type=_number(float, 0, 1), required=True)
-    # the grid oracle owns the range of its step; see oracle.grid_max_joint_entropy
+    # the grid oracle owns the range and default of its step; see grid_max_joint_entropy
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--samples", type=_number(int, 1), default=0, nargs="?", const=100_000)
     p.add_argument("--seed", type=_number(int, 0), default=oracle.DEFAULT_SEED)

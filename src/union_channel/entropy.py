@@ -35,13 +35,7 @@ def check_alphabet(q: int, minimum: int = 2) -> None:
 
 def entropy_q(probs: ProbVector, q: int) -> float:
     """Base-q Shannon entropy -sum(p * log_q p) of a probability vector."""
-    check_alphabet(q)
-    validate_pmf(probs)
-    total = 0.0
-    for p in probs:
-        if p > 0.0:
-            total += p * math.log(p)
-    return -total / math.log(q)
+    return grouped_entropy([(p, 1) for p in probs], q)
 
 
 def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:

@@ -201,14 +201,11 @@ _CHUNK_ROWS = 4096
 
 @dataclass(frozen=True)
 class GridSearchResult:
-    """Best feasible pair found by the grid.
+    """Best feasible pair found by the grid; both grids find one at every theta."""
 
-    Both grids find a pair at every theta in [0, 1], so no field is None.
-    """
-
-    value: float | None
-    a: tuple[float, ...] | None
-    b: tuple[float, ...] | None
+    value: float
+    a: tuple[float, ...]
+    b: tuple[float, ...]
     resolution: float
 
 
@@ -242,16 +239,6 @@ def _drawn_unit_rows(
         yield _unit_rows(draw(size=(min(_CHUNK_ROWS, rows - start), width)))
 
 
-def _gathered(chunks: Iterable[np.ndarray], rows: int, width: int) -> np.ndarray:
-    """The chunks (at most ``rows`` rows in all) as one array, built in place."""
-    out = np.empty((rows, width))
-    end = 0
-    for chunk in chunks:
-        out[end : end + len(chunk)] = chunk
-        end += len(chunk)
-    return out[:end]
-
-
 def _paired(
     a: np.ndarray, rows: int, b_chunks: Iterable[np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -267,6 +254,25 @@ def _paired(
         start += len(b)
         if len(index):
             yield a.take(index, axis=0, mode="wrap"), b
+
+
+def _drawn_pairs(
+    draw_a: Callable[..., np.ndarray],
+    draw_b: Callable[..., np.ndarray],
+    rows: int,
+    width: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The unit rows of two draws, paired by position up to the shorter side.
+
+    Side a is drawn whole into one array before side b, as one draw of each
+    would be; b is then drawn a chunk at a time after it.
+    """
+    a = np.empty((rows, width))
+    end = 0
+    for chunk in _drawn_unit_rows(draw_a, rows, width):
+        a[end : end + len(chunk)] = chunk
+        end += len(chunk)
+    yield from _paired(a, end, _drawn_unit_rows(draw_b, rows, width))
 
 
 def _first_max(found: Iterable[tuple | None]) -> tuple | None:
@@ -304,7 +310,8 @@ def _interpolated_max(
         ap, bp = _interpolate(theta0, theta, q, a, b[mask])
         values = _row_entropies(ap, q) + _row_entropies(bp, q)
     i = int(np.argmax(values))
-    return float(values[i]), ap[i], bp[i]
+    # copies, so a kept result does not hold its whole chunk alive
+    return float(values[i]), ap[i].copy(), bp[i].copy()
 
 
 def _best_pair(
@@ -380,25 +387,31 @@ def _grid_q3(
     )
     if refinements <= 0:
         return best
-    # local refinements: jitter both incumbent rows; pa is drawn whole
-    # before pb, as one draw of each would be
+    # local refinements: jitter both incumbent rows
     value, a_best, b_best = best
     scale = 2.0 * resolution
 
     def jitter(centre: np.ndarray) -> Callable[..., np.ndarray]:
         return lambda size: np.maximum(centre + rng.normal(0.0, scale, size), 0.0)
 
-    pa = _gathered(_drawn_unit_rows(jitter(a_best), refinements, 3), refinements, 3)
     refined = _best_pair(
-        _paired(pa, len(pa), _drawn_unit_rows(jitter(b_best), refinements, 3)), theta, 3
+        _drawn_pairs(jitter(a_best), jitter(b_best), refinements, 3), theta, 3
     )
     return _first_max((best, refined))
+
+
+# per q: the default grid step, and the smallest step with the refusal below it;
+# the q=3 search grids a 2-simplex, quadratic in 1/resolution
+_GRID_STEPS = {
+    2: (1e-4, 1e-6, "grid step below 1e-6 means >1M points per side"),
+    3: (1e-2, 1e-3, "simplex grid step below 1e-3 means >500k points"),
+}
 
 
 def grid_max_joint_entropy(
     q: int,
     theta: float,
-    resolution: float,
+    resolution: float | None = None,
     seed: int = DEFAULT_SEED,
     refinements: int = 100_000,
 ) -> GridSearchResult:
@@ -407,42 +420,25 @@ def grid_max_joint_entropy(
     Every evaluated pair satisfies the constraints exactly (up to float
     rounding), so the result never exceeds the true maximum. The q = 2
     search is deterministic; q = 3 uses a seeded generator for the sampled
-    directions and the local refinements around the incumbent.
+    directions and the local refinements around the incumbent. Without a
+    ``resolution`` the grid takes its per-q default step.
     """
-    if q not in (2, 3):
-        raise ValueError(f"grid search supports q in {{2, 3}}, got {q}")
+    if q not in _GRID_STEPS:
+        raise ValueError(f"grid search supports q in {set(_GRID_STEPS)}, got {q}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
+    default, floor, refusal = _GRID_STEPS[q]
+    if resolution is None:
+        resolution = default
     if not 0.0 < resolution <= 0.5:
         raise ValueError(f"resolution must lie in (0, 0.5], got {resolution!r}")
+    if resolution < floor:
+        raise ValueError(f"{refusal}; got {resolution!r}")
     if q == 2:
-        if resolution < 1e-6:
-            raise ValueError(
-                f"grid step below 1e-6 means >1M points per side; got {resolution!r}"
-            )
-        best = _grid_q2(theta, resolution)
+        value, a, b = _grid_q2(theta, resolution)
     else:
-        if resolution < 1e-3:
-            raise ValueError(
-                f"simplex grid step below 1e-3 means >500k points; got {resolution!r}"
-            )
-        best = _grid_q3(theta, resolution, seed, refinements)
-    value, a, b = best
+        value, a, b = _grid_q3(theta, resolution, seed, refinements)
     return GridSearchResult(value, tuple(a.tolist()), tuple(b.tolist()), resolution)
-
-
-def _sampled_pairs(
-    draw: Callable[..., np.ndarray], rows: int, q: int, symmetric: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One sampler batch: each drawn row with itself, or two drawn sides.
-
-    The first side of two is drawn whole before the second, as one draw of
-    each would be; it is freed with the returned iterator.
-    """
-    if symmetric:
-        return ((a, a) for a in _drawn_unit_rows(draw, rows, q))
-    a = _gathered(_drawn_unit_rows(draw, rows, q), rows, q)
-    return _paired(a, len(a), _drawn_unit_rows(draw, rows, q))
 
 
 def random_feasible_sampler(
@@ -460,12 +456,13 @@ def random_feasible_sampler(
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
-    batches = [(conc, sym) for conc in (0.15, 0.5, 1.0) for sym in (True, False)]
-    per = max(1, samples // len(batches))
-    best = -math.inf
-    for conc, symmetric in batches:
-        draw = partial(rng.gamma, conc)
-        result = _best_pair(_sampled_pairs(draw, per, q, symmetric), theta, q)
-        if result is not None and result[0] > best:
-            best = result[0]
-    return best
+    per = max(1, samples // 6)  # per batch: each concentration symmetric, then not
+
+    def batches() -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+        for conc in (0.15, 0.5, 1.0):
+            draw = partial(rng.gamma, conc)
+            yield ((a, a) for a in _drawn_unit_rows(draw, per, q))
+            yield _drawn_pairs(draw, draw, per, q)
+
+    best = _first_max(_best_pair(pairs, theta, q) for pairs in batches())
+    return -math.inf if best is None else best[0]

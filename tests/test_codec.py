@@ -6,6 +6,7 @@ import re
 import time
 import tracemalloc
 from bisect import bisect_left
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -504,6 +505,15 @@ def test_decode_refuses_a_transcript_shorter_than_its_blocks():
         decode_transcript(CodeParams(2, 3, 2, 2), [frozenset({1})] * 2)
 
 
+def test_decode_refuses_a_resolution_rank_outside_the_set():
+    # the block leaves 2 candidates, and the one resolution digit names rank 2;
+    # the walk back does not check its range, so without this refusal the
+    # transcript would decode to w1=(1,), w2=(2,), which encode to other outputs
+    transcript = [frozenset({1, 2}), frozenset({1}), frozenset({3})]
+    with pytest.raises(ValueError, match="^decoded rank 2 outside uncertainty set$"):
+        decode_transcript(CodeParams(3, 2, 1, 1), transcript)
+
+
 @pytest.mark.parametrize(
     "outputs, message",
     [
@@ -709,6 +719,57 @@ def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
     monkeypatch.setattr(codec, "decode_transcript", altered)
     with pytest.raises(ProtocolViolation, match="decoder replay disagrees"):
         simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "params, trials, totals",
+    [
+        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (60, 30, 602, 780)),
+        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (400, 200, 2409, 3600)),
+    ],
+)
+def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
+    # each party walks the survivors once per block, the decoder walks back once
+    # per block, and each sender's feedback check compares every message digit
+    # twice: once in its block and once in the final whole-message check
+    work = Counter()
+
+    def count(name, weight=lambda *args: 1):
+        helper = getattr(codec, name)
+
+        def counted(*args):
+            work[name] += weight(*args)
+            return helper(*args)
+
+        monkeypatch.setattr(codec, name, counted)
+
+    for name in ("_consistent_below", "_walk_back", "channel"):
+        count(name)
+    count("_check_feedback", lambda state, start, stop: stop - start)
+    run_trial, per_trial = codec._run_trial, []
+
+    def trial(job):
+        work.clear()
+        record = run_trial(job)
+        per_trial.append((record.uses, dict(work)))
+        return record
+
+    monkeypatch.setattr(codec, "_run_trial", trial)
+    simulate(params, trials=trials, seed=1)
+    blocks = params.blocks
+    assert [counts for _, counts in per_trial] == [
+        {
+            "_consistent_below": 2 * blocks,
+            "_walk_back": blocks,
+            "channel": uses,
+            "_check_feedback": 2 * params.message_digits,
+        }
+        for uses, _ in per_trial
+    ]
+    assert tuple(
+        sum(counts[name] for _, counts in per_trial)
+        for name in ("_consistent_below", "_walk_back", "channel", "_check_feedback")
+    ) == totals
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,14 @@ def test_grid_step_caps_follow_the_general_checks():
         grid_max_joint_entropy(3, 0.5, 1e-4)
 
 
+@pytest.mark.parametrize("q, step", [(2, 1e-4), (3, 1e-2)])
+def test_grid_takes_its_per_q_default_step(q, step):
+    # the step lemma uses without --resolution; the result records it
+    result = grid_max_joint_entropy(q, 0.6)
+    assert result == grid_max_joint_entropy(q, 0.6, step)
+    assert result.resolution == step
+
+
 @pytest.mark.parametrize("q, resolution", [(2, 0.5), (2, 0.01), (3, 0.5), (3, 0.1), (3, 0.02)])
 def test_grids_return_a_feasible_pair_at_every_theta(q, resolution):
     # the q=3 grid's disjoint side (a point with a zero coordinate against the
