@@ -59,6 +59,11 @@ def _emit_fields(row: dict, labels: dict, width: int) -> None:
         sys.stdout.write(f"{labels.get(key, key):<{width}}{_fmt5(value)}\n")
 
 
+def _record_row(record) -> dict:
+    # shallow: every field is a scalar, so dataclasses.asdict's deep copy is waste
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 _CAPACITY_HEADERS = [f.name for f in dataclasses.fields(capacity.CapacityReport)]
 
 _CAPACITY_LABELS = {
@@ -71,7 +76,7 @@ _CAPACITY_LABELS = {
 
 def _cmd_capacity(args) -> int:
     report = capacity.avg_feedback_capacity(args.q)
-    row = dataclasses.asdict(report)
+    row = _record_row(report)
     if args.format == "table":
         _emit_fields(row, _CAPACITY_LABELS, 20)
     else:
@@ -81,7 +86,7 @@ def _cmd_capacity(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = [
-        dataclasses.asdict(capacity.avg_feedback_capacity(q))
+        _record_row(capacity.avg_feedback_capacity(q))
         for q in range(2, args.q_max + 1)
     ]
     _emit_rows(_CAPACITY_HEADERS, rows, args.format, sys.stdout)
@@ -89,10 +94,11 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_lemma(args) -> int:
-    if args.q not in (2, 3) and args.resolution is not None:
+    grid_qs = set(oracle._GRID_STEPS)  # the q the grid oracle has a step table for
+    if args.q not in grid_qs and args.resolution is not None:
         sys.stderr.write(
             f"refused: --resolution sets the grid oracle's step; the grid covers "
-            f"q in {{2, 3}} only, got q={args.q}\n"
+            f"q in {grid_qs} only, got q={args.q}\n"
         )
         return 1
     if args.samples * args.q > MAX_SAMPLER_ENTRIES:
@@ -112,7 +118,7 @@ def _cmd_lemma(args) -> int:
         closed_form = capacity.max_joint_entropy(theta_closed, args.q)
 
     grid_value = None
-    if args.q in (2, 3):
+    if args.q in grid_qs:
         try:
             result = oracle.grid_max_joint_entropy(
                 args.q, args.theta, args.resolution, seed=args.seed
@@ -123,7 +129,7 @@ def _cmd_lemma(args) -> int:
         grid_value = result.value
     elif args.samples == 0:
         sys.stderr.write(
-            f"infeasible: the grid oracle covers q in {{2, 3}} only; "
+            f"infeasible: the grid oracle covers q in {grid_qs} only; "
             f"use --samples for q={args.q}\n"
         )
         return 1
@@ -198,7 +204,7 @@ def _cmd_codec(args) -> int:
         for line in codec.report_jsonl_lines(report):
             sys.stdout.write(line + "\n")
     elif args.format == "csv":
-        rows = [dataclasses.asdict(r) for r in report.records]
+        rows = [_record_row(r) for r in report.records]
         _emit_rows(["trial", "uses", "max_uncertainty", "ok"], rows, "csv", sys.stdout)
     else:
         check = codec.validate_params(params.q, params.n, params.m)

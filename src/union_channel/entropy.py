@@ -16,15 +16,23 @@ PROB_TOL = 1e-12
 ProbVector = Sequence[float]
 
 
-def validate_pmf(probs: ProbVector) -> None:
-    """Raise ValueError unless ``probs`` is a probability vector."""
-    total = 0.0
-    for p in probs:
-        if p < 0.0:
-            raise ValueError(f"negative probability entry {p!r}")
-        total += p
+def _check_masses(negative: float | None, total: float) -> None:
+    """Refuse a vector by its first negative entry, else by its sum ``total``."""
+    if negative is not None:
+        raise ValueError(f"negative probability entry {negative!r}")
     if abs(total - 1.0) > PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
+
+
+def validate_pmf(probs: ProbVector) -> None:
+    """Raise ValueError unless ``probs`` is a probability vector."""
+    negative, total = None, 0.0
+    for p in probs:
+        if p < 0.0:
+            negative = p
+            break
+        total += p
+    _check_masses(negative, total)
 
 
 def check_alphabet(q: int, minimum: int = 2) -> None:
@@ -35,7 +43,7 @@ def check_alphabet(q: int, minimum: int = 2) -> None:
 
 def entropy_q(probs: ProbVector, q: int) -> float:
     """Base-q Shannon entropy -sum(p * log_q p) of a probability vector."""
-    return grouped_entropy([(p, 1) for p in probs], q)
+    return grouped_entropy(((p, 1) for p in probs), q)
 
 
 def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
@@ -43,18 +51,20 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
 
     Each mass is split uniformly over ``multiplicity`` equal cells, so the
     result equals ``-sum(m_i * log_q(m_i / r_i))`` without expanding the
-    vector.
+    vector. One pass checks and sums; a bad multiplicity anywhere is
+    refused before a negative mass, and a negative mass before the sum.
     """
     check_alphabet(q)
-    pairs = list(masses)
-    for _, r in pairs:
+    negative, mass, total = None, 0.0, 0.0
+    for m, r in masses:
         if r != int(r) or r < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {r!r}")
-    validate_pmf([m for m, _ in pairs])
-    total = 0.0
-    for m, r in pairs:
         if m > 0.0:
             total += m * math.log(m / r)
+        elif m < 0.0 and negative is None:
+            negative = m
+        mass += m
+    _check_masses(negative, mass)
     return -total / math.log(q)
 
 

@@ -209,16 +209,35 @@ class GridSearchResult:
     resolution: float
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)``, bit for bit, without numpy's per-row reduction cost.
+
+    Below 8 columns numpy adds a row left to right onto +0.0, so adding
+    whole columns in that order gives the same bits (a row of -0.0 sums to
+    +0.0 too) far faster on narrow rows; from 8 columns on numpy sums
+    pairwise, so there its own sum is kept.
+    """
+    width = x.shape[1]
+    if width >= 8:
+        return x.sum(axis=1)
+    sums = x[:, 0] + 0.0
+    for c in range(1, width):
+        sums += x[:, c]
+    return sums
+
+
 def _row_entropies(x: np.ndarray, q: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(x > 0.0, x * np.log(x), 0.0)
-    return -terms.sum(axis=-1) / math.log(q)
+    return -_row_sums(terms) / math.log(q)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
     """The rows of x scaled to unit sum; all-zero rows are dropped."""
-    sums = x.sum(axis=1)
+    sums = _row_sums(x)
     keep = sums > 0.0
+    if keep.all():  # nearly always: no copy of the kept rows
+        return x / sums[:, None]
     return x[keep] / sums[keep][:, None]
 
 
@@ -296,7 +315,7 @@ def _interpolated_max(
     symmetric = b is a
     count = min(len(a), len(b))
     a, b = a[:count], b[:count]
-    theta0 = (a * b).sum(axis=1)
+    theta0 = _row_sums(a * b)
     lo = np.minimum(theta0, 1.0 / q)
     hi = np.maximum(theta0, 1.0 / q)
     mask = (theta >= lo - 1e-15) & (theta <= hi + 1e-15)

@@ -48,6 +48,18 @@ def test_grouped_rejects_bad_multiplicity():
         grouped_entropy([(0.5, 2), (0.5, 1.5)], 3)
 
 
+def test_grouped_refuses_in_a_fixed_order():
+    # the alphabet, then a bad multiplicity anywhere, then a negative mass, then the sum
+    with pytest.raises(ValueError, match="alphabet size"):
+        grouped_entropy([(-0.5, 0), (2.0, 1)], 1)
+    with pytest.raises(ValueError, match="multiplicity must be a positive integer, got 0"):
+        grouped_entropy([(-0.5, 1), (2.0, 1), (0.5, 0)], 3)
+    with pytest.raises(ValueError, match="negative probability entry -0.5"):
+        grouped_entropy([(0.1, 1), (-0.5, 1), (-0.25, 1), (2.0, 2)], 3)
+    with pytest.raises(ValueError, match="probabilities sum to 0.9"):
+        grouped_entropy([(0.5, 1), (0.4, 2)], 3)
+
+
 def test_binary_entropy_endpoints():
     assert binary_entropy(0.5) == pytest.approx(1.0, abs=1e-15)
     assert binary_entropy(0.0) == 0.0

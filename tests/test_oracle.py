@@ -17,6 +17,7 @@ from union_channel import (
 from union_channel import oracle
 from union_channel.oracle import (
     FeasiblePair,
+    _row_sums,
     _simplex_grid,
     _unit_rows,
     derivative_sign_expression,
@@ -286,6 +287,46 @@ def test_oracles_run_in_bounded_memory(search):
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, f"peak={peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_row_sums_match_numpy_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    rows = rng.gamma(0.3, size=(3000, width)) * rng.choice([-1.0, 1.0], (3000, width))
+    zeros = rows.copy()
+    zeros[rng.random(zeros.shape) < 0.5] = 0.0
+    zeros[rng.random(zeros.shape) < 0.3] = -0.0
+    zeros[:10] = -0.0  # numpy sums a row of -0.0 to +0.0
+    for x in (rows, zeros, rows * 1e-310, zeros * 1e-310, rows[:, ::-1]):
+        assert _row_sums(x).tobytes() == x.sum(axis=1).tobytes()
+
+
+def test_numpy_row_reductions_give_identical_results(monkeypatch):
+    def run():
+        samples = [
+            random_feasible_sampler(q, theta, 20_000, seed=seed)
+            for q in (2, 3, 5, 8, 9)
+            for theta in (1.0 / q, 0.5, 0.9)
+            for seed in (0, 7)
+        ]
+        grids = [
+            grid_max_joint_entropy(q, theta, step, seed=seed, refinements=400)
+            for q, steps in ((2, (0.1, 1e-3)), (3, (0.5, 0.05)))
+            for step in steps
+            for theta in (0.0, 0.4, 0.6, 1.0)
+            for seed in (1, 2)
+        ]
+        return repr(samples), repr(grids)
+
+    def unit_rows(x):
+        sums = x.sum(axis=1)
+        keep = sums > 0.0
+        return x[keep] / sums[keep][:, None]
+
+    expected = run()
+    monkeypatch.setattr(oracle, "_row_sums", lambda x: x.sum(axis=1))
+    monkeypatch.setattr(oracle, "_unit_rows", unit_rows)
+    assert run() == expected
 
 
 def test_unit_rows_scales_rows_and_drops_all_zero_ones():
