@@ -36,7 +36,8 @@ def _fmt5(value) -> str:
     return f"{value:.5f}" if isinstance(value, float) else str(value)
 
 
-def _emit_rows(headers: list[str], rows: list[dict], fmt: str, out) -> None:
+def _emit_rows(headers: list[str], rows: list[dict], fmt: str) -> None:
+    out = sys.stdout
     if fmt == "jsonl":
         for row in rows:
             out.write(json.dumps(row) + "\n")
@@ -80,7 +81,7 @@ def _cmd_capacity(args) -> int:
     if args.format == "table":
         _emit_fields(row, _CAPACITY_LABELS, 20)
     else:
-        _emit_rows(_CAPACITY_HEADERS, [row], args.format, sys.stdout)
+        _emit_rows(_CAPACITY_HEADERS, [row], args.format)
     return 0
 
 
@@ -89,86 +90,73 @@ def _cmd_table(args) -> int:
         _record_row(capacity.avg_feedback_capacity(q))
         for q in range(2, args.q_max + 1)
     ]
-    _emit_rows(_CAPACITY_HEADERS, rows, args.format, sys.stdout)
+    _emit_rows(_CAPACITY_HEADERS, rows, args.format)
     return 0
 
 
+def _refuse(kind: str, reason) -> int:
+    """Write one ``kind: reason`` line to stderr and return exit status 1."""
+    sys.stderr.write(f"{kind}: {reason}\n")
+    return 1
+
+
 def _cmd_lemma(args) -> int:
-    grid_qs = set(oracle._GRID_STEPS)  # the q the grid oracle has a step table for
-    if args.q not in grid_qs and args.resolution is not None:
-        sys.stderr.write(
-            f"refused: --resolution sets the grid oracle's step; the grid covers "
-            f"q in {grid_qs} only, got q={args.q}\n"
-        )
-        return 1
-    if args.samples * args.q > MAX_SAMPLER_ENTRIES:
-        sys.stderr.write(
-            f"refused: --samples {args.samples} at q={args.q} draws "
-            f"{args.samples * args.q} values; samples * q must be at most "
-            f"{MAX_SAMPLER_ENTRIES}\n"
-        )
-        return 1
+    q, theta, samples = args.q, args.theta, args.samples
+    grid_qs = set(oracle.GRID_QS)  # a set, so the texts print {2, 3}
+    has_grid = q in grid_qs
     # user-typed decimals like 0.3333333 for 1/3 land a hair below 1/q;
     # snap those onto the closed form's left boundary
-    theta_closed = args.theta if args.theta >= 1.0 / args.q else None
-    if theta_closed is None and args.theta >= 1.0 / args.q - 1e-7:
-        theta_closed = 1.0 / args.q
-    closed_form = None
-    if theta_closed is not None:
-        closed_form = capacity.max_joint_entropy(theta_closed, args.q)
+    theta_closed = max(theta, 1.0 / q) if theta >= 1.0 / q - 1e-7 else None
 
-    grid_value = None
-    if args.q in grid_qs:
-        try:
-            result = oracle.grid_max_joint_entropy(
-                args.q, args.theta, args.resolution, seed=args.seed
-            )
+    # every refusal across options, in this order, before any oracle runs
+    for refused, kind, reason in (
+        (not has_grid and args.resolution is not None, "refused",
+         f"--resolution sets the grid oracle's step; the grid covers q in {grid_qs} "
+         f"only, got q={q}"),
+        (samples * q > MAX_SAMPLER_ENTRIES, "refused",
+         f"--samples {samples} at q={q} draws {samples * q} values; samples * q "
+         f"must be at most {MAX_SAMPLER_ENTRIES}"),
+        (not has_grid and not samples, "infeasible",
+         f"the grid oracle covers q in {grid_qs} only; use --samples for q={q}"),
+        (samples and theta_closed is None, "infeasible",
+         f"the sampler needs theta >= 1/q, got {theta}"),
+    ):
+        if refused:
+            return _refuse(kind, reason)
+
+    grid_value = sampler_value = None
+    if has_grid:
+        try:  # the grid refuses a step out of its own range before it runs
+            grid = oracle.grid_max_joint_entropy(q, theta, args.resolution, seed=args.seed)
         except ValueError as exc:
-            sys.stderr.write(f"refused: {exc}\n")
-            return 1
-        grid_value = result.value
-    elif args.samples == 0:
-        sys.stderr.write(
-            f"infeasible: the grid oracle covers q in {grid_qs} only; "
-            f"use --samples for q={args.q}\n"
-        )
-        return 1
-
-    sampler_value = None
-    if args.samples > 0:
-        if theta_closed is None:
-            sys.stderr.write(
-                f"infeasible: the sampler needs theta >= 1/q, got {args.theta}\n"
-            )
-            return 1
+            return _refuse("refused", exc)
+        grid_value = grid.value
+    if samples:
         sampler_value = oracle.random_feasible_sampler(
-            args.q, theta_closed, args.samples, seed=args.seed
+            q, theta_closed, samples, seed=args.seed
         )
-        if sampler_value == float("-inf"):  # nothing accepted
+        if sampler_value == -math.inf:  # nothing accepted
             sampler_value = None
-
     observed = [v for v in (grid_value, sampler_value) if v is not None]
     if not observed:
-        sys.stderr.write("infeasible: no feasible pair found at this theta\n")
-        return 1
-    best = max(observed)
+        return _refuse("infeasible", "no feasible pair found at this theta")
 
-    tolerance = args.tolerance
-    if tolerance is None:
-        tolerance = 1e-3 if grid_value is not None else 0.02
-
-    if closed_form is None:  # nothing to compare with, so no gap and no tolerance
-        status = "NO-CLOSED-FORM"
-        gap = tolerance = None
-        ok = True
-    else:
+    # below 1/q there is nothing to compare with, so no gap and no tolerance
+    closed_form = gap = tolerance = None
+    status, ok = "NO-CLOSED-FORM", True
+    if theta_closed is not None:
+        closed_form = capacity.max_joint_entropy(theta_closed, q)
+        best = max(observed)
+        tolerance = args.tolerance
+        if tolerance is None:
+            tolerance = 1e-3 if grid_value is not None else 0.02
         gap = closed_form - best
         ok = best <= closed_form + 1e-9 and gap <= tolerance
         status = "PASS" if ok else "FAIL"
 
     row = {
-        "q": args.q,
-        "theta": args.theta,
+        "q": q,
+        "theta": theta,
         "closed_form": closed_form,
         "grid_value": grid_value,
         "sampler_value": sampler_value,
@@ -179,7 +167,7 @@ def _cmd_lemma(args) -> int:
     if args.format == "table":
         _emit_fields(row, {}, 14)
     else:
-        _emit_rows(list(row), [row], args.format, sys.stdout)
+        _emit_rows(list(row), [row], args.format)
     return 0 if ok else 1
 
 
@@ -195,8 +183,7 @@ def _cmd_codec(args) -> int:
     try:
         params = codec.CodeParams(q=args.q, n=args.n, m=args.m, blocks=args.B)
     except ValueError as exc:
-        sys.stderr.write(f"refused: {exc}\n")
-        return 1
+        return _refuse("refused", exc)
     report = codec.simulate(
         params, args.trials, seed=args.seed, workers=_workers_from_env()
     )
@@ -205,7 +192,7 @@ def _cmd_codec(args) -> int:
             sys.stdout.write(line + "\n")
     elif args.format == "csv":
         rows = [_record_row(r) for r in report.records]
-        _emit_rows(["trial", "uses", "max_uncertainty", "ok"], rows, "csv", sys.stdout)
+        _emit_rows(["trial", "uses", "max_uncertainty", "ok"], rows, "csv")
     else:
         check = codec.validate_params(params.q, params.n, params.m)
         sys.stdout.write(
@@ -229,7 +216,7 @@ def _cmd_params(args) -> int:
         {"n": c.n, "m": c.m, "rate": c.rate, "gap_to_root": c.rate - root}
         for c in choices
     ]
-    _emit_rows(["n", "m", "rate", "gap_to_root"], rows, args.format, sys.stdout)
+    _emit_rows(["n", "m", "rate", "gap_to_root"], rows, args.format)
     if args.format == "jsonl":
         sys.stdout.write(
             json.dumps({"summary": True, "q": args.q, "rate_root": root}) + "\n"

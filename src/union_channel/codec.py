@@ -646,11 +646,10 @@ def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     w2 = _draw_digits(rng, params.q, params.message_digits)
 
     state = new_session(params, w1, w2)
-    peak = uncertainty_peak_bound(params.n, m)
+    # run_block refuses a size above survivor_bound(n, m, p), whose maximum
+    # over p is uncertainty_peak_bound(n, m), so no peak check is needed here
     for start in range(0, params.message_digits, m):
         run_block(state)
-        if state.size > peak:
-            raise ProtocolViolation("uncertainty peak bound exceeded")
         _check_feedback(state, start, start + m)  # the block's new digits
     _check_feedback(state, 0, params.message_digits)
     run_final_block(state)

@@ -425,6 +425,7 @@ _GRID_STEPS = {
     2: (1e-4, 1e-6, "grid step below 1e-6 means >1M points per side"),
     3: (1e-2, 1e-3, "simplex grid step below 1e-3 means >500k points"),
 }
+GRID_QS = frozenset(_GRID_STEPS)  # the alphabet sizes grid_max_joint_entropy covers
 
 
 def grid_max_joint_entropy(
@@ -442,8 +443,8 @@ def grid_max_joint_entropy(
     directions and the local refinements around the incumbent. Without a
     ``resolution`` the grid takes its per-q default step.
     """
-    if q not in _GRID_STEPS:
-        raise ValueError(f"grid search supports q in {set(_GRID_STEPS)}, got {q}")
+    if q not in GRID_QS:
+        raise ValueError(f"grid search supports q in {set(GRID_QS)}, got {q}")
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     default, floor, refusal = _GRID_STEPS[q]
@@ -483,5 +484,5 @@ def random_feasible_sampler(
             yield ((a, a) for a in _drawn_unit_rows(draw, per, q))
             yield _drawn_pairs(draw, draw, per, q)
 
-    best = _first_max(_best_pair(pairs, theta, q) for pairs in batches())
+    best = _best_pair(chain.from_iterable(batches()), theta, q)
     return -math.inf if best is None else best[0]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from union_channel import avg_feedback_capacity, rate_root
+from union_channel import avg_feedback_capacity, oracle, rate_root
 from union_channel.cli import _workers_from_env, main
 
 
@@ -227,6 +227,28 @@ def test_lemma_sampler_below_uniform_theta(capsys):
     )
     assert code == 1
     assert "theta >= 1/q" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--q", "2", "--theta", "0.3", "--samples", "10"],  # sampler below 1/q
+        ["--q", "3", "--theta", "0.2", "--samples", "10"],
+        ["--q", "4", "--theta", "0.5", "--resolution", "0.01", "--samples", "10"],
+        ["--q", "5", "--theta", "0.5", "--samples", "2000001"],  # over the cap
+        ["--q", "4", "--theta", "0.5"],  # no grid and no sampler
+    ],
+)
+def test_lemma_refuses_across_options_before_any_oracle_runs(capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("an oracle ran before the refusal")
+
+    monkeypatch.setattr(oracle, "grid_max_joint_entropy", never)
+    monkeypatch.setattr(oracle, "random_feasible_sampler", never)
+    code, out, err = run_cli(capsys, "lemma", *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(("refused: ", "infeasible: "))
 
 
 def test_lemma_bare_samples_flag_defaults(capsys):

@@ -931,7 +931,8 @@ def test_simulate_full_length_run():
 
 
 def test_survivor_estimate_ratio_and_peak():
-    for n in range(1, 41):
+    # every n the CLI accepts: _run_trial relies on the peak being the max
+    for n in range(1, 65):
         for m in range((n + 1) // 2, n + 1):
             u = [math.comb(n - l, m - l) * 2**l for l in range(m + 1)]
             for l in range(m):
