@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -26,7 +27,7 @@ THREADS_ENV = "UNION_CHANNEL_THREADS"
 # the sampler holds one side of a batch (samples * q / 6 floats) plus a few
 # fixed-size chunks; on a 2-vCPU x86-64 host with numpy 2.4 a run at the cap
 # peaks at 50 MB of RSS (q = 5 and q = 2) and the default 5e5 entries at
-# 38 MB, against 30 MB for `capacity`, which runs no oracle
+# 38 MB, against 17 MB for `capacity`, which runs no oracle and loads no numpy
 MAX_SAMPLER_ENTRIES = 10**7
 
 FORMATS = ("table", "csv", "jsonl")
@@ -120,6 +121,9 @@ def _cmd_lemma(args) -> int:
          f"the grid oracle covers q in {grid_qs} only; use --samples for q={q}"),
         (samples and theta_closed is None, "infeasible",
          f"the sampler needs theta >= 1/q, got {theta}"),
+        # the one command that needs numpy; find_spec looks for it without loading it
+        (importlib.util.find_spec("numpy") is None, "refused",
+         "lemma runs the oracles, which need numpy, and numpy is not installed"),
     ):
         if refused:
             return _refuse(kind, reason)

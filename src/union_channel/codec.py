@@ -38,11 +38,10 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator, Sequence
 
-from .entropy import binary_entropy, bisect_root, check_alphabet
+from .entropy import DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255
-DEFAULT_SEED = 0x5EED
 
 Output = frozenset  # channel output: set of one or two symbols
 

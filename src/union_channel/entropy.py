@@ -12,6 +12,9 @@ import math
 from typing import Callable, Iterable, Sequence
 
 PROB_TOL = 1e-12
+# the seed of every seeded draw in the package (codec trials, oracle searches)
+# when the caller gives none
+DEFAULT_SEED = 0x5EED
 
 ProbVector = Sequence[float]
 

@@ -16,11 +16,27 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
-import numpy as np
+from .entropy import DEFAULT_SEED, entropy_q, validate_pmf
 
-from .entropy import entropy_q, validate_pmf
 
-DEFAULT_SEED = 0x5EED
+class _Numpy:
+    """Stands in for numpy until an oracle first reads an attribute of it.
+
+    Only the oracles need numpy, which costs about 11 MB of resident memory
+    and 80-140 ms to import, so importing this module leaves it unloaded. The
+    first attribute read imports it and rebinds the module global ``np`` to
+    numpy itself; every later lookup of ``np`` finds the real module.
+    """
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _Numpy()
 
 _IP_TOL = 1e-10
 

@@ -1,0 +1,52 @@
+"""Check the golden CLI output on this interpreter, with the standard library only.
+
+Runs every case of ``tests/golden_cli.json`` except ``lemma`` (the one
+command that needs numpy) through ``cli.main`` in process, compares the
+sha256 of its stdout and its exit status with the golden record, and checks
+that numpy was never imported. It needs neither numpy nor pytest, so it runs
+on a bare interpreter, before any dependency is installed:
+
+    python tools/golden_stdlib.py
+
+The exit status is 0 when every case matches and numpy stayed unloaded.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from union_channel.cli import main  # noqa: E402
+
+
+def run() -> int:
+    golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
+    cases = [case for case in golden if not case.startswith("lemma ")]
+    failures = 0
+    for case in cases:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = main(case.split())
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        expected = golden[case]
+        if (status, digest) != (expected["status"], expected["sha256"]):
+            failures += 1
+            print(f"FAIL  {case}: status {status}, sha256 {digest}")
+    loaded = "numpy" in sys.modules
+    if loaded:
+        print("FAIL  numpy was imported")
+    print(f"{len(cases) - failures}/{len(cases)} golden cases match on Python "
+          f"{platform.python_version()}; numpy {'loaded' if loaded else 'not loaded'}")
+    return 1 if failures or loaded else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
