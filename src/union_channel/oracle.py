@@ -71,7 +71,10 @@ def _interpolate(
     """
     denom = theta0 - 1.0 / q
     safe = np.abs(denom) > 1e-15
-    c = np.where(safe, (theta - theta0) / np.where(safe, denom, 1.0), 0.0)
+    if safe.all():
+        c = (theta - theta0) / denom
+    else:
+        c = np.where(safe, (theta - theta0) / np.where(safe, denom, 1.0), 0.0)
     t = 1.0 - np.sqrt(np.maximum(1.0 + c, 0.0))
     keep, shift = (1.0 - t)[:, None], (t / q)[:, None]
     return tuple(keep * x + shift for x in sides)
@@ -243,17 +246,23 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
 
 
 def _row_entropies(x: np.ndarray, q: int) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(x > 0.0, x * np.log(x), 0.0)
+    terms = np.zeros_like(x)
+    np.log(x, out=terms, where=x > 0.0)  # 0 log 0 = 0: the zeros stay
+    terms *= x
     return -_row_sums(terms) / math.log(q)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
-    """The rows of x scaled to unit sum; all-zero rows are dropped."""
+    """The rows of x scaled to unit sum; all-zero rows are dropped.
+
+    When no row is all zero, x itself is scaled in place and returned, so
+    pass only an array that nothing else reads, such as a fresh draw.
+    """
     sums = _row_sums(x)
     keep = sums > 0.0
     if keep.all():  # nearly always: no copy of the kept rows
-        return x / sums[:, None]
+        x /= sums[:, None]
+        return x
     return x[keep] / sums[keep][:, None]
 
 
@@ -285,10 +294,14 @@ def _paired(
     """
     start = 0
     for b in b_chunks:
-        index = np.arange(start, min(start + len(b), rows))
+        stop = min(start + len(b), rows)
+        if start < stop:
+            first = start % len(a)
+            if first + stop - start <= len(a):  # no wrap: a view, not a copy
+                yield a[first : first + stop - start], b
+            else:
+                yield a.take(np.arange(start, stop), axis=0, mode="wrap"), b
         start += len(b)
-        if len(index):
-            yield a.take(index, axis=0, mode="wrap"), b
 
 
 def _drawn_pairs(
@@ -319,6 +332,21 @@ def _first_max(found: Iterable[tuple | None]) -> tuple | None:
     return best
 
 
+def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray | None:
+    """Indices of the rows whose interpolation can reach theta; None for all rows.
+
+    A row reaches theta when theta lies between min(theta0, 1/q) - 1e-15 and
+    max(theta0, 1/q) + 1e-15. Rounding is monotone, so
+    fl(max(x, u) + d) == max(fl(x + d), fl(u + d)): on theta's side of 1/q
+    only one bound can fail, and within 1e-15 of 1/q neither can.
+    """
+    u = 1.0 / q
+    above, below = theta >= u - 1e-15, theta <= u + 1e-15
+    if above and below:
+        return None
+    return np.flatnonzero(theta <= theta0 + 1e-15 if above else theta >= theta0 - 1e-15)
+
+
 def _interpolated_max(
     a: np.ndarray, b: np.ndarray, theta: float, q: int
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
@@ -332,17 +360,17 @@ def _interpolated_max(
     count = min(len(a), len(b))
     a, b = a[:count], b[:count]
     theta0 = _row_sums(a * b)
-    lo = np.minimum(theta0, 1.0 / q)
-    hi = np.maximum(theta0, 1.0 / q)
-    mask = (theta >= lo - 1e-15) & (theta <= hi + 1e-15)
-    if not mask.any():
-        return None
-    a, theta0 = a[mask], theta0[mask]
+    rows = _feasible_rows(theta0, theta, q)
+    if rows is not None:
+        if not len(rows):
+            return None
+        a, theta0 = a.take(rows, axis=0), theta0.take(rows)
+        b = a if symmetric else b.take(rows, axis=0)
     if symmetric:
         (ap,) = _interpolate(theta0, theta, q, a)
         bp, values = ap, 2.0 * _row_entropies(ap, q)
     else:
-        ap, bp = _interpolate(theta0, theta, q, a, b[mask])
+        ap, bp = _interpolate(theta0, theta, q, a, b)
         values = _row_entropies(ap, q) + _row_entropies(bp, q)
     i = int(np.argmax(values))
     # copies, so a kept result does not hold its whole chunk alive

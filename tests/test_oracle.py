@@ -17,6 +17,8 @@ from union_channel import (
 from union_channel import oracle
 from union_channel.oracle import (
     FeasiblePair,
+    _feasible_rows,
+    _paired,
     _row_sums,
     _simplex_grid,
     _unit_rows,
@@ -333,6 +335,56 @@ def test_unit_rows_scales_rows_and_drops_all_zero_ones():
     x = np.array([[0.0, 0.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 0.0], [2.0, 2.0, 4.0]])
     rows = _unit_rows(x)
     assert rows.tolist() == [[0.25, 0.75, 0.0], [0.25, 0.25, 0.5]]
+
+
+def test_unit_rows_scales_its_argument_in_place_when_no_row_is_zero():
+    x = np.random.default_rng(3).gamma(0.5, size=(500, 3))
+    expected = x / x.sum(axis=1)[:, None]
+    rows = _unit_rows(x)
+    assert rows is x
+    assert rows.tobytes() == expected.tobytes()
+
+
+def _ulps_around(x, count):
+    below, above, points = x, x, [x]
+    for _ in range(count):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        points += [below, above]
+    return points
+
+
+@pytest.mark.parametrize("q", range(2, 12))
+def test_feasible_rows_match_the_min_max_formula(q):
+    u = 1.0 / q
+    near = [
+        x for centre in (u, u - 1e-15, u + 1e-15) for x in _ulps_around(centre, 6)
+    ]
+    # the q=3 grid reaches thetas below 1/q from the disjoint side's theta0 = 0
+    far = [0.0, 1e-300, 0.001, 0.05, 0.2, 0.45, 0.6, 0.9, 1.0]
+    theta0 = np.array(near + far + list(np.random.default_rng(q).random(200)))
+    for theta in near + far:
+        lo, hi = np.minimum(theta0, u), np.maximum(theta0, u)
+        mask = (theta >= lo - 1e-15) & (theta <= hi + 1e-15)
+        rows = _feasible_rows(theta0, theta, q)
+        kept = np.arange(len(theta0)) if rows is None else rows
+        assert kept.tolist() == np.flatnonzero(mask).tolist(), theta
+
+
+def test_paired_wraps_the_random_directions_onto_the_grid():
+    # the q=3 grid pairs its 2N random rows with its N grid rows end to end;
+    # 7-row chunks of 2 * 15 rows wrap inside a chunk and at a chunk's edge
+    grid = _simplex_grid(0.25)
+    rows = 2 * len(grid)
+    directions = np.arange(rows * 3, dtype=float).reshape(rows, 3)
+    for chunk in (7, 15, 4096):
+        chunks = [directions[i : i + chunk] for i in range(0, rows, chunk)]
+        pairs = list(_paired(grid, rows, chunks))
+        assert [id(b) for _, b in pairs] == [id(b) for b in chunks]
+        a = np.concatenate([a for a, _ in pairs])
+        assert a.tobytes() == grid[np.arange(rows) % len(grid)].tobytes()
+    # a chunk inside one pass over the grid is a view of it, not a copy
+    first, _ = next(_paired(grid, rows, [directions[:7]]))
+    assert np.shares_memory(first, grid)
 
 
 # ---------------------------------------------------------------------------
