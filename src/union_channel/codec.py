@@ -133,6 +133,8 @@ def uses_bound(params: CodeParams) -> int:
 def resolution_digits(size: int, q: int) -> int:
     """Smallest d with q^d >= size (base-q digits needed to index ``size`` items)."""
     check_alphabet(q)
+    if type(size) is not int:  # the loop below never ends at inf and returns 0 at NaN
+        raise ValueError(f"size must be an int, got {size!r}")
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
     d = 0

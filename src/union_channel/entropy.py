@@ -20,10 +20,13 @@ ProbVector = Sequence[float]
 
 
 def _check_masses(negative: float | None, total: float) -> None:
-    """Refuse a vector by its first negative entry, else by its sum ``total``."""
+    """Refuse a vector by its first negative entry, else by its sum ``total``.
+
+    A NaN entry makes the sum NaN, which fails the sum test as written.
+    """
     if negative is not None:
         raise ValueError(f"negative probability entry {negative!r}")
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
 
 

@@ -53,7 +53,7 @@ class FeasiblePair:
         validate_pmf(self.a)
         validate_pmf(self.b)
         actual = sum(x * y for x, y in zip(self.a, self.b))
-        if abs(actual - self.theta) > _IP_TOL:
+        if not abs(actual - self.theta) <= _IP_TOL:  # a NaN theta fails too
             raise ValueError(
                 f"inner product {actual!r} differs from theta {self.theta!r}"
             )

@@ -450,6 +450,13 @@ def test_resolution_digits():
             resolution_digits(5, q)
 
 
+@pytest.mark.parametrize("size", [float("inf"), float("nan"), 2.5])
+def test_resolution_digits_refuses_a_size_that_is_not_an_int(size):
+    # inf used to loop forever, and NaN returned 0
+    with pytest.raises(ValueError, match=r"^size must be an int, got (inf|nan|2\.5)$"):
+        resolution_digits(size, 2)
+
+
 def test_run_block_order_errors():
     params = CodeParams(q=2, n=2, m=1, blocks=1)
     state = new_session(params, w1=(1,), w2=(1,))

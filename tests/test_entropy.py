@@ -25,6 +25,17 @@ def test_entropy_rejects_bad_inputs():
         entropy_q([0.5, 0.5], 1)
 
 
+def test_nan_masses_are_refused_by_their_sum():
+    nan = float("nan")
+    for call in (
+        lambda: entropy_q([0.5, nan], 2),
+        lambda: grouped_entropy([(nan, 1), (1.0, 1)], 2),
+    ):
+        with pytest.raises(ValueError, match=r"^probabilities sum to nan, expected") as info:
+            call()
+        assert "\n" not in str(info.value)
+
+
 def test_grouped_uniform():
     assert grouped_entropy([(1.0, 5)], 5) == pytest.approx(1.0, abs=1e-12)
 

@@ -67,6 +67,19 @@ def test_feasible_pair_validates_inner_product():
         FeasiblePair(a=(0.5, 0.5), b=(0.5, 0.5), theta=0.9)
 
 
+@pytest.mark.parametrize(
+    "a, theta, message",
+    [
+        ((math.nan, 1.0), math.nan, r"^probabilities sum to nan, expected 1"),
+        ((0.5, 0.5), math.nan, r"^inner product 0.5 differs from theta nan$"),
+    ],
+)
+def test_feasible_pair_refuses_nan(a, theta, message):
+    with pytest.raises(ValueError, match=message) as info:
+        FeasiblePair(a, (0.5, 0.5), theta)
+    assert "\n" not in str(info.value)
+
+
 # ---------------------------------------------------------------------------
 # two-level reduction
 
