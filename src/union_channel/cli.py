@@ -4,8 +4,8 @@ Output formats: ``table`` (human, 5 decimal places), ``csv`` and ``jsonl``
 (full double precision; exact integers as decimal strings). Every command
 is deterministic given its flags, including the seed; the machine formats
 are byte-identical across runs. The environment variable
-``UNION_CHANNEL_THREADS`` (1 to 64) overrides the worker count for codec
-trials.
+``UNION_CHANNEL_THREADS`` (1 to 64) sets the most worker processes that codec
+trials may use.
 """
 
 from __future__ import annotations
@@ -23,12 +23,6 @@ from typing import NoReturn, Sequence
 from . import capacity, codec, oracle
 
 THREADS_ENV = "UNION_CHANNEL_THREADS"
-
-# the sampler holds one side of a batch (samples * q / 6 floats) plus a few
-# fixed-size chunks; on a 2-vCPU x86-64 host with numpy 2.4 a run at the cap
-# peaks at 50 MB of RSS (q = 5 and q = 2) and the default 5e5 entries at
-# 38 MB, against 17 MB for `capacity`, which runs no oracle and loads no numpy
-MAX_SAMPLER_ENTRIES = 10**7
 
 FORMATS = ("table", "csv", "jsonl")
 
@@ -114,9 +108,9 @@ def _cmd_lemma(args) -> int:
         (not has_grid and args.resolution is not None, "refused",
          f"--resolution sets the grid oracle's step; the grid covers q in {grid_qs} "
          f"only, got q={q}"),
-        (samples * q > MAX_SAMPLER_ENTRIES, "refused",
+        (samples * q > oracle.MAX_SAMPLER_ENTRIES, "refused",
          f"--samples {samples} at q={q} draws {samples * q} values; samples * q "
-         f"must be at most {MAX_SAMPLER_ENTRIES}"),
+         f"must be at most {oracle.MAX_SAMPLER_ENTRIES}"),
         (not has_grid and not samples, "infeasible",
          f"the grid oracle covers q in {grid_qs} only; use --samples for q={q}"),
         (samples and theta_closed is None, "infeasible",
@@ -177,7 +171,7 @@ def _cmd_lemma(args) -> int:
 
 def _workers_from_env() -> int:
     try:
-        return _number(int, 1, 64)(os.environ.get(THREADS_ENV, "1"))
+        return _number(int, 1, codec.MAX_WORKERS)(os.environ.get(THREADS_ENV, "1"))
     except argparse.ArgumentTypeError as exc:
         sys.stderr.write(f"union-channel codec: error: {THREADS_ENV}: {exc}\n")
         raise SystemExit(2) from None

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import random
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -42,6 +41,7 @@ from .entropy import DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255
+MAX_WORKERS = 64  # processes one simulate() may start
 
 Output = frozenset  # channel output: set of one or two symbols
 
@@ -678,20 +678,27 @@ def simulate(
     """Run seeded protocol trials with uniform messages and full checking.
 
     Trial t draws its messages from ``random.Random(seed ^ t)``, so results
-    are independent of execution order and of ``workers``. Any protocol
-    invariant failure raises; a decode mismatch (which the construction
-    rules out) would be counted in ``errors``.
+    are independent of execution order and of ``workers``. ``workers`` is an
+    upper bound: at most ``trials`` processes start, and none when that
+    count is 1. Any protocol invariant failure raises; a decode mismatch
+    (which the construction rules out) would be counted in ``errors``.
     """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be positive, got {workers}")
+    if type(trials) is not int or trials < 1:
+        raise ValueError(f"need at least one trial, got {trials!r}")
+    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be an int in [1, {MAX_WORKERS}], got {workers!r}")
     jobs = [(params, seed, t) for t in range(trials)]
-    if workers == 1:
+    processes = min(workers, trials)
+    if processes == 1:
         records = [_run_trial(job) for job in jobs]
     else:
-        with multiprocessing.Pool(workers) as pool:
-            records = pool.map(_run_trial, jobs, chunksize=max(1, trials // (4 * workers)))
+        # imported here so that a serial run never loads it (nor socket, pickle)
+        import multiprocessing
+
+        with multiprocessing.Pool(processes) as pool:
+            records = pool.map(
+                _run_trial, jobs, chunksize=max(1, trials // (4 * processes))
+            )
     uses = [r.uses for r in records]
     max_uses = max(uses)
     return SimulationReport(

@@ -42,7 +42,12 @@ def validate_pmf(probs: ProbVector) -> None:
 
 
 def check_alphabet(q: int, minimum: int = 2) -> None:
-    """Raise ValueError unless the alphabet size ``q`` is at least ``minimum``."""
+    """Raise ValueError unless the alphabet size ``q`` is an int >= ``minimum``.
+
+    A ``bool`` or a float of integral value is refused too, as NaN and 2.5 are.
+    """
+    if type(q) is not int:
+        raise ValueError(f"alphabet size must be an int, got {q!r}")
     if q < minimum:
         raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 

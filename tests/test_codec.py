@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import random
 import re
 import time
@@ -997,3 +998,65 @@ def test_best_params_all_below_rate_root():
     assert choices
     for c in choices:
         assert c.rate < root
+
+
+# ---------------------------------------------------------------------------
+# process counts: a fake pool records its size and runs the trials here
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, jobs, chunksize=1):
+            return [func(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    return sizes
+
+
+def test_simulate_runs_one_trial_without_a_pool(pool_sizes):
+    params = CodeParams(q=2, n=5, m=3, blocks=2)
+    assert simulate(params, trials=1, seed=4, workers=8) == simulate(params, 1, seed=4)
+    assert pool_sizes == []
+
+
+def test_simulate_starts_no_more_processes_than_trials(pool_sizes):
+    params = CodeParams(q=2, n=5, m=3, blocks=2)
+    assert simulate(params, trials=3, seed=4, workers=8) == simulate(params, 3, seed=4)
+    assert pool_sizes == [3]
+
+
+@pytest.mark.parametrize(
+    "trials, workers, message",
+    [
+        (3, 65, "workers must be an int in [1, 64], got 65"),
+        (3, 10**6, "workers must be an int in [1, 64], got 1000000"),
+        (3, 0, "workers must be an int in [1, 64], got 0"),
+        (3, 2.0, "workers must be an int in [1, 64], got 2.0"),
+        (3, True, "workers must be an int in [1, 64], got True"),
+        (2.5, 1, "need at least one trial, got 2.5"),
+    ],
+    ids=["65", "1e6", "0", "2.0", "True", "trials-2.5"],
+)
+def test_simulate_refuses_a_count_before_anything_starts(
+    pool_sizes, monkeypatch, trials, workers, message
+):
+    def never(job):
+        raise AssertionError("a trial ran before the refusal")
+
+    monkeypatch.setattr(codec, "_run_trial", never)
+    with pytest.raises(ValueError) as info:
+        simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials, workers=workers)
+    assert str(info.value) == message
+    assert pool_sizes == []

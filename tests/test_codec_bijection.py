@@ -1,0 +1,96 @@
+"""Zero-error certificate: the decoder accepts exactly the encoder's image.
+
+For small feasible codes every transcript up to a few uses past the longest
+resolution is covered: every block-output sequence over the q(q+1)/2 channel
+outputs, followed by every tail of up to
+``resolution_digits(uncertainty_peak_bound(n, m), q) + 2`` outputs. Exactly
+one transcript per message pair, q^(2mB) in all, may decode, and each one
+that decodes must be what the encoder sends for the messages it names.
+Block outputs that leave no candidate are refused before the tail is read,
+so each such head is decoded bare and with the longest tail only.
+"""
+
+import re
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from union_channel import (
+    CodeParams,
+    channel,
+    decode_transcript,
+    new_session,
+    resolution_digits,
+    run_block,
+    run_final_block,
+    uncertainty_peak_bound,
+)
+
+# the decoder's refusals of a transcript of valid outputs, by message prefix
+REFUSALS = (
+    "transcript inconsistent at block",
+    "transcript length",
+    "resolution uses must be singleton outputs",
+    "decoded rank",
+)
+
+
+def _encoded(params, w1, w2):
+    state = new_session(params, w1, w2)
+    for _ in range(params.blocks):
+        run_block(state)
+    run_final_block(state)
+    return state.transcript
+
+
+def _refusal(exc):
+    """The entry of REFUSALS that starts the message of ``exc``."""
+    (kind,) = [kind for kind in REFUSALS if str(exc).startswith(kind)]
+    return kind
+
+
+@pytest.mark.parametrize(
+    "q, n, m, blocks",
+    [
+        (2, 2, 1, 1),
+        (2, 3, 2, 1),
+        (2, 3, 2, 2),
+        (3, 2, 1, 1),
+        (3, 2, 1, 2),
+        (2, 4, 3, 1),
+        (3, 3, 2, 1),
+        (4, 2, 1, 1),
+    ],
+)
+def test_decoder_accepts_exactly_the_encoders_transcripts(q, n, m, blocks):
+    params = CodeParams(q, n, m, blocks)
+    outputs = [channel(a, b) for a in range(1, q + 1) for b in range(a, q + 1)]
+    longest = resolution_digits(uncertainty_peak_bound(n, m), q) + 2
+    tails = [list(t) for k in range(longest + 1) for t in product(outputs, repeat=k)]
+
+    accepted = []
+    refusals = Counter()
+    for head in map(list, product(outputs, repeat=blocks * n)):
+        try:
+            decode_transcript(params, head)
+        except ValueError as exc:
+            if _refusal(exc) == REFUSALS[0]:
+                # the block stage reads the first blocks * n outputs only, so
+                # this refusal holds for every tail; the longest one shows it
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    decode_transcript(params, head + tails[-1])
+                refusals[REFUSALS[0]] += len(tails)
+                continue
+        for tail in tails:
+            transcript = head + tail
+            try:
+                decoded = decode_transcript(params, transcript)
+            except ValueError as exc:
+                refusals[_refusal(exc)] += 1
+                continue
+            assert _encoded(params, decoded.w1, decoded.w2) == transcript
+            accepted.append((decoded.w1, decoded.w2))
+
+    assert len(set(accepted)) == len(accepted) == q ** (2 * m * blocks)
+    assert sum(refusals.values()) + len(accepted) == len(outputs) ** (blocks * n) * len(tails)

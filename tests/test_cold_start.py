@@ -1,8 +1,7 @@
-"""numpy loads only where an oracle runs.
+"""numpy loads only where an oracle runs, multiprocessing only for parallel trials.
 
-Each case runs in a fresh interpreter, since this test process has numpy
-loaded already. The last line of the child's stdout says whether numpy was
-in ``sys.modules`` when it ended.
+Each case runs in a fresh interpreter, since this test process has both
+loaded already. The child prints whether the module was in ``sys.modules``.
 """
 
 import os
@@ -17,13 +16,17 @@ import union_channel
 SRC = Path(union_channel.__file__).resolve().parents[1]
 
 
-def _run(code: str) -> subprocess.CompletedProcess:
+def _run(code: str, threads: str | None = None) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("UNION_CHANNEL_THREADS", None)
+    if threads is not None:
+        env["UNION_CHANNEL_THREADS"] = threads
     return subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
         timeout=120,
-        env={**os.environ, "PYTHONPATH": str(SRC)},
+        env=env,
     )
 
 
@@ -95,3 +98,39 @@ def test_lemma_without_numpy_is_refused_in_one_line():
     assert proc.stderr == (
         "refused: lemma runs the oracles, which need numpy, and numpy is not installed\n"
     )
+
+
+# one interpreter runs the steps in turn and reports after each one
+SERIAL_STEPS = {
+    "package": "import union_channel",
+    "capacity": _cli("capacity --q 4"),
+    "table": _cli("table --q-max 6 --format csv"),
+    "params": _cli("params --q 2 --n-max 17"),
+    "codec": _cli("codec --q 2 --n 17 --m 13 --B 3 --trials 20 --seed 1"),
+    "lemma": _cli("lemma --q 2 --theta 0.75 --resolution 0.01"),
+}
+
+
+def test_multiprocessing_stays_unloaded_without_parallel_trials():
+    code = "import sys\n" + "".join(
+        f"{step}\nprint('@{name}', 'multiprocessing' in sys.modules)\n"
+        for name, step in SERIAL_STEPS.items()
+    )
+    proc = _run(code)
+    assert proc.returncode == 0, proc.stderr
+    reports = [line.split() for line in proc.stdout.splitlines() if line.startswith("@")]
+    assert reports == [[f"@{name}", "False"] for name in SERIAL_STEPS]
+
+
+def test_parallel_trials_load_multiprocessing():
+    code = (
+        "import sys\n"
+        "import union_channel\n"
+        "print('multiprocessing' in sys.modules)\n"
+        + _cli("codec --q 2 --n 5 --m 3 --B 2 --trials 4 --seed 1 --format csv")
+        + "\nprint('multiprocessing' in sys.modules)"
+    )
+    proc = _run(code, threads="2")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "True")

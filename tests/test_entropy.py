@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+import union_channel as uc
 from union_channel import binary_entropy, entropy_q, grouped_entropy
 from union_channel.entropy import bisect_root
 
@@ -145,3 +146,31 @@ def test_entropy_concavity(raw1, raw2, t):
     mix = [t * a + (1 - t) * b for a, b in zip(p1, p2)]
     q = 4
     assert entropy_q(mix, q) >= t * entropy_q(p1, q) + (1 - t) * entropy_q(p2, q) - 1e-12
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call, q",
+    [
+        (lambda: entropy_q([0.5, 0.5], NAN), NAN),
+        (lambda: uc.case_discriminant(NAN), NAN),
+        (lambda: entropy_q([1.0], 2.5), 2.5),
+        (lambda: entropy_q([0.5, 0.5], 2.0), 2.0),
+        (lambda: entropy_q([0.5, 0.5], True), True),
+        (lambda: uc.avg_feedback_capacity(2.0), 2.0),
+        (lambda: uc.rate_root(2.5), 2.5),
+        (lambda: uc.tangent_point(3.5), 3.5),
+        (lambda: uc.resolution_digits(10, 2.5), 2.5),
+    ],
+    ids=[
+        "entropy_q-nan", "case_discriminant-nan", "entropy_q-2.5", "entropy_q-2.0",
+        "entropy_q-True", "avg_feedback_capacity-2.0", "rate_root-2.5",
+        "tangent_point-3.5", "resolution_digits-2.5",
+    ],
+)
+def test_an_alphabet_that_is_not_an_int_is_refused(call, q):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"alphabet size must be an int, got {q!r}"

@@ -480,3 +480,29 @@ def test_derivative_sign_limit_at_unit_ratio():
     assert -1e-9 < value < 0.0
     for ratio in (1.5, 2.0, 10.0, 1e6):
         assert derivative_sign_expression(ratio) < 0.0
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} read before the refusal")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=10**8),
+         "refinements * 3 must be at most 10000000, got 300000000"),
+        (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=3_333_334),
+         "refinements * 3 must be at most 10000000, got 10000002"),
+        (lambda: random_feasible_sampler(5, 0.7, 6 * 10**8),
+         "samples * q must be at most 10000000, got 3000000000"),
+        (lambda: random_feasible_sampler(5, 0.7, 2_000_001),
+         "samples * q must be at most 10000000, got 10000005"),
+    ],
+    ids=["grid-1e8", "grid-just-over", "sampler-6e8", "sampler-just-over"],
+)
+def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, message):
+    monkeypatch.setattr(oracle, "np", _NoNumpy())
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -1,14 +1,15 @@
 """Check the golden CLI output on this interpreter, with the standard library only.
 
 Runs every case of ``tests/golden_cli.json`` except ``lemma`` (the one
-command that needs numpy) through ``cli.main`` in process, compares the
-sha256 of its stdout and its exit status with the golden record, and checks
-that numpy was never imported. It needs neither numpy nor pytest, so it runs
-on a bare interpreter, before any dependency is installed:
+command that needs numpy) through ``cli.main`` in process, with codec trials
+on one worker, compares the sha256 of its stdout and its exit status with the
+golden record, and checks that neither numpy nor multiprocessing was ever
+imported. It needs neither numpy nor pytest, so it runs on a bare
+interpreter, before any dependency is installed:
 
     python tools/golden_stdlib.py
 
-The exit status is 0 when every case matches and numpy stayed unloaded.
+The exit status is 0 when every case matches and both modules stayed unloaded.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import platform
 import sys
 from pathlib import Path
@@ -28,6 +30,7 @@ from union_channel.cli import main  # noqa: E402
 
 
 def run() -> int:
+    os.environ.pop("UNION_CHANNEL_THREADS", None)  # one worker: no process pool
     golden = json.loads((ROOT / "tests" / "golden_cli.json").read_text())
     cases = [case for case in golden if not case.startswith("lemma ")]
     failures = 0
@@ -40,11 +43,12 @@ def run() -> int:
         if (status, digest) != (expected["status"], expected["sha256"]):
             failures += 1
             print(f"FAIL  {case}: status {status}, sha256 {digest}")
-    loaded = "numpy" in sys.modules
-    if loaded:
-        print("FAIL  numpy was imported")
+    loaded = [name for name in ("numpy", "multiprocessing") if name in sys.modules]
+    for name in loaded:
+        print(f"FAIL  {name} was imported")
+    state = f"{' and '.join(loaded)} loaded" if loaded else "numpy and multiprocessing not loaded"
     print(f"{len(cases) - failures}/{len(cases)} golden cases match on Python "
-          f"{platform.python_version()}; numpy {'loaded' if loaded else 'not loaded'}")
+          f"{platform.python_version()}; {state}")
     return 1 if failures or loaded else 0
 
 
