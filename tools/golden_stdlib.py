@@ -3,9 +3,10 @@
 Runs every case of ``tests/golden_cli.json`` except ``lemma`` (the one
 command that needs numpy) through ``cli.main`` in process, with codec trials
 on one worker, compares the sha256 of its stdout and its exit status with the
-golden record, and checks that neither numpy nor multiprocessing was ever
-imported. It needs neither numpy nor pytest, so it runs on a bare
-interpreter, before any dependency is installed:
+golden record, then recomputes every Cover–Leung witness of
+``tests/witness_corpus.json``, and checks that neither numpy nor
+multiprocessing was ever imported. It needs neither numpy nor pytest, so it
+runs on a bare interpreter, before any dependency is installed:
 
     python tools/golden_stdlib.py
 
@@ -24,9 +25,10 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from union_channel.cli import main  # noqa: E402
+from witness_corpus import CASES as WITNESS_CASES, moved  # noqa: E402
 
 
 def run() -> int:
@@ -43,13 +45,17 @@ def run() -> int:
         if (status, digest) != (expected["status"], expected["sha256"]):
             failures += 1
             print(f"FAIL  {case}: status {status}, sha256 {digest}")
+    witnesses_moved = moved()
+    for label in witnesses_moved:
+        print(f"FAIL  {label}: sha256 differs from tests/witness_corpus.json")
     loaded = [name for name in ("numpy", "multiprocessing") if name in sys.modules]
     for name in loaded:
         print(f"FAIL  {name} was imported")
     state = f"{' and '.join(loaded)} loaded" if loaded else "numpy and multiprocessing not loaded"
-    print(f"{len(cases) - failures}/{len(cases)} golden cases match on Python "
-          f"{platform.python_version()}; {state}")
-    return 1 if failures or loaded else 0
+    print(f"{len(cases) - failures}/{len(cases)} golden cases and "
+          f"{len(WITNESS_CASES) - len(witnesses_moved)}/{len(WITNESS_CASES)} witnesses "
+          f"match on Python {platform.python_version()}; {state}")
+    return 1 if failures or witnesses_moved or loaded else 0
 
 
 if __name__ == "__main__":
