@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import product
+from operator import add
 from typing import NamedTuple
 
 from .codec import rate_root
@@ -179,6 +182,42 @@ def avg_feedback_capacity(q: int) -> CapacityReport:
     return report
 
 
+def _branches(q: int, theta: float) -> list[tuple[float, tuple[float, ...]]]:
+    """P(U = (u, v)) for U's two branches u at ``theta``, each with its block's products.
+
+    The envelope support supplies the branch weights and abscissas. Given
+    U = (u, v) a sender's symbol is v with mass ``top`` and each other
+    symbol with mass ``rest``, so a (u, v) block of the joint holds four
+    distinct entries p_uv * P(x1 | u, v) * P(x2 | u, v), multiplied in that
+    order: at (x1, x2) = (v, v), (v, other), (other, v) and (other, other).
+    """
+    points = list(concave_envelope(theta, q).support)
+    if len(points) == 1:
+        points.append((0.0, points[0][1]))  # keep 2q atoms for U
+    branches = []
+    for weight, theta_u in points:
+        top = top_symbol_mass(theta_u, q)
+        rest = (1.0 - top) / (q - 1)
+        p_uv = weight / q
+        at_v, off_v = p_uv * top, p_uv * rest
+        branches.append((p_uv, (at_v * top, at_v * rest, off_v * top, off_v * rest)))
+    return branches
+
+
+def _spike(q: int, v: int, at_v: float, elsewhere: float) -> list[float]:
+    """q entries over the symbols 1..q: ``at_v`` at symbol v, ``elsewhere`` at the rest."""
+    entries = [elsewhere] * q
+    entries[v - 1] = at_v
+    return entries
+
+
+def _block(q: int, v: int, products: tuple[float, ...]) -> list[float]:
+    """The (u, v) block of the joint, x1 major: every row but row v is the same."""
+    vv, vo, ov, oo = products
+    row_other = _spike(q, v, ov, oo)
+    return row_other * (v - 1) + _spike(q, v, vv, vo) + row_other * (q - v)
+
+
 @dataclass(frozen=True)
 class CoverLeungWitness:
     """Explicit (U, X1, X2) triple achieving the feedback rate at ``theta``.
@@ -186,66 +225,73 @@ class CoverLeungWitness:
     U ranges over 2q atoms (branch, center); given U = (u, v) the senders'
     symbols are conditionally independent, equal to v with the branch's top
     mass and uniform over the rest otherwise. ``joint`` maps
-    (branch, center, x1, x2) to its probability.
+    (branch, center, x1, x2) to its probability; it holds 2q^3 entries, so
+    it is built on its first read, from ``q`` and ``theta`` alone.
     """
 
     q: int
     theta: float
-    joint: dict[tuple[int, int, int, int], float]
     h_x1_given_u: float
     h_x2_given_u: float
     h_output: float
     pair_marginal: dict[tuple[int, int], float]
     symmetric_rate: float
 
+    @cached_property
+    def joint(self) -> dict[tuple[int, int, int, int], float]:
+        q = self.q
+        entries = [
+            p
+            for _, products in _branches(q, self.theta)
+            for v in range(1, q + 1)
+            for p in _block(q, v, products)
+        ]
+        symbols = range(1, q + 1)
+        return dict(zip(product(range(2), symbols, symbols, symbols), entries))
+
 
 def cover_leung_witness(q: int, theta: float) -> CoverLeungWitness:
     """Build the achievability witness for ``theta`` in [1/q, 2/(q+1)].
 
-    The envelope support supplies the branch weights and abscissas; all
-    entropies and marginals are computed directly from the constructed
-    joint distribution, not from the closed forms they should match.
+    All entropies and marginals are computed directly from the joint
+    distribution's blocks, not from the closed forms they should match.
+    Each block adds onto the pair marginal in (u, v) order, and each
+    conditional row sums its block's entries in order, so every value has
+    the bits of a pass over the joint entry by entry.
     """
     check_alphabet(q)
     if not 1.0 / q <= theta <= 2.0 / (q + 1):
         raise ValueError(f"theta must lie in [1/{q}, 2/{q + 1}], got {theta!r}")
-    points = list(concave_envelope(theta, q).support)
-    if len(points) == 1:
-        points.append((0.0, points[0][1]))  # keep 2q atoms for U
-
-    # one pass over the joint: each entry also feeds its (u, v) block's two
-    # conditional rows and the pair marginal, summed in the joint's order
-    joint: dict[tuple[int, int, int, int], float] = {}
-    pair_marginal: dict[tuple[int, int], float] = {}
+    marginal = [0.0] * (q * q)
     h1 = h2 = 0.0
-    for u, (weight, theta_u) in enumerate(points):
-        top = top_symbol_mass(theta_u, q)
-        p_uv = weight / q
+    for p_uv, products in _branches(q, theta):
+        if p_uv == 0.0:  # a zero-weight branch adds +0.0 everywhere: no change
+            continue
+        vv, vo, ov, oo = products
         for v in range(1, q + 1):
-            cond = [top if x == v else (1.0 - top) / (q - 1) for x in range(1, q + 1)]
-            row1 = [0.0] * q
-            row2 = [0.0] * q
-            for x1 in range(1, q + 1):
-                for x2 in range(1, q + 1):
-                    p = p_uv * cond[x1 - 1] * cond[x2 - 1]
-                    joint[(u, v, x1, x2)] = p
-                    row1[x1 - 1] += p
-                    row2[x2 - 1] += p
-                    pair_marginal[(x1, x2)] = pair_marginal.get((x1, x2), 0.0) + p
-            if weight != 0.0:
-                h1 += p_uv * entropy_q([mass / p_uv for mass in row1], q)
-                h2 += p_uv * entropy_q([mass / p_uv for mass in row2], q)
+            marginal = list(map(add, marginal, _block(q, v, products)))
+            # X1's rows sum along the block's rows, X2's down its columns;
+            # each has one sum at v and one shared by every other symbol
+            cond1 = _spike(q, v, reduce(add, _spike(q, v, vv, vo), 0.0) / p_uv,
+                           reduce(add, _spike(q, v, ov, oo), 0.0) / p_uv)
+            cond2 = _spike(q, v, reduce(add, _spike(q, v, vv, ov), 0.0) / p_uv,
+                           reduce(add, _spike(q, v, vo, oo), 0.0) / p_uv)
+            h1 += p_uv * entropy_q(cond1, q)
+            h2 += p_uv * entropy_q(cond2, q)
 
-    output_dist: dict[frozenset, float] = {}
-    for (x1, x2), p in pair_marginal.items():
-        key = frozenset((x1, x2))
-        output_dist[key] = output_dist.get(key, 0.0) + p
-    h_output = entropy_q(list(output_dist.values()), q)
+    symbols = range(1, q + 1)
+    pair_marginal = dict(zip(product(symbols, symbols), marginal))
+    # each unordered output {x1, x2} once, in order of first appearance
+    output = [
+        marginal[i * q + i] if i == j else marginal[i * q + j] + marginal[j * q + i]
+        for i in range(q)
+        for j in range(i, q)
+    ]
+    h_output = entropy_q(output, q)
 
     return CoverLeungWitness(
         q=q,
         theta=theta,
-        joint=joint,
         h_x1_given_u=h1,
         h_x2_given_u=h2,
         h_output=h_output,

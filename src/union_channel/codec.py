@@ -37,7 +37,7 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator, Sequence
 
-from .entropy import DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet
+from .entropy import DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet, check_int
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255
@@ -71,6 +71,8 @@ def validate_params(q: int, n: int, m: int) -> FeasibilityCheck:
     the comparison is unaffected.
     """
     check_alphabet(q)
+    check_int(n, "n")
+    check_int(m, "m")
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     lhs = math.comb(2 * (n - m), n - m) << max(2 * m - n, 0)
@@ -89,8 +91,7 @@ class CodeParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if type(value := getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an int, got {value!r}")
+            check_int(getattr(self, f.name), f.name)
         if self.q > MAX_CODEC_ALPHABET:
             raise ValueError(
                 f"codec digits are stored one per byte; q must be <= "
@@ -133,8 +134,7 @@ def uses_bound(params: CodeParams) -> int:
 def resolution_digits(size: int, q: int) -> int:
     """Smallest d with q^d >= size (base-q digits needed to index ``size`` items)."""
     check_alphabet(q)
-    if type(size) is not int:  # the loop below never ends at inf and returns 0 at NaN
-        raise ValueError(f"size must be an int, got {size!r}")
+    check_int(size, "size")  # the loop below never ends at inf and returns 0 at NaN
     if size < 1:
         raise ValueError(f"size must be positive, got {size}")
     d = 0
@@ -151,6 +151,9 @@ def resolution_digits(size: int, q: int) -> int:
 
 def pattern_count(q: int, n: int, m: int) -> int:
     """|S| = C(n, m) * q^(n-m), exact."""
+    check_int(q, "alphabet size")
+    check_int(n, "n")
+    check_int(m, "m")
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
     return math.comb(n, m) * q ** (n - m)
@@ -177,6 +180,10 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
     by the number of its completions. Uncached on purpose: sweeps over a
     pattern space rarely repeat a rank; the codec goes through ``_pattern_at``.
     """
+    # one test on the hot path; the named refusal only once it fails
+    if not type(rank) is type(q) is type(n) is type(m) is int:
+        for value, name in ((rank, "rank"), (q, "alphabet size"), (n, "n"), (m, "m")):
+            check_int(value, name)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
     cnt = _completions(q, n)
@@ -763,6 +770,7 @@ class ParamChoice:
 
 def best_params(q: int, n_max: int = 64) -> list[ParamChoice]:
     """All feasible (n, m) with n <= n_max, best asymptotic rate first."""
+    check_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     found = []

@@ -41,13 +41,18 @@ def validate_pmf(probs: ProbVector) -> None:
     _check_masses(negative, total)
 
 
-def check_alphabet(q: int, minimum: int = 2) -> None:
-    """Raise ValueError unless the alphabet size ``q`` is an int >= ``minimum``.
+def check_int(value: int, name: str) -> None:
+    """Raise ValueError unless ``value`` is an int.
 
     A ``bool`` or a float of integral value is refused too, as NaN and 2.5 are.
     """
-    if type(q) is not int:
-        raise ValueError(f"alphabet size must be an int, got {q!r}")
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
+def check_alphabet(q: int, minimum: int = 2) -> None:
+    """Raise ValueError unless the alphabet size ``q`` is an int >= ``minimum``."""
+    check_int(q, "alphabet size")
     if q < minimum:
         raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 

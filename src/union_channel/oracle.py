@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
-from .entropy import DEFAULT_SEED, entropy_q, validate_pmf
+from .entropy import DEFAULT_SEED, check_alphabet, check_int, entropy_q, validate_pmf
 
 
 class _Numpy:
@@ -172,6 +172,8 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
     restricted to feasible points (low mass nonnegative). Also verifies the
     closed-form derivative sign expression at every encountered ratio > 1.
     """
+    check_alphabet(q)
+    check_int(grid_points, "grid_points")
     if grid_points < 1:
         raise ValueError(f"need at least one grid point, got {grid_points}")
     if not 1.0 / q < theta <= 1.0:
@@ -218,11 +220,11 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
 # (_drawn_pairs), so memory still grows with the sample or refinement count
 _CHUNK_ROWS = 4096
 
-# the most values one call may draw per kind: samples * q for the sampler,
-# whose side a holds samples * q / 6 floats, and refinements * 3 for the q=3
-# grid, whose side a holds all of them. On a 2-vCPU x86-64 host with numpy 2.4
-# one process peaks at 49 MB of RSS for the q=5 sampler at the cap and at
-# 112 MB for the q=3 grid at step 0.01, against 16.5 MB for
+# the most values one sampler call may draw, samples * q; its side a holds a
+# sixth of them. The q=3 grid's side a holds all of its refinements * 3, so
+# the grid may draw a sixth of this. On a 2-vCPU x86-64 host with numpy 2.4
+# one process peaks at 49 MB of RSS for the q=5 sampler at the cap and for
+# the q=3 grid at step 0.01 at its cap, against 16.5 MB for
 # `union-channel capacity --q 4`, which loads no numpy
 MAX_SAMPLER_ENTRIES = 10**7
 
@@ -254,11 +256,29 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     return sums
 
 
-def _row_entropies(x: np.ndarray, q: int) -> np.ndarray:
+def _xlogx(x: np.ndarray) -> np.ndarray:
     terms = np.zeros_like(x)
     np.log(x, out=terms, where=x > 0.0)  # 0 log 0 = 0: the zeros stay
     terms *= x
-    return -_row_sums(terms) / math.log(q)
+    return terms
+
+
+def _row_entropies(x: np.ndarray, q: int) -> np.ndarray:
+    return -_row_sums(_xlogx(x)) / math.log(q)
+
+
+def _binary_entropies(masses: np.ndarray) -> np.ndarray:
+    """Base-2 entropy of each pmf (masses[0], masses[1]), as ``_row_entropies`` gives it.
+
+    ``masses[1]`` must be ``1 - masses[0]``, with masses[0] at most 1. The
+    two terms are added as ``_row_sums`` adds them but without its +0.0
+    start, which changes a sum only when both terms are -0.0, and the
+    second term never is; and -s / ln 2 == s / -ln 2 bit for bit, since
+    rounding is symmetric in sign.
+    """
+    terms = _xlogx(masses)
+    terms[0] += terms[1]
+    return terms[0] / -math.log(2)
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -393,21 +413,27 @@ def _best_pair(
     return _first_max(_interpolated_max(a, b, theta, q) for a, b in pairs)
 
 
-def _grid_q2_chunk(a1: np.ndarray, theta: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _grid_q2_chunk(
+    a1: np.ndarray, theta: float
+) -> tuple[float, np.ndarray, np.ndarray] | None:
     # the partner mass is solved exactly from a1*b1 + (1-a1)(1-b1) = theta,
-    # so every evaluated pair is feasible; infeasible ones score -inf
+    # so every evaluated pair is feasible; rows whose partner falls outside
+    # [0, 1] are dropped, and a chunk with none left gives None
     denom = 2.0 * a1 - 1.0
     ok = np.abs(denom) > 1e-12
     b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
-    ok &= (b1 >= -1e-12) & (b1 <= 1.0 + 1e-12)
-    b1 = np.clip(b1, 0.0, 1.0)
-    pairs_a = np.stack([a1, 1.0 - a1], axis=1)
-    pairs_b = np.stack([b1, 1.0 - b1], axis=1)
-    values = np.where(
-        ok, _row_entropies(pairs_a, 2) + _row_entropies(pairs_b, 2), -np.inf
-    )
+    rows = np.flatnonzero((b1 >= -1e-12) & (b1 <= 1.0 + 1e-12))
+    if not len(rows):
+        return None
+    # masses[0] holds the kept rows' a1 and b1, masses[1] their complements
+    masses = np.empty((2, 2, len(rows)))
+    a1.take(rows, out=masses[0, 0])
+    np.clip(b1.take(rows), 0.0, 1.0, out=masses[0, 1])
+    np.subtract(1.0, masses[0], out=masses[1])
+    entropies = _binary_entropies(masses)
+    values = entropies[0] + entropies[1]
     i = int(np.argmax(values))
-    return float(values[i]), pairs_a[i], pairs_b[i]
+    return float(values[i]), masses[:, 0, i].copy(), masses[:, 1, i].copy()
 
 
 def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.ndarray]:
@@ -507,9 +533,11 @@ def grid_max_joint_entropy(
         raise ValueError(f"resolution must lie in (0, 0.5], got {resolution!r}")
     if resolution < floor:
         raise ValueError(f"{refusal}; got {resolution!r}")
-    if refinements * 3 > MAX_SAMPLER_ENTRIES:
+    check_int(refinements, "refinements")
+    if refinements * 3 > MAX_SAMPLER_ENTRIES // 6:
         raise ValueError(
-            f"refinements * 3 must be at most {MAX_SAMPLER_ENTRIES}, got {refinements * 3}"
+            f"refinements * 3 must be at most {MAX_SAMPLER_ENTRIES // 6}, "
+            f"got {refinements * 3}"
         )
     if q == 2:
         value, a, b = _grid_q2(theta, resolution)
@@ -528,6 +556,8 @@ def random_feasible_sampler(
     between their inner product and 1/q; pairs on the wrong side are
     discarded rather than re-solved. Returns -inf if nothing was feasible.
     """
+    check_alphabet(q)
+    check_int(samples, "samples")
     if not 1.0 / q <= theta <= 1.0:
         raise ValueError(f"theta must lie in [1/{q}, 1], got {theta!r}")
     if samples < 1:

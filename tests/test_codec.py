@@ -135,6 +135,25 @@ def test_pattern_errors():
         rank_pattern((STAR, 3), 2, 1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pattern_count(2.5, 3, 1), "alphabet size must be an int, got 2.5"),
+        (lambda: unrank_pattern(0, 2, 3, 1.5), "m must be an int, got 1.5"),
+        (lambda: unrank_pattern(0.0, 2, 3, 1), "rank must be an int, got 0.0"),
+        (lambda: unrank_pattern(0, 2.0, 3, 1), "alphabet size must be an int, got 2.0"),
+        (lambda: validate_params(2, 17.5, 13), "n must be an int, got 17.5"),
+        (lambda: best_params(2, 2.5), "n_max must be an int, got 2.5"),
+    ],
+    ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
+         "best_params-n_max"],
+)
+def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_round_trip_exhaustive_q1():
     # q=1 is the space of star placements the codec ranks a block's
     # consistent patterns in

@@ -490,10 +490,12 @@ class _NoNumpy:
 @pytest.mark.parametrize(
     "call, message",
     [
+        # the grid holds all of its refinements * 3 floats at once, the
+        # sampler a sixth of its samples * q: the grid's cap is a sixth
         (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=10**8),
-         "refinements * 3 must be at most 10000000, got 300000000"),
-        (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=3_333_334),
-         "refinements * 3 must be at most 10000000, got 10000002"),
+         "refinements * 3 must be at most 1666666, got 300000000"),
+        (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_556),
+         "refinements * 3 must be at most 1666666, got 1666668"),
         (lambda: random_feasible_sampler(5, 0.7, 6 * 10**8),
          "samples * q must be at most 10000000, got 3000000000"),
         (lambda: random_feasible_sampler(5, 0.7, 2_000_001),
@@ -506,3 +508,29 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: two_level_monotonicity(3, 0.7, 2.5), "grid_points must be an int, got 2.5"),
+        (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int, got 10.5"),
+        (lambda: grid_max_joint_entropy(3, 0.7, 0.1, refinements=math.nan),
+         "refinements must be an int, got nan"),
+    ],
+    ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements"],
+)
+def test_oracle_counts_that_are_not_ints_are_refused_before_numpy(
+    monkeypatch, call, message
+):
+    monkeypatch.setattr(oracle, "np", _NoNumpy())
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_grid_refinements_cap_allows_its_last_value(monkeypatch):
+    # 555_555 * 3 is the cap itself, so the call gets past every refusal
+    monkeypatch.setattr(oracle, "np", _NoNumpy())
+    with pytest.raises(AssertionError, match="read before the refusal"):
+        grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_555)

@@ -1,8 +1,10 @@
-"""Per-call times of the oracles at their default steps, and numpy's draws' share.
+"""Per-call times of the oracles, the witnesses and the table, and numpy's draws' share.
 
 Times one call each of the q=2 grid at step 1e-4, the q=3 grid at step 1e-2
-(with its default 100k refinements) and the sampler at 100k samples for
-q=3 and q=5, as the best of 7 repeats of 3 calls. A second set of repeats
+(with its default 100k refinements), the sampler at 100k samples for q=3
+and q=5, the Cover–Leung witness at ``theta_star`` for q=5, 8 and 10, and
+``union-channel table --q-max 1000 --format csv`` (in process, its output
+discarded), as the best of 7 repeats of 3 calls. A second set of repeats
 wraps the oracles' generator so that every ``gamma`` and ``normal`` draw is
 timed, and prints the best total spent in them next to the call's time:
 
@@ -15,8 +17,11 @@ faster evaluation of the drawn rows leaves.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import sys
 import timeit
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 from unittest import mock
@@ -26,6 +31,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from union_channel.capacity import avg_feedback_capacity, cover_leung_witness  # noqa: E402
+from union_channel.cli import main as cli_main  # noqa: E402
 from union_channel.oracle import (  # noqa: E402
     grid_max_joint_entropy,
     random_feasible_sampler,
@@ -43,6 +50,18 @@ CALLS = {
         5, 0.7, 100_000
     ),
 }
+for _q in (5, 8, 10):
+    CALLS[f"cover_leung_witness({_q}, theta_star)"] = partial(
+        cover_leung_witness, _q, avg_feedback_capacity(_q).theta_star
+    )
+
+
+def _table() -> None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli_main(["table", "--q-max", "1000", "--format", "csv"])
+
+
+CALLS["table --q-max 1000 --format csv"] = _table
 
 
 class _TimedDraws:
