@@ -108,6 +108,14 @@ def _cmd_lemma(args) -> int:
         (not has_grid and args.resolution is not None, "refused",
          f"--resolution sets the grid oracle's step; the grid covers q in {grid_qs} "
          f"only, got q={q}"),
+        # options the chosen path would ignore: nothing draws at q=2 without
+        # the sampler, and a NO-CLOSED-FORM row has no gap to compare
+        (args.seed is not None and q == 2 and not samples, "refused",
+         "--seed seeds the sampler and the q=3 grid; the q=2 grid is deterministic, "
+         "so --seed at q=2 needs --samples"),
+        (args.tolerance is not None and theta_closed is None, "refused",
+         f"--tolerance bounds the gap to the closed form, which exists only for "
+         f"theta >= 1/q; got theta={theta} at q={q}"),
         (samples * q > oracle.MAX_SAMPLER_ENTRIES, "refused",
          f"--samples {samples} at q={q} draws {samples * q} values; samples * q "
          f"must be at most {oracle.MAX_SAMPLER_ENTRIES}"),
@@ -122,16 +130,17 @@ def _cmd_lemma(args) -> int:
         if refused:
             return _refuse(kind, reason)
 
+    seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
     grid_value = sampler_value = None
     if has_grid:
         try:  # the grid refuses a step out of its own range before it runs
-            grid = oracle.grid_max_joint_entropy(q, theta, args.resolution, seed=args.seed)
+            grid = oracle.grid_max_joint_entropy(q, theta, args.resolution, seed=seed)
         except ValueError as exc:
             return _refuse("refused", exc)
         grid_value = grid.value
     if samples:
         sampler_value = oracle.random_feasible_sampler(
-            q, theta_closed, samples, seed=args.seed
+            q, theta_closed, samples, seed=seed
         )
         if sampler_value == -math.inf:  # nothing accepted
             sampler_value = None
@@ -285,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the grid oracle owns the range and default of its step; see grid_max_joint_entropy
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--samples", type=_number(int, 1), default=0, nargs="?", const=100_000)
-    p.add_argument("--seed", type=_number(int, 0), default=oracle.DEFAULT_SEED)
+    p.add_argument("--seed", type=_number(int, 0), default=None)
     p.add_argument("--tolerance", type=_number(float, 0), default=None)
     add_common(p)
     p.set_defaults(func=_cmd_lemma)

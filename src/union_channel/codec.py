@@ -659,7 +659,6 @@ def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     for start in range(0, params.message_digits, m):
         run_block(state)
         _check_feedback(state, start, start + m)  # the block's new digits
-    _check_feedback(state, 0, params.message_digits)
     run_final_block(state)
 
     decoded = decode_transcript(params, state.transcript)

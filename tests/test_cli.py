@@ -237,6 +237,9 @@ def test_lemma_sampler_below_uniform_theta(capsys):
         ["--q", "4", "--theta", "0.5", "--resolution", "0.01", "--samples", "10"],
         ["--q", "5", "--theta", "0.5", "--samples", "2000001"],  # over the cap
         ["--q", "4", "--theta", "0.5"],  # no grid and no sampler
+        # a seed that nothing draws with, a tolerance with no closed form to compare
+        ["--q", "2", "--theta", "0.75", "--resolution", "0.01", "--seed", "9"],
+        ["--q", "3", "--theta", "0.2", "--resolution", "0.1", "--tolerance", "0.5"],
     ],
 )
 def test_lemma_refuses_across_options_before_any_oracle_runs(capsys, monkeypatch, argv):

@@ -144,9 +144,16 @@ def test_pattern_errors():
         (lambda: unrank_pattern(0, 2.0, 3, 1), "alphabet size must be an int, got 2.0"),
         (lambda: validate_params(2, 17.5, 13), "n must be an int, got 17.5"),
         (lambda: best_params(2, 2.5), "n_max must be an int, got 2.5"),
+        (lambda: resolution_digits(0, 2), "size must be positive, got 0"),
+        (lambda: pattern_count(2, 3, 4), "need 0 <= m <= n, got n=3, m=4"),
+        (lambda: unrank_pattern(0, 2, 3, 4), "need 0 <= m <= n, got n=3, m=4"),
+        (lambda: advance_uncertainty([b""], [channel(1, 2)] * 2, 2, 3, 1),
+         "expected 3 outputs, got 2"),
+        (lambda: best_params(2, 0), "n_max must be positive, got 0"),
     ],
     ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
-         "best_params-n_max"],
+         "best_params-n_max", "resolution_digits-size-0", "pattern_count-m-above-n",
+         "unrank-m-above-n", "advance-output-count", "best_params-n_max-0"],
 )
 def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
     with pytest.raises(ValueError) as info:
@@ -751,14 +758,14 @@ def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
 @pytest.mark.parametrize(
     "params, trials, totals",
     [
-        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (60, 30, 602, 780)),
-        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (400, 200, 2409, 3600)),
+        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (60, 30, 602, 390)),
+        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (400, 200, 2409, 1800)),
     ],
 )
 def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
     # each party walks the survivors once per block, the decoder walks back once
     # per block, and each sender's feedback check compares every message digit
-    # twice: once in its block and once in the final whole-message check
+    # once, in its block: only run_block appends to known_other_*
     work = Counter()
 
     def count(name, weight=lambda *args: 1):
@@ -789,7 +796,7 @@ def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
             "_consistent_below": 2 * blocks,
             "_walk_back": blocks,
             "channel": uses,
-            "_check_feedback": 2 * params.message_digits,
+            "_check_feedback": params.message_digits,
         }
         for uses, _ in per_trial
     ]

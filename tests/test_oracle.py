@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from union_channel import (
+    concave_envelope,
     entropy_q,
     grid_max_joint_entropy,
     interpolate_to_theta,
     max_joint_entropy,
+    output_entropy,
     random_feasible_sampler,
     two_level_monotonicity,
     two_level_point,
@@ -517,8 +519,21 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int, got 10.5"),
         (lambda: grid_max_joint_entropy(3, 0.7, 0.1, refinements=math.nan),
          "refinements must be an int, got nan"),
+        (lambda: interpolate_to_theta((-0.5, 1.5), (0.5, 0.5), 0.5),
+         "negative probability entry -0.5"),
+        (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0, 0.0), 0.5),
+         "a and b must have equal lengths"),
+        (lambda: two_level_point(3, 0.5, 0), "r must lie in [1, 2], got 0"),
+        (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/3, 1], got 0.2"),
+        (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in (1/3, 1], got 0.3"),
+        (lambda: random_feasible_sampler(3, 0.5, 0), "need at least one sample, got 0"),
+        (lambda: concave_envelope(0.2, 3), "theta must lie in [1/3, 1], got 0.2"),
+        (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
     ],
-    ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements"],
+    ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
+         "interpolate-negative-entry", "interpolate-unequal-lengths", "two_level-r",
+         "two_level-theta", "monotonicity-theta", "sampler-samples-0", "envelope-theta",
+         "output_entropy-theta"],
 )
 def test_oracle_counts_that_are_not_ints_are_refused_before_numpy(
     monkeypatch, call, message
