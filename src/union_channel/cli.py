@@ -199,20 +199,23 @@ def _cmd_codec(args) -> int:
             sys.stdout.write(line + "\n")
     elif args.format == "csv":
         rows = [_record_row(r) for r in report.records]
-        _emit_rows(["trial", "uses", "max_uncertainty", "ok"], rows, "csv")
+        _emit_rows(list(rows[0]), rows, "csv")
     else:
         check = codec.validate_params(params.q, params.n, params.m)
         sys.stdout.write(
             f"q={params.q} n={params.n} m={params.m} blocks={params.blocks} "
             f"trials={report.trials} seed={report.seed}\n"
-            f"feasibility          lhs={check.lhs} rhs={check.rhs}\n"
-            f"errors               {report.errors}\n"
-            f"max_uncertainty      {report.max_uncertainty}\n"
-            f"uses                 min={report.min_uses} max={report.max_uses} "
-            f"bound={report.uses_bound}\n"
-            f"achieved_rate        {_fmt5(report.achieved_rate)}\n"
-            f"zero_error           {'yes' if report.errors == 0 else 'VIOLATED'}\n"
         )
+        row = {
+            "feasibility": f"lhs={check.lhs} rhs={check.rhs}",
+            "errors": report.errors,
+            "max_uncertainty": report.max_uncertainty,
+            "uses": f"min={report.min_uses} max={report.max_uses} "
+            f"bound={report.uses_bound}",
+            "achieved_rate": report.achieved_rate,
+            "zero_error": "yes" if report.errors == 0 else "VIOLATED",
+        }
+        _emit_fields(row, {}, 21)
     return 0 if report.errors == 0 else 1
 
 

@@ -76,7 +76,7 @@ def validate_params(q: int, n: int, m: int) -> FeasibilityCheck:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
     lhs = math.comb(2 * (n - m), n - m) << max(2 * m - n, 0)
-    rhs = (math.comb(n, m) * q ** (n - m)) << max(n - 2 * m, 0)
+    rhs = pattern_count(q, n, m) << max(n - 2 * m, 0)
     return FeasibilityCheck(feasible=2 * m >= n and lhs <= rhs, lhs=lhs, rhs=rhs)
 
 
@@ -393,8 +393,17 @@ def new_session(
     )
 
 
+def _check_feedback(state: SessionState, start: int, stop: int) -> None:
+    # sender symmetry: the digits each sender deduced from feedback since
+    # ``start`` must be the other's message digits up to ``stop``
+    if state.known_other_1[start:] != state.w2[start:stop]:
+        raise ProtocolViolation("sender 1 mis-deduced the other message")
+    if state.known_other_2[start:] != state.w1[start:stop]:
+        raise ProtocolViolation("sender 2 mis-deduced the other message")
+
+
 def run_block(state: SessionState) -> SessionState:
-    """Run one message block of ``n`` channel uses and update all parties."""
+    """Run one message block of ``n`` channel uses, update all parties and check them."""
     params = state.params
     q, n, m = params.q, params.n, params.m
     if state.block >= params.blocks:
@@ -453,23 +462,33 @@ def run_block(state: SessionState) -> SessionState:
         )
     state.sizes.append(size)
     state.index = (h << p) + child
+    _check_feedback(state, start, start + m)  # the block's new digits
     return state
 
 
 def run_final_block(state: SessionState) -> SessionState:
-    """Resolve the residual uncertainty by transmitting the true pair's rank."""
+    """Send the true pair's rank to resolve the residual uncertainty; check uses_bound."""
     params = state.params
     if state.block != params.blocks:
-        raise ValueError(
-            f"final block requires all {params.blocks} message blocks first"
-        )
+        raise ValueError(f"final block requires all {params.blocks} message blocks first")
     digits = resolution_digits(state.size, params.q)
     remaining = state.index
     for j in range(digits - 1, -1, -1):
         digit, remaining = divmod(remaining, params.q**j)
         # both senders transmit the same symbol, so the output is a singleton
         state.transcript.append(channel(digit + 1, digit + 1))
+    if state.uses > uses_bound(params):
+        raise ProtocolViolation("channel-use bound exceeded")
     return state
+
+
+def _encode(params: CodeParams, w1: Sequence[int], w2: Sequence[int]) -> SessionState:
+    # the one encode loop; run_block refuses a size above survivor_bound(n, m, p),
+    # whose maximum over p is uncertainty_peak_bound(n, m): no peak check is needed
+    state = new_session(params, w1, w2)
+    for _ in range(params.blocks):
+        run_block(state)
+    return run_final_block(state)
 
 
 @dataclass(frozen=True)
@@ -637,42 +656,17 @@ def _draw_digits(rng: random.Random, q: int, count: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def _check_feedback(state: SessionState, start: int, stop: int) -> None:
-    # sender symmetry: the digits each sender deduced from feedback since
-    # ``start`` must be the other's message digits up to ``stop``
-    if state.known_other_1[start:] != state.w2[start:stop]:
-        raise ProtocolViolation("sender 1 mis-deduced the other message")
-    if state.known_other_2[start:] != state.w1[start:stop]:
-        raise ProtocolViolation("sender 2 mis-deduced the other message")
-
-
 def _run_trial(args: tuple[CodeParams, int, int]) -> TrialRecord:
     params, seed, trial = args
-    m = params.m
     rng = random.Random(seed ^ trial)
     w1 = _draw_digits(rng, params.q, params.message_digits)
     w2 = _draw_digits(rng, params.q, params.message_digits)
-
-    state = new_session(params, w1, w2)
-    # run_block refuses a size above survivor_bound(n, m, p), whose maximum
-    # over p is uncertainty_peak_bound(n, m), so no peak check is needed here
-    for start in range(0, params.message_digits, m):
-        run_block(state)
-        _check_feedback(state, start, start + m)  # the block's new digits
-    run_final_block(state)
-
+    state = _encode(params, w1, w2)
     decoded = decode_transcript(params, state.transcript)
     if decoded.sizes != tuple(state.sizes):
         raise ProtocolViolation("decoder replay disagrees with encoder bookkeeping")
-    if state.uses > uses_bound(params):
-        raise ProtocolViolation("channel-use bound exceeded")
     ok = decoded.w1 == w1 and decoded.w2 == w2
-    return TrialRecord(
-        trial=trial,
-        uses=state.uses,
-        max_uncertainty=state.max_uncertainty,
-        ok=ok,
-    )
+    return TrialRecord(trial, state.uses, state.max_uncertainty, ok)
 
 
 def simulate(

@@ -103,7 +103,8 @@ def bisect_root(
 
     The bracket must straddle a sign change; a same-sign bracket raises
     RuntimeError because every caller here constructs brackets that are
-    guaranteed by a monotonicity argument.
+    guaranteed by a monotonicity argument. So does a bracket still wider
+    than ``tol`` after 200 halvings, rather than return an unconverged root.
     """
     flo = f(lo)
     fhi = f(hi)
@@ -126,4 +127,4 @@ def bisect_root(
             lo, flo = mid, fm
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise RuntimeError(f"bracket [{lo}, {hi}] still wider than {tol} after 200 halvings")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from union_channel import (
     tangent_point,
     top_symbol_mass,
 )
+from union_channel import capacity
 from union_channel.capacity import (
     CASE_CHORD_INTERSECTION,
     CASE_CURVE_INTERSECTION,
@@ -240,6 +242,15 @@ def test_feedback_capacity_cases_and_maximizers():
         r = avg_feedback_capacity(q)
         assert r.case == CASE_OUTPUT_PEAK
         assert r.theta_star == 2.0 / (q + 1)
+
+
+def test_feedback_capacity_refuses_a_rate_ordering_violation(monkeypatch):
+    # a zero-error lower bound above the feedback capacity names the whole report
+    report = dataclasses.replace(avg_feedback_capacity(2), r_zero_error_lower=2.0)
+    monkeypatch.setattr(capacity, "rate_root", lambda q: 2.0)
+    with pytest.raises(RuntimeError) as info:
+        avg_feedback_capacity(2)
+    assert str(info.value) == f"rate ordering violated for q=2: {report}"
 
 
 @pytest.mark.parametrize("q", range(5, 51))

@@ -36,7 +36,14 @@ from union_channel import (
     validate_params,
 )
 from union_channel import codec
-from union_channel.codec import ProtocolViolation, SessionState, _consistent_below, _walk_back
+from union_channel.codec import (
+    ProtocolViolation,
+    SessionState,
+    _check_feedback,
+    _consistent_below,
+    _encode,
+    _walk_back,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +621,6 @@ def test_channel_is_the_unordered_union():
     assert channel(3, 3) == frozenset((3,))
 
 
-def _encode(params, w1, w2):
-    state = new_session(params, w1, w2)
-    for _ in range(params.blocks):
-        run_block(state)
-    run_final_block(state)
-    return state
-
-
 def _round_trip(params, w1, w2):
     state = _encode(params, w1, w2)
     decoded = decode_transcript(params, state.transcript)
@@ -755,18 +754,12 @@ def test_simulate_raises_when_decoder_replay_disagrees(monkeypatch):
         simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials=1, seed=0)
 
 
-@pytest.mark.parametrize(
-    "params, trials, totals",
-    [
-        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (60, 30, 602, 390)),
-        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (400, 200, 2409, 1800)),
-    ],
-)
-def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
-    # each party walks the survivors once per block, the decoder walks back once
-    # per block, and each sender's feedback check compares every message digit
-    # once, in its block: only run_block appends to known_other_*
-    work = Counter()
+@pytest.fixture
+def trial_work(monkeypatch):
+    # run(params, trials) runs simulate(params, trials, seed=1) and gives each
+    # trial's uses and work: calls, digits compared, and _pattern_at lookups
+    # (memo hits plus misses)
+    work, per_trial = Counter(), []
 
     def count(name, weight=lambda *args: 1):
         helper = getattr(codec, name)
@@ -780,16 +773,42 @@ def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
     for name in ("_consistent_below", "_walk_back", "channel"):
         count(name)
     count("_check_feedback", lambda state, start, stop: stop - start)
-    run_trial, per_trial = codec._run_trial, []
+    run_trial = codec._run_trial
+
+    def lookups():
+        info = codec._pattern_at.cache_info()
+        return info.hits + info.misses
 
     def trial(job):
         work.clear()
+        before = lookups()
         record = run_trial(job)
-        per_trial.append((record.uses, dict(work)))
+        per_trial.append((record.uses, {**work, "_pattern_at": lookups() - before}))
         return record
 
     monkeypatch.setattr(codec, "_run_trial", trial)
-    simulate(params, trials=trials, seed=1)
+
+    def run(params, trials):
+        per_trial.clear()
+        simulate(params, trials=trials, seed=1)
+        return list(per_trial)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "params, trials, totals",
+    [
+        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (60, 30, 602, 390)),
+        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (400, 200, 2409, 1800)),
+    ],
+)
+def test_trial_work_is_pinned_by_counts(trial_work, params, trials, totals):
+    # each party walks the survivors once per block, the decoder walks back once
+    # per block, and each sender's feedback check compares every message digit
+    # once, in its block: only run_block appends to known_other_*. A block
+    # looks up three patterns: the encoder's index and each party's walk limit
+    per_trial = trial_work(params, trials)
     blocks = params.blocks
     assert [counts for _, counts in per_trial] == [
         {
@@ -797,6 +816,7 @@ def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
             "_walk_back": blocks,
             "channel": uses,
             "_check_feedback": params.message_digits,
+            "_pattern_at": 3 * blocks,
         }
         for uses, _ in per_trial
     ]
@@ -804,6 +824,18 @@ def test_trial_work_is_pinned_by_counts(monkeypatch, params, trials, totals):
         sum(counts[name] for _, counts in per_trial)
         for name in ("_consistent_below", "_walk_back", "channel", "_check_feedback")
     ) == totals
+
+
+def test_trial_work_is_linear_in_the_block_count(trial_work):
+    # one code at B=50 and B=200, seed 1, trial 0: the per-block work grows
+    # 1:4 exactly; the resolution uses (10 and 9) do not
+    ((uses_50, at_50),) = trial_work(CodeParams(q=2, n=12, m=9, blocks=50), 1)
+    ((uses_200, at_200),) = trial_work(CodeParams(q=2, n=12, m=9, blocks=200), 1)
+    names = ("_consistent_below", "_walk_back", "_pattern_at")
+    assert [at_50[name] for name in names] == [100, 50, 150]
+    assert [at_200[name] for name in names] == [400, 200, 600]
+    assert (at_50["channel"], at_200["channel"]) == (uses_50, uses_200) == (610, 2409)
+    assert 4 * (uses_50 - 10) == uses_200 - 9 == 2400
 
 
 # ---------------------------------------------------------------------------
@@ -926,6 +958,49 @@ def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, mes
         simulate(CodeParams(q=2, n=17, m=13, blocks=3), trials=1)
 
 
+def test_session_steps_check_feedback_and_the_use_bound_without_simulate(monkeypatch):
+    # each step checks its own invariants, so a session driven step by step,
+    # as the tests and the zero-error certificate do, is checked as a trial is
+    params = CodeParams(q=2, n=3, m=2, blocks=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(codec, "channel", lambda x1, x2: frozenset((x1,)))  # shows-x1
+        state = new_session(params, w1=(1, 2), w2=(2, 2))
+        with pytest.raises(ProtocolViolation, match="^sender 1 mis-deduced the other message$"):
+            run_block(state)
+    uses = _encode(params, w1=(1, 2), w2=(2, 2)).uses
+    for bound in (0, uses - 1):  # one use over the bound is refused too
+        monkeypatch.setattr(codec, "uses_bound", lambda params, bound=bound: bound)
+        state = run_block(new_session(params, w1=(1, 2), w2=(2, 2)))
+        with pytest.raises(ProtocolViolation, match="^channel-use bound exceeded$"):
+            run_final_block(state)
+
+
+@pytest.mark.parametrize(
+    "below, message",
+    [
+        (0, "true message prefix missing from uncertainty set"),
+        (10**9, "uncertainty set overflow: 2000000000 candidates after a block with 1 pair outputs"),
+    ],
+    ids=["missing", "overflow"],
+)
+def test_run_block_refuses_a_survivor_count_off_the_true_prefix(monkeypatch, below, message):
+    # a correct channel whose survivor walk is wrong: the block (*, *, 1)
+    # sends one pair output and one singleton
+    monkeypatch.setattr(codec, "_consistent_below", lambda *args: below)
+    state = new_session(CodeParams(q=2, n=3, m=2, blocks=1), w1=(1, 2), w2=(2, 2))
+    with pytest.raises(ProtocolViolation, match=f"^{re.escape(message)}$"):
+        run_block(state)
+
+
+def test_feedback_check_names_the_sender_that_mis_deduced():
+    params = CodeParams(q=2, n=3, m=2, blocks=1)
+    state = run_block(new_session(params, w1=(1, 2), w2=(2, 2)))
+    _check_feedback(state, 0, params.m)
+    state.known_other_2[-1] ^= 3  # 1 <-> 2
+    with pytest.raises(ProtocolViolation, match="^sender 2 mis-deduced the other message$"):
+        _check_feedback(state, 0, params.m)
+
+
 def test_jsonl_report_lines():
     params = CodeParams(q=2, n=5, m=3, blocks=2)
     report = simulate(params, trials=5, seed=4)
@@ -965,7 +1040,7 @@ def test_simulate_full_length_run():
 
 
 def test_survivor_estimate_ratio_and_peak():
-    # every n the CLI accepts: _run_trial relies on the peak being the max
+    # every n the CLI accepts: codec._encode relies on the peak being the max
     for n in range(1, 65):
         for m in range((n + 1) // 2, n + 1):
             u = [math.comb(n - l, m - l) * 2**l for l in range(m + 1)]

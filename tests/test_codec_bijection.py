@@ -20,12 +20,10 @@ from union_channel import (
     CodeParams,
     channel,
     decode_transcript,
-    new_session,
     resolution_digits,
-    run_block,
-    run_final_block,
     uncertainty_peak_bound,
 )
+from union_channel.codec import _encode, uses_bound
 
 # the decoder's refusals of a transcript of valid outputs, by message prefix
 REFUSALS = (
@@ -34,14 +32,6 @@ REFUSALS = (
     "resolution uses must be singleton outputs",
     "decoded rank",
 )
-
-
-def _encoded(params, w1, w2):
-    state = new_session(params, w1, w2)
-    for _ in range(params.blocks):
-        run_block(state)
-    run_final_block(state)
-    return state.transcript
 
 
 def _refusal(exc):
@@ -89,8 +79,31 @@ def test_decoder_accepts_exactly_the_encoders_transcripts(q, n, m, blocks):
             except ValueError as exc:
                 refusals[_refusal(exc)] += 1
                 continue
-            assert _encoded(params, decoded.w1, decoded.w2) == transcript
+            assert _encode(params, decoded.w1, decoded.w2).transcript == transcript
             accepted.append((decoded.w1, decoded.w2))
 
     assert len(set(accepted)) == len(accepted) == q ** (2 * m * blocks)
     assert sum(refusals.values()) + len(accepted) == len(outputs) ** (blocks * n) * len(tails)
+
+
+@pytest.mark.parametrize(
+    "q, n, m, blocks, peak, peak_bound, most_uses, bound",
+    [
+        (2, 3, 2, 2, 4, 4, 8, 9),
+        (2, 4, 3, 2, 8, 8, 11, 11),
+        (3, 3, 2, 1, 4, 4, 5, 5),
+        (2, 5, 3, 1, 8, 12, 8, 11),
+    ],
+)
+def test_worst_case_over_every_message_pair(
+    q, n, m, blocks, peak, peak_bound, most_uses, bound
+):
+    # the largest set size and the most uses any message pair reaches, each
+    # next to the bound it must stay under: some are met exactly, some not
+    params = CodeParams(q, n, m, blocks)
+    space = list(product(range(1, q + 1), repeat=params.message_digits))
+    states = [_encode(params, w1, w2) for w1 in space for w2 in space]
+    assert max(state.max_uncertainty for state in states) == peak
+    assert uncertainty_peak_bound(n, m) == peak_bound
+    assert max(state.uses for state in states) == most_uses
+    assert uses_bound(params) == bound

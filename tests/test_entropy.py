@@ -103,6 +103,16 @@ def test_bisect_root_refuses_a_bracket_without_a_sign_change():
         bisect_root(lambda x: x + 1.0, 0.0, 1.0)
 
 
+def test_bisect_root_refuses_to_return_an_unconverged_root():
+    # the bracket is still 1.2e240 wide after 200 halvings; its midpoint,
+    # 6.2e239, was once returned as the root of x - 1
+    with pytest.raises(RuntimeError) as info:
+        bisect_root(lambda x: x - 1.0, -1e300, 1e300)
+    assert str(info.value) == (
+        "bracket [0.0, 1.2446030555722284e+240] still wider than 1e-12 after 200 halvings"
+    )
+
+
 def test_binary_entropy_symmetric_on_grid():
     for i in range(1001):
         a = i / 1000

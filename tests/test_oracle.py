@@ -460,6 +460,14 @@ def test_monotonicity_single_point_is_the_left_end():
         two_level_monotonicity(4, 0.5, 0)
 
 
+def test_monotonicity_ratio_is_infinite_where_the_low_mass_vanishes():
+    # q=4, theta=1 at t=1/4: the low mass b is exactly 0 (at q=3 rounding
+    # leaves it positive and the ratio near 2.7e16)
+    report = two_level_monotonicity(4, 1.0, 5)
+    assert report.ts == (0.25,)
+    assert report.ratios == (math.inf,)
+
+
 def test_monotonicity_fine_q6():
     report = two_level_monotonicity(6, 0.4, 64)
     assert len(report.ts) > 10
