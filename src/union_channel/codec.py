@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator, Sequence
@@ -112,8 +112,15 @@ class CodeParams:
 
 
 def uncertainty_peak_bound(n: int, m: int) -> int:
-    """Largest possible uncertainty-set size after any block: C(2n-2m, n-m) * 2^(2m-n)."""
-    return math.comb(2 * (n - m), n - m) << (2 * m - n)
+    """Largest possible uncertainty-set size after any block: C(2n-2m, n-m) * 2^(2m-n).
+
+    That is :func:`survivor_bound` at its peak, a block with 2m - n pair outputs.
+    """
+    check_int(n, "n")
+    check_int(m, "m")
+    if not n <= 2 * m <= 2 * n:
+        raise ValueError(f"need n/2 <= m <= n, got n={n}, m={m}")
+    return survivor_bound(n, m, 2 * m - n)
 
 
 def survivor_bound(n: int, m: int, pair_count: int) -> int:
@@ -208,6 +215,14 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
 
     One right-to-left pass; ``k`` positions and ``stars`` stars lie to the right.
     """
+    # one test on the hot path, as in unrank_pattern: q and m before the
+    # shared memo reads q (2.0 and 2 are one key), and the symbols' sum, an
+    # int only if no symbol is a float or another non-int number
+    if not type(q) is type(m) is type(sum(pattern)) is int:
+        check_int(q, "alphabet size")
+        check_int(m, "m")
+        bad = next(s for s in reversed(pattern) if not isinstance(s, int))
+        raise ValueError(f"pattern symbol {bad!r} outside alphabet [1, {q}]")
     cnt = _completions(q, len(pattern))
     rank = 0
     stars = 0
@@ -339,11 +354,11 @@ class SessionState:
     params: CodeParams
     w1: bytes
     w2: bytes
-    known_other_1: bytearray
-    known_other_2: bytearray
-    sizes: list[int]
-    index: int
-    transcript: list[Output]
+    known_other_1: bytearray = field(default_factory=bytearray)
+    known_other_2: bytearray = field(default_factory=bytearray)
+    sizes: list[int] = field(default_factory=lambda: [1])
+    index: int = 0
+    transcript: list[Output] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -366,31 +381,23 @@ def new_session(
     params: CodeParams, w1: Sequence[int], w2: Sequence[int]
 ) -> SessionState:
     """Start a protocol session for two messages of ``blocks * m`` digits."""
+    digits = range(1, params.q + 1)
     stored = []
     for name, w in (("w1", w1), ("w2", w2)):
         if len(w) != params.message_digits:
             raise ValueError(
                 f"{name} must have {params.message_digits} digits, got {len(w)}"
             )
-        try:  # bytes() stores a digit only if it has __index__ and lies in [0, 255]
-            stored.append(bytes(w))
-            valid = set(stored[-1]).issubset(range(1, params.q + 1))
+        try:  # a digit is valid iff it has __index__ and lies in [1, q]
+            stored.append(bytes(iter(w)))
+            valid = set(stored[-1]).issubset(digits)
         except (TypeError, ValueError):
             valid = False
-        if not valid:
-            for d in w:
-                if not hasattr(d, "__index__") or not 1 <= d <= params.q:
-                    raise ValueError(f"{name} digit {d!r} outside alphabet [1, {params.q}]")
-    return SessionState(
-        params=params,
-        w1=stored[0],
-        w2=stored[1],
-        known_other_1=bytearray(),
-        known_other_2=bytearray(),
-        sizes=[1],
-        index=0,
-        transcript=[],
-    )
+        if not valid:  # the same test, digit by digit, names the first bad one
+            bad = next(d for d in w if not hasattr(d, "__index__") or d not in digits)
+            raise ValueError(f"{name} digit {bad!r} outside alphabet [1, {params.q}]")
+    w1, w2 = stored
+    return SessionState(params, w1, w2)
 
 
 def _check_feedback(state: SessionState, start: int, stop: int) -> None:
@@ -687,6 +694,9 @@ def simulate(
         raise ValueError(f"need at least one trial, got {trials!r}")
     if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be an int in [1, {MAX_WORKERS}], got {workers!r}")
+    # random.Random seeds with abs(x), so seed -3 would draw trial 0 of seed 3
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     jobs = [(params, seed, t) for t in range(trials)]
     processes = min(workers, trials)
     if processes == 1:

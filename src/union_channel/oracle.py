@@ -122,6 +122,8 @@ class TwoLevelPoint:
 
 def two_level_point(q: int, theta: float, r: int) -> TwoLevelPoint | None:
     """Solve r*a + s*b = 1, r*a^2 + s*b^2 = theta with a >= b; None if b < 0."""
+    check_alphabet(q)
+    check_int(r, "r")
     if not 1 <= r <= q - 1:
         raise ValueError(f"r must lie in [1, {q - 1}], got {r}")
     if not 1.0 / q <= theta <= 1.0:

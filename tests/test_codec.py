@@ -1,3 +1,4 @@
+import array
 import dataclasses
 import json
 import math
@@ -157,15 +158,36 @@ def test_pattern_errors():
         (lambda: advance_uncertainty([b""], [channel(1, 2)] * 2, 2, 3, 1),
          "expected 3 outputs, got 2"),
         (lambda: best_params(2, 0), "n_max must be positive, got 0"),
+        (lambda: rank_pattern((STAR, 1), 2, True), "m must be an int, got True"),
+        (lambda: rank_pattern((STAR, 1.0), 2, 1), "pattern symbol 1.0 outside alphabet [1, 2]"),
+        (lambda: rank_pattern((0.0, 1), 2, 1), "pattern symbol 0.0 outside alphabet [1, 2]"),
+        (lambda: uncertainty_peak_bound(17.0, 13), "n must be an int, got 17.0"),
+        (lambda: uncertainty_peak_bound(10, 3), "need n/2 <= m <= n, got n=10, m=3"),
+        (lambda: uncertainty_peak_bound(3, 5), "need n/2 <= m <= n, got n=3, m=5"),
     ],
     ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
          "best_params-n_max", "resolution_digits-size-0", "pattern_count-m-above-n",
-         "unrank-m-above-n", "advance-output-count", "best_params-n_max-0"],
+         "unrank-m-above-n", "advance-output-count", "best_params-n_max-0", "rank-m",
+         "rank-float-symbol", "rank-float-star", "peak-n",
+         "peak-m-below-half-n", "peak-m-above-n"],
 )
 def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_rank_pattern_refuses_a_float_alphabet_before_the_shared_memo():
+    # lru_cache keys 2.0 and 2 alike, so a float q once filled _completions
+    # with float tables that later int calls read: unrank_pattern returned
+    # (0, 0, 1.0, 0, 2.0) and simulate raised a TypeError
+    codec._completions.cache_clear()
+    codec._pattern_at.cache_clear()
+    with pytest.raises(ValueError, match=r"^alphabet size must be an int, got 2\.0$"):
+        rank_pattern((STAR, 1, 2, 1, 1), 2.0, 1)
+    pattern = unrank_pattern(5, 2, 5, 3)
+    assert pattern == (0, 0, 1, 0, 2) and {*map(type, pattern)} == {int}
+    assert simulate(CodeParams(2, 5, 3, 2), 3, seed=1).errors == 0
 
 
 def test_round_trip_exhaustive_q1():
@@ -525,6 +547,65 @@ def test_new_session_refuses_a_digit_it_cannot_store(w1, w2, bad):
     params = CodeParams(2, 3, 2, 1)
     with pytest.raises(ValueError, match=rf"^{re.escape(bad)} outside alphabet \[1, 2\]$"):
         new_session(params, w1, w2)
+
+
+def _numpy_array(digits, dtype=None):
+    return pytest.importorskip("numpy").array(digits, dtype=dtype)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: array.array("i", [1, 2]),
+        lambda: array.array("B", [1, 2]),
+        lambda: bytearray([1, 2]),
+        lambda: memoryview(array.array("i", [1, 2])),
+        lambda: _numpy_array([1, 2], "int64"),
+    ],
+    ids=["array-i", "array-B", "bytearray", "memoryview", "numpy-int64"],
+)
+def test_new_session_stores_a_buffer_digit_by_digit(make):
+    # bytes(w) copied a buffer's raw bytes: a numpy int64 array [1, 2] gave
+    # 16 bytes, and the encoder sent frozenset({0, 2}) without refusing it
+    params = CodeParams(2, 3, 2, 1)
+    state = _encode(params, make(), [2, 2])
+    assert state.w1 == b"\x01\x02"
+    assert decode_transcript(params, state.transcript).w1 == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "digits, dtype, pos",
+    [([1, 3], "int64", 1), ([True, True], bool, 0)],
+    ids=["int64", "bool"],
+)
+def test_new_session_names_a_bad_digit_of_a_numpy_array(digits, dtype, pos):
+    # a numpy bool has no __index__; a bool array's raw bytes were stored once
+    w1 = _numpy_array(digits, dtype)
+    with pytest.raises(ValueError, match=rf"^w1 digit {re.escape(repr(w1[pos]))} outside"):
+        new_session(CodeParams(2, 3, 2, 1), w1, [2, 2])
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-1, 257), st.booleans(), st.floats(), st.none(), st.text(max_size=1)
+        ),
+        min_size=4,
+        max_size=4,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_new_session_names_a_digit_whenever_it_refuses(w1):
+    # the fast path and the naming loop must agree on a valid digit, or the
+    # loop would find nothing to name and raise StopIteration
+    valid = all(hasattr(d, "__index__") and d in range(1, 4) for d in w1)
+    try:
+        state = new_session(CodeParams(3, 3, 2, 2), w1, [1, 2, 3, 1])
+    except ValueError as exc:
+        assert not valid
+        assert re.fullmatch(r"w1 digit .+ outside alphabet \[1, 3\]", str(exc))
+    else:
+        assert valid and state.w1 == bytes(w1)
 
 
 def test_decode_rejects_malformed_transcript():
@@ -1139,25 +1220,27 @@ def test_simulate_starts_no_more_processes_than_trials(pool_sizes):
 
 
 @pytest.mark.parametrize(
-    "trials, workers, message",
+    "trials, workers, seed, message",
     [
-        (3, 65, "workers must be an int in [1, 64], got 65"),
-        (3, 10**6, "workers must be an int in [1, 64], got 1000000"),
-        (3, 0, "workers must be an int in [1, 64], got 0"),
-        (3, 2.0, "workers must be an int in [1, 64], got 2.0"),
-        (3, True, "workers must be an int in [1, 64], got True"),
-        (2.5, 1, "need at least one trial, got 2.5"),
+        (3, 65, 0, "workers must be an int in [1, 64], got 65"),
+        (3, 10**6, 0, "workers must be an int in [1, 64], got 1000000"),
+        (3, 0, 0, "workers must be an int in [1, 64], got 0"),
+        (3, 2.0, 0, "workers must be an int in [1, 64], got 2.0"),
+        (3, True, 0, "workers must be an int in [1, 64], got True"),
+        (2.5, 1, 0, "need at least one trial, got 2.5"),
+        (3, 2, 1.5, "seed must be an int >= 0, got 1.5"),
+        (3, 2, -3, "seed must be an int >= 0, got -3"),
     ],
-    ids=["65", "1e6", "0", "2.0", "True", "trials-2.5"],
+    ids=["65", "1e6", "0", "2.0", "True", "trials-2.5", "seed-1.5", "seed-negative"],
 )
 def test_simulate_refuses_a_count_before_anything_starts(
-    pool_sizes, monkeypatch, trials, workers, message
+    pool_sizes, monkeypatch, trials, workers, seed, message
 ):
     def never(job):
         raise AssertionError("a trial ran before the refusal")
 
     monkeypatch.setattr(codec, "_run_trial", never)
     with pytest.raises(ValueError) as info:
-        simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials, workers=workers)
+        simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials, seed=seed, workers=workers)
     assert str(info.value) == message
     assert pool_sizes == []

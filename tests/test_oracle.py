@@ -537,11 +537,13 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: random_feasible_sampler(3, 0.5, 0), "need at least one sample, got 0"),
         (lambda: concave_envelope(0.2, 3), "theta must lie in [1/3, 1], got 0.2"),
         (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
+        (lambda: two_level_point(3.0, 0.5, 1), "alphabet size must be an int, got 3.0"),
+        (lambda: two_level_value(3, 0.5, 1.5), "r must be an int, got 1.5"),
     ],
     ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
          "interpolate-negative-entry", "interpolate-unequal-lengths", "two_level-r",
          "two_level-theta", "monotonicity-theta", "sampler-samples-0", "envelope-theta",
-         "output_entropy-theta"],
+         "output_entropy-theta", "two_level-q", "two_level_value-r"],
 )
 def test_oracle_counts_that_are_not_ints_are_refused_before_numpy(
     monkeypatch, call, message
