@@ -217,8 +217,13 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
     """
     # one test on the hot path, as in unrank_pattern: q and m before the
     # shared memo reads q (2.0 and 2 are one key), and the symbols' sum, an
-    # int only if no symbol is a float or another non-int number
-    if not type(q) is type(m) is type(sum(pattern)) is int:
+    # int only if no symbol is a float or another non-int number; a symbol
+    # that cannot be added at all (a str, None) makes the sum raise instead
+    try:
+        ints = type(q) is type(m) is type(sum(pattern)) is int
+    except TypeError:
+        ints = False
+    if not ints:
         check_int(q, "alphabet size")
         check_int(m, "m")
         bad = next(s for s in reversed(pattern) if not isinstance(s, int))
@@ -560,7 +565,14 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     except (KeyError, TypeError):  # not a valid output, or not even hashable
         valid = False
     if not valid:  # find the first bad output to name it
-        for pos, y in enumerate(transcript):
+        try:
+            outputs = enumerate(transcript)
+        except TypeError:  # not a sequence at all
+            raise ValueError(
+                "transcript must be a sequence of outputs, "
+                f"got {type(transcript).__name__}"
+            ) from None
+        for pos, y in outputs:
             # a set or list equal to a valid output is refused too, not hashed,
             # and so is a frozenset holding a bool or a float equal to a digit
             if type(y) is frozenset and y in table and {*map(type, y)} == {int}:

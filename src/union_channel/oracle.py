@@ -10,6 +10,7 @@ the closed forms without sharing a code path with them.
 
 from __future__ import annotations
 
+import copy
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
@@ -217,16 +218,18 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
 # ---------------------------------------------------------------------------
 # Exhaustive and randomized searches
 
-# rows per numpy pass: the searches evaluate their candidate rows this many
-# at a time, but a pair of independent draws holds its side a whole
-# (_drawn_pairs), so memory still grows with the sample or refinement count
+# rows per numpy pass: the searches draw and evaluate their candidate rows
+# this many at a time. Only the sampler's independent batches hold a side
+# whole (_gathered), so its memory grows with the sample count; the grids
+# hold none of their draws (the q=3 grid still holds its simplex grid)
 _CHUNK_ROWS = 4096
 
 # the most values one sampler call may draw, samples * q; its side a holds a
-# sixth of them. The q=3 grid's side a holds all of its refinements * 3, so
-# the grid may draw a sixth of this. On a 2-vCPU x86-64 host with numpy 2.4
-# one process peaks at 49 MB of RSS for the q=5 sampler at the cap and for
-# the q=3 grid at step 0.01 at its cap, against 16.5 MB for
+# sixth of them. The q=3 grid may draw a sixth of this as refinements * 3
+# normals a side, but it holds none of them whole, so that cap bounds its
+# time only. On a 2-vCPU x86-64 host with numpy 2.4 one process peaks at
+# 49 MB of RSS for the q=5 sampler at the cap and at 36.5 MB for the q=3
+# grid at step 0.01 at its cap (0.15 s a call), against 16.5 MB for
 # `union-channel capacity --q 4`, which loads no numpy
 MAX_SAMPLER_ENTRIES = 10**7
 
@@ -314,44 +317,40 @@ def _drawn_unit_rows(
         yield _unit_rows(draw(size=(min(_CHUNK_ROWS, rows - start), width)))
 
 
-def _paired(
-    a: np.ndarray, rows: int, b_chunks: Iterable[np.ndarray]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Pair b's chunks by position with the first ``rows`` rows of a, repeated end to end.
-
-    This is the pairing of the whole of b with those rows up to the shorter
-    side. b is drawn to its end even after the rows run out, so the
-    generator is left where a whole draw of b would leave it.
-    """
-    start = 0
-    for b in b_chunks:
-        stop = min(start + len(b), rows)
-        if start < stop:
-            first = start % len(a)
-            if first + stop - start <= len(a):  # no wrap: a view, not a copy
-                yield a[first : first + stop - start], b
-            else:
-                yield a.take(np.arange(start, stop), axis=0, mode="wrap"), b
-        start += len(b)
-
-
-def _drawn_pairs(
-    draw_a: Callable[..., np.ndarray],
-    draw_b: Callable[..., np.ndarray],
-    rows: int,
-    width: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The unit rows of two draws, paired by position up to the shorter side.
-
-    Side a is drawn whole into one array before side b, as one draw of each
-    would be; b is then drawn a chunk at a time after it.
-    """
-    a = np.empty((rows, width))
+def _gathered(chunks: Iterable[np.ndarray], rows: int, width: int) -> np.ndarray:
+    """The rows of ``chunks`` (at most ``rows`` of ``width`` entries) in one array."""
+    out = np.empty((rows, width))
     end = 0
-    for chunk in _drawn_unit_rows(draw_a, rows, width):
-        a[end : end + len(chunk)] = chunk
+    for chunk in chunks:
+        out[end : end + len(chunk)] = chunk
         end += len(chunk)
-    yield from _paired(a, end, _drawn_unit_rows(draw_b, rows, width))
+    return out[:end]
+
+
+def _zipped_rows(
+    a_chunks: Iterable[np.ndarray], b_chunks: Iterable[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Pair two streams of row chunks row by row, up to the shorter stream.
+
+    Each chunk of b, cut to the a rows left, meets a's next rows: a view of
+    one a chunk where the chunks align, else one array joined from several.
+    b is drawn to its end even after a runs out, so a generator behind it is
+    left where a whole draw of b would leave it.
+    """
+    a_chunks = iter(a_chunks)
+    rest = None  # the rows of the current a chunk not yet paired
+    for b in b_chunks:
+        parts, count = [], 0
+        while count < len(b):
+            if rest is None or not len(rest):
+                rest = next(a_chunks, None)
+                if rest is None:
+                    break
+            parts.append(rest[: len(b) - count])
+            rest = rest[len(parts[-1]) :]
+            count += len(parts[-1])
+        if count:
+            yield parts[0] if len(parts) == 1 else np.concatenate(parts), b[:count]
 
 
 def _first_max(found: Iterable[tuple | None]) -> tuple | None:
@@ -383,13 +382,11 @@ def _interpolated_max(
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """Max H(a') + H(b') over rows interpolated onto the theta constraint.
 
-    Rows are paired by position up to the shorter side; any pairing of two
-    pmfs is a candidate. When b is a, each row is interpolated and its
+    a and b hold the same number of rows, paired by position; any pairing of
+    two pmfs is a candidate. When b is a, each row is interpolated and its
     entropy taken once, and doubled (x + x == 2 * x exactly).
     """
     symmetric = b is a
-    count = min(len(a), len(b))
-    a, b = a[:count], b[:count]
     theta0 = _row_sums(a * b)
     rows = _feasible_rows(theta0, theta, q)
     if rows is not None:
@@ -480,22 +477,40 @@ def _grid_q3(
     best = _best_pair(
         chain(
             ((rows, rows) for rows in _row_chunks(grid)),
-            _paired(grid, 2 * len(grid), directions),
+            _zipped_rows(chain(_row_chunks(grid), _row_chunks(grid)), directions),
             _disjoint_pairs(grid),
         ),
         theta, 3,
     )
     if refinements <= 0:
         return best
-    # local refinements: jitter both incumbent rows
+    # local refinements: jitter both incumbent rows. Side a's draws come
+    # before side b's; rather than hold side a, skip its draws on rng and
+    # draw them again from a copy taken before them, beside side b
     value, a_best, b_best = best
     scale = 2.0 * resolution
+    replay = copy.deepcopy(rng)
+    skipped = np.empty((min(_CHUNK_ROWS, refinements), 3))
+    for start in range(0, refinements, _CHUNK_ROWS):
+        # the same stream as normal(0.0, scale, ...) draws, without its result
+        rng.standard_normal(out=skipped[: refinements - start])
 
-    def jitter(centre: np.ndarray) -> Callable[..., np.ndarray]:
-        return lambda size: np.maximum(centre + rng.normal(0.0, scale, size), 0.0)
+    def jitter(
+        gen: np.random.Generator, centre: np.ndarray
+    ) -> Callable[..., np.ndarray]:
+        def draw(size: tuple[int, int]) -> np.ndarray:
+            x = gen.normal(0.0, scale, size)
+            x += centre  # the bits of centre + x
+            return np.maximum(x, 0.0, out=x)
+
+        return draw
 
     refined = _best_pair(
-        _drawn_pairs(jitter(a_best), jitter(b_best), refinements, 3), theta, 3
+        _zipped_rows(
+            _drawn_unit_rows(jitter(replay, a_best), refinements, 3),
+            _drawn_unit_rows(jitter(rng, b_best), refinements, 3),
+        ),
+        theta, 3,
     )
     return _first_max((best, refined))
 
@@ -575,7 +590,13 @@ def random_feasible_sampler(
         for conc in (0.15, 0.5, 1.0):
             draw = partial(rng.gamma, conc)
             yield ((a, a) for a in _drawn_unit_rows(draw, per, q))
-            yield _drawn_pairs(draw, draw, per, q)
+            # side a is held whole, a sixth of the draws: drawing its gamma
+            # values twice, as the q=3 refinements draw their normals, would
+            # add a third to the draws, which are most of a sampler call
+            yield _zipped_rows(
+                _row_chunks(_gathered(_drawn_unit_rows(draw, per, q), per, q)),
+                _drawn_unit_rows(draw, per, q),
+            )
 
     best = _best_pair(chain.from_iterable(batches()), theta, q)
     return -math.inf if best is None else best[0]

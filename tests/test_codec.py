@@ -161,15 +161,21 @@ def test_pattern_errors():
         (lambda: rank_pattern((STAR, 1), 2, True), "m must be an int, got True"),
         (lambda: rank_pattern((STAR, 1.0), 2, 1), "pattern symbol 1.0 outside alphabet [1, 2]"),
         (lambda: rank_pattern((0.0, 1), 2, 1), "pattern symbol 0.0 outside alphabet [1, 2]"),
+        (lambda: rank_pattern((0, "a", 1), 2, 1), "pattern symbol 'a' outside alphabet [1, 2]"),
+        (lambda: rank_pattern((0, None, 1), 2, 1), "pattern symbol None outside alphabet [1, 2]"),
         (lambda: uncertainty_peak_bound(17.0, 13), "n must be an int, got 17.0"),
         (lambda: uncertainty_peak_bound(10, 3), "need n/2 <= m <= n, got n=10, m=3"),
         (lambda: uncertainty_peak_bound(3, 5), "need n/2 <= m <= n, got n=3, m=5"),
+        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), None),
+         "transcript must be a sequence of outputs, got NoneType"),
+        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), 5),
+         "transcript must be a sequence of outputs, got int"),
     ],
     ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
          "best_params-n_max", "resolution_digits-size-0", "pattern_count-m-above-n",
          "unrank-m-above-n", "advance-output-count", "best_params-n_max-0", "rank-m",
-         "rank-float-symbol", "rank-float-star", "peak-n",
-         "peak-m-below-half-n", "peak-m-above-n"],
+         "rank-float-symbol", "rank-float-star", "rank-str-symbol", "rank-None-symbol",
+         "peak-n", "peak-m-below-half-n", "peak-m-above-n", "decode-None", "decode-int"],
 )
 def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
     with pytest.raises(ValueError) as info:

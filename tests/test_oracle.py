@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from union_channel import oracle
 from union_channel.oracle import (
     FeasiblePair,
     _feasible_rows,
-    _paired,
+    _row_chunks,
     _row_sums,
     _simplex_grid,
     _unit_rows,
+    _zipped_rows,
     derivative_sign_expression,
 )
 
@@ -290,10 +292,12 @@ def test_chunk_size_leaves_every_result_bit_identical(monkeypatch):
     [
         # 100k refinement rows a side: about 15 MiB while both sides were held whole
         lambda: grid_max_joint_entropy(3, 0.5, 0.01),
+        # the refinement cap: 13.4 MiB while side a was held whole
+        lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_555),
         # 50k rows a batch side: 13.1 MiB while every batch was held whole
         lambda: random_feasible_sampler(5, 0.5, 300_000),
     ],
-    ids=["grid-q3", "sampler-q5"],
+    ids=["grid-q3", "grid-q3-refinement-cap", "sampler-q5"],
 )
 def test_oracles_run_in_bounded_memory(search):
     # tracemalloc sees numpy's buffers, so the peak is a count of bytes, not a clock
@@ -385,21 +389,53 @@ def test_feasible_rows_match_the_min_max_formula(q):
         assert kept.tolist() == np.flatnonzero(mask).tolist(), theta
 
 
-def test_paired_wraps_the_random_directions_onto_the_grid():
-    # the q=3 grid pairs its 2N random rows with its N grid rows end to end;
+def test_zipped_rows_wraps_the_random_directions_onto_the_grid():
+    # the q=3 grid pairs its 2N random rows with its N grid rows twice over;
     # 7-row chunks of 2 * 15 rows wrap inside a chunk and at a chunk's edge
     grid = _simplex_grid(0.25)
     rows = 2 * len(grid)
     directions = np.arange(rows * 3, dtype=float).reshape(rows, 3)
     for chunk in (7, 15, 4096):
         chunks = [directions[i : i + chunk] for i in range(0, rows, chunk)]
-        pairs = list(_paired(grid, rows, chunks))
-        assert [id(b) for _, b in pairs] == [id(b) for b in chunks]
+        pairs = list(_zipped_rows(chain(_row_chunks(grid), _row_chunks(grid)), chunks))
+        assert [len(a) for a, _ in pairs] == [len(b) for b in chunks]
+        assert all(np.shares_memory(b, chunk) for (_, b), chunk in zip(pairs, chunks))
         a = np.concatenate([a for a, _ in pairs])
         assert a.tobytes() == grid[np.arange(rows) % len(grid)].tobytes()
     # a chunk inside one pass over the grid is a view of it, not a copy
-    first, _ = next(_paired(grid, rows, [directions[:7]]))
+    first, _ = next(_zipped_rows(_row_chunks(grid), [directions[:7]]))
     assert np.shares_memory(first, grid)
+
+
+def test_zipped_rows_pairs_aligned_chunks_as_views():
+    rows = np.arange(60, dtype=float).reshape(20, 3)
+    a_chunks = [rows[:8], rows[8:16], rows[16:]]
+    b_chunks = [c + 100.0 for c in a_chunks]
+    pairs = list(_zipped_rows(a_chunks, b_chunks))
+    assert len(pairs) == 3
+    for (a, b), a_chunk, b_chunk in zip(pairs, a_chunks, b_chunks):
+        assert a.tobytes() == a_chunk.tobytes() and np.shares_memory(a, a_chunk)
+        assert b.tobytes() == b_chunk.tobytes() and np.shares_memory(b, b_chunk)
+
+
+def test_zipped_rows_stops_at_the_shorter_stream_and_draws_the_longer_to_its_end():
+    rows = np.arange(60, dtype=float).reshape(20, 3)
+    drawn = []
+
+    def b_chunks():
+        for start in range(0, 20, 6):
+            drawn.append(start)
+            yield rows[start : start + 6] + 100.0
+
+    # 9 rows of a, in chunks that end inside b's first and second chunks
+    pairs = list(_zipped_rows([rows[:4], rows[4:9]], b_chunks()))
+    assert drawn == [0, 6, 12, 18]  # every chunk of b was drawn
+    assert [(len(a), len(b)) for a, b in pairs] == [(6, 6), (3, 3)]
+    assert np.concatenate([a for a, _ in pairs]).tobytes() == rows[:9].tobytes()
+    assert np.concatenate([b for _, b in pairs]).tobytes() == (rows[:9] + 100.0).tobytes()
+    # the b stream shorter than a: a's extra rows are never paired
+    pairs = list(_zipped_rows([rows], [rows[:5], rows[5:7]]))
+    assert [(len(a), len(b)) for a, b in pairs] == [(5, 5), (2, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +536,8 @@ class _NoNumpy:
 @pytest.mark.parametrize(
     "call, message",
     [
-        # the grid holds all of its refinements * 3 floats at once, the
-        # sampler a sixth of its samples * q: the grid's cap is a sixth
+        # the grid's cap is a sixth of the sampler's; it bounds time only,
+        # since the refinements are streamed a chunk at a time
         (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=10**8),
          "refinements * 3 must be at most 1666666, got 300000000"),
         (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_556),

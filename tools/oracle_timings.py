@@ -18,6 +18,7 @@ faster evaluation of the drawn rows leaves.
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import sys
 import timeit
@@ -65,11 +66,20 @@ CALLS["table --q-max 1000 --format csv"] = _table
 
 
 class _TimedDraws:
-    """A numpy Generator whose methods add the time they take to ``spent``."""
+    """A numpy Generator whose methods add the time they take to ``spent``.
 
-    def __init__(self, rng: np.random.Generator) -> None:
+    Each one, copies included, is listed in ``generators``.
+    """
+
+    def __init__(self, rng: np.random.Generator, generators: list) -> None:
         self._rng = rng
+        self._generators = generators
         self.spent = 0.0
+        generators.append(self)
+
+    def __deepcopy__(self, memo: dict) -> _TimedDraws:
+        # the q=3 grid draws its refinements' first side again from a copy
+        return _TimedDraws(copy.deepcopy(self._rng, memo), self._generators)
 
     def __getattr__(self, name: str):
         draw = getattr(self._rng, name)
@@ -89,8 +99,7 @@ def draw_time(call) -> float:
     default_rng, generators = np.random.default_rng, []
 
     def timed_rng(seed):
-        generators.append(_TimedDraws(default_rng(seed)))
-        return generators[-1]
+        return _TimedDraws(default_rng(seed), generators)
 
     best = float("inf")
     with mock.patch.object(np.random, "default_rng", timed_rng):
