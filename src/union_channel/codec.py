@@ -37,7 +37,9 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator, Sequence
 
-from .entropy import DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet, check_int
+from .entropy import (
+    DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet, check_int, check_seed,
+)
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255
@@ -706,9 +708,7 @@ def simulate(
         raise ValueError(f"need at least one trial, got {trials!r}")
     if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be an int in [1, {MAX_WORKERS}], got {workers!r}")
-    # random.Random seeds with abs(x), so seed -3 would draw trial 0 of seed 3
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+    check_seed(seed)
     jobs = [(params, seed, t) for t in range(trials)]
     processes = min(workers, trials)
     if processes == 1:

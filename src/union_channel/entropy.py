@@ -16,6 +16,18 @@ PROB_TOL = 1e-12
 # when the caller gives none
 DEFAULT_SEED = 0x5EED
 
+
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` is an int >= 0.
+
+    ``random.Random`` seeds with abs(x), so seed -3 would draw trial 0 of
+    seed 3; numpy would draw from the OS's entropy for None, and refuse a
+    float or a negative seed with its own errors.
+    """
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
+
+
 ProbVector = Sequence[float]
 
 

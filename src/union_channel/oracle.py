@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 
-from .entropy import DEFAULT_SEED, check_alphabet, check_int, entropy_q, validate_pmf
+from .entropy import (
+    DEFAULT_SEED, check_alphabet, check_int, check_seed, entropy_q, validate_pmf,
+)
 
 
 class _Numpy:
@@ -220,8 +222,9 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
 
 # rows per numpy pass: the searches draw and evaluate their candidate rows
 # this many at a time. Only the sampler's independent batches hold a side
-# whole (_gathered), so its memory grows with the sample count; the grids
-# hold none of their draws (the q=3 grid still holds its simplex grid)
+# whole (a list of its drawn chunks), so its memory grows with the sample
+# count; the grids hold none of their draws (the q=3 grid still holds its
+# simplex grid)
 _CHUNK_ROWS = 4096
 
 # the most values one sampler call may draw, samples * q; its side a holds a
@@ -315,16 +318,6 @@ def _drawn_unit_rows(
     """
     for start in range(0, rows, _CHUNK_ROWS):
         yield _unit_rows(draw(size=(min(_CHUNK_ROWS, rows - start), width)))
-
-
-def _gathered(chunks: Iterable[np.ndarray], rows: int, width: int) -> np.ndarray:
-    """The rows of ``chunks`` (at most ``rows`` of ``width`` entries) in one array."""
-    out = np.empty((rows, width))
-    end = 0
-    for chunk in chunks:
-        out[end : end + len(chunk)] = chunk
-        end += len(chunk)
-    return out[:end]
 
 
 def _zipped_rows(
@@ -487,7 +480,7 @@ def _grid_q3(
     # local refinements: jitter both incumbent rows. Side a's draws come
     # before side b's; rather than hold side a, skip its draws on rng and
     # draw them again from a copy taken before them, beside side b
-    value, a_best, b_best = best
+    _, a_best, b_best = best
     scale = 2.0 * resolution
     replay = copy.deepcopy(rng)
     skipped = np.empty((min(_CHUNK_ROWS, refinements), 3))
@@ -539,6 +532,7 @@ def grid_max_joint_entropy(
     directions and the local refinements around the incumbent. Without a
     ``resolution`` the grid takes its per-q default step.
     """
+    check_alphabet(q)
     if q not in GRID_QS:
         raise ValueError(f"grid search supports q in {set(GRID_QS)}, got {q}")
     if not 0.0 <= theta <= 1.0:
@@ -551,11 +545,14 @@ def grid_max_joint_entropy(
     if resolution < floor:
         raise ValueError(f"{refusal}; got {resolution!r}")
     check_int(refinements, "refinements")
+    if refinements < 0:
+        raise ValueError(f"refinements must be >= 0, got {refinements}")
     if refinements * 3 > MAX_SAMPLER_ENTRIES // 6:
         raise ValueError(
             f"refinements * 3 must be at most {MAX_SAMPLER_ENTRIES // 6}, "
             f"got {refinements * 3}"
         )
+    check_seed(seed)
     if q == 2:
         value, a, b = _grid_q2(theta, resolution)
     else:
@@ -583,6 +580,7 @@ def random_feasible_sampler(
         raise ValueError(
             f"samples * q must be at most {MAX_SAMPLER_ENTRIES}, got {samples * q}"
         )
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     per = max(1, samples // 6)  # per batch: each concentration symmetric, then not
 
@@ -594,8 +592,7 @@ def random_feasible_sampler(
             # values twice, as the q=3 refinements draw their normals, would
             # add a third to the draws, which are most of a sampler call
             yield _zipped_rows(
-                _row_chunks(_gathered(_drawn_unit_rows(draw, per, q), per, q)),
-                _drawn_unit_rows(draw, per, q),
+                list(_drawn_unit_rows(draw, per, q)), _drawn_unit_rows(draw, per, q)
             )
 
     best = _best_pair(chain.from_iterable(batches()), theta, q)

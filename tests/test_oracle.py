@@ -575,11 +575,33 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
         (lambda: two_level_point(3.0, 0.5, 1), "alphabet size must be an int, got 3.0"),
         (lambda: two_level_value(3, 0.5, 1.5), "r must be an int, got 1.5"),
+        # numpy would draw from the OS's entropy for None and take True as 1
+        (lambda: random_feasible_sampler(3, 0.5, 10, seed=None),
+         "seed must be an int >= 0, got None"),
+        (lambda: random_feasible_sampler(3, 0.5, 10, seed=True),
+         "seed must be an int >= 0, got True"),
+        (lambda: random_feasible_sampler(3, 0.5, 10, seed=1.5),
+         "seed must be an int >= 0, got 1.5"),
+        (lambda: random_feasible_sampler(3, 0.5, 10, seed="x"),
+         "seed must be an int >= 0, got 'x'"),
+        (lambda: random_feasible_sampler(3, 0.5, 10, seed=-1),
+         "seed must be an int >= 0, got -1"),
+        # the q=2 grid draws nothing, but takes the seed rule of every other draw
+        (lambda: grid_max_joint_entropy(2, 0.5, seed=None),
+         "seed must be an int >= 0, got None"),
+        (lambda: grid_max_joint_entropy(3, 0.5, seed=-1), "seed must be an int >= 0, got -1"),
+        # 2.0 == 2 is in GRID_QS, so the alphabet rule must come first
+        (lambda: grid_max_joint_entropy(2.0, 0.5), "alphabet size must be an int, got 2.0"),
+        (lambda: grid_max_joint_entropy(3, 0.5, refinements=-5),
+         "refinements must be >= 0, got -5"),
     ],
     ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
          "interpolate-negative-entry", "interpolate-unequal-lengths", "two_level-r",
          "two_level-theta", "monotonicity-theta", "sampler-samples-0", "envelope-theta",
-         "output_entropy-theta", "two_level-q", "two_level_value-r"],
+         "output_entropy-theta", "two_level-q", "two_level_value-r", "sampler-seed-None",
+         "sampler-seed-True", "sampler-seed-float", "sampler-seed-str",
+         "sampler-seed-negative", "grid-q2-seed-None", "grid-q3-seed-negative",
+         "grid-q-float", "grid-refinements-negative"],
 )
 def test_oracle_counts_that_are_not_ints_are_refused_before_numpy(
     monkeypatch, call, message
