@@ -52,6 +52,10 @@ class ProtocolViolation(RuntimeError):
     """An internal invariant of the block protocol failed."""
 
 
+def _not_a_sequence(name: str, value: object, items: str) -> ValueError:
+    return ValueError(f"{name} must be a sequence of {items}, got {type(value).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # Parameter feasibility
 
@@ -160,7 +164,7 @@ def resolution_digits(size: int, q: int) -> int:
 
 def pattern_count(q: int, n: int, m: int) -> int:
     """|S| = C(n, m) * q^(n-m), exact."""
-    check_int(q, "alphabet size")
+    check_alphabet(q, minimum=1)
     check_int(n, "n")
     check_int(m, "m")
     if not 0 <= m <= n:
@@ -171,7 +175,8 @@ def pattern_count(q: int, n: int, m: int) -> int:
 @lru_cache(maxsize=None)
 def _completions(q: int, n: int) -> tuple[tuple[int, ...], ...]:
     # table[n_rem][m_rem] = number of patterns over n_rem positions with m_rem
-    # stars; table[k][-1] (column n) is 0 for every k < n
+    # stars; table[k][-1] (column n) is 0 for every k < n. q=1 gives binomials
+    check_alphabet(q, minimum=1)  # run on a miss only; callers check q's type
     return tuple(
         tuple(
             math.comb(n_rem, m_rem) * q ** (n_rem - m_rem) if m_rem <= n_rem else 0
@@ -190,11 +195,9 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
     pattern space rarely repeat a rank; the codec goes through ``_pattern_at``.
     """
     # one test on the hot path; the named refusal only once it fails
-    if not type(rank) is type(q) is type(n) is type(m) is int:
-        for value, name in ((rank, "rank"), (q, "alphabet size"), (n, "n"), (m, "m")):
-            check_int(value, name)
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    if not type(rank) is type(q) is type(n) is type(m) is int or not 0 <= m <= n:
+        check_int(rank, "rank")
+        pattern_count(q, n, m)  # raises: it refuses each way the test can fail
     cnt = _completions(q, n)
     total = cnt[n][m]
     if not 0 <= rank < total:
@@ -217,6 +220,10 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
 
     One right-to-left pass; ``k`` positions and ``stars`` stars lie to the right.
     """
+    try:  # None, a set or a generator cannot be read right to left
+        symbols = reversed(pattern)
+    except TypeError:
+        raise _not_a_sequence("pattern", pattern, "symbols") from None
     # one test on the hot path, as in unrank_pattern: q and m before the
     # shared memo reads q (2.0 and 2 are one key), and the symbols' sum, an
     # int only if no symbol is a float or another non-int number; a symbol
@@ -226,14 +233,15 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
     except TypeError:
         ints = False
     if not ints:
-        check_int(q, "alphabet size")
+        check_alphabet(q, minimum=1)
         check_int(m, "m")
-        bad = next(s for s in reversed(pattern) if not isinstance(s, int))
-        raise ValueError(f"pattern symbol {bad!r} outside alphabet [1, {q}]")
+        bad = next(s for s in symbols if not isinstance(s, int))
+        rule = "is not an int" if hasattr(bad, "__index__") else f"outside alphabet [1, {q}]"
+        raise ValueError(f"pattern symbol {bad!r} {rule}")
     cnt = _completions(q, len(pattern))
     rank = 0
     stars = 0
-    for k, s in enumerate(reversed(pattern)):
+    for k, s in enumerate(symbols):
         if s == STAR:
             stars += 1
         elif 1 <= s <= q:
@@ -391,10 +399,12 @@ def new_session(
     digits = range(1, params.q + 1)
     stored = []
     for name, w in (("w1", w1), ("w2", w2)):
-        if len(w) != params.message_digits:
-            raise ValueError(
-                f"{name} must have {params.message_digits} digits, got {len(w)}"
-            )
+        try:
+            size = len(w)
+        except TypeError:  # None, or a generator
+            raise _not_a_sequence(name, w, "digits") from None
+        if size != params.message_digits:
+            raise ValueError(f"{name} must have {params.message_digits} digits, got {size}")
         try:  # a digit is valid iff it has __index__ and lies in [1, q]
             stored.append(bytes(iter(w)))
             valid = set(stored[-1]).issubset(digits)
@@ -559,6 +569,10 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     ints in [1, q], and for a transcript that no message pair can produce.
     """
     q, n, m = params.q, params.n, params.m
+    try:  # the walk back slices it: None, a deque or an iterator cannot be sliced
+        transcript[:0]
+    except (TypeError, KeyError):  # a dict takes the slice as a key from Python 3.12
+        raise _not_a_sequence("transcript", transcript, "outputs") from None
     table = _symbol_codes(q)
     try:  # the accepting path: C-level passes over the outputs and their elements
         codes = bytes(map(table.__getitem__, transcript))
@@ -567,14 +581,7 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     except (KeyError, TypeError):  # not a valid output, or not even hashable
         valid = False
     if not valid:  # find the first bad output to name it
-        try:
-            outputs = enumerate(transcript)
-        except TypeError:  # not a sequence at all
-            raise ValueError(
-                "transcript must be a sequence of outputs, "
-                f"got {type(transcript).__name__}"
-            ) from None
-        for pos, y in outputs:
+        for pos, y in enumerate(transcript):
             # a set or list equal to a valid output is refused too, not hashed,
             # and so is a frozenset holding a bool or a float equal to a digit
             if type(y) is frozenset and y in table and {*map(type, y)} == {int}:

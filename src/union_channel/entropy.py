@@ -1,9 +1,10 @@
-"""Shannon entropy primitives in base q and base 2, and a bisection root finder.
-
-Every probability input is validated (entries nonnegative, unit sum within
-``PROB_TOL``); inputs in this package come from closed forms, so a larger
-drift signals a bug upstream. The ``0 * log 0 = 0`` convention is applied
-by an explicit branch so degenerate distributions never produce a NaN.
+"""Shannon entropy primitives in base q and base 2, a bisection root finder,
+and the package's numeric input rules, each written once: an int, an alphabet
+size, a seed, an interval (``check_between``) and a probability vector (the
+one pass of :func:`grouped_entropy`, which ``validate_pmf`` runs). Entries must
+be nonnegative numbers summing to 1 within ``PROB_TOL``: inputs here come from
+closed forms, so a larger drift signals a bug upstream. An explicit branch
+applies ``0 * log 0 = 0``, so degenerate distributions never produce a NaN.
 """
 
 from __future__ import annotations
@@ -31,26 +32,9 @@ def check_seed(seed: int) -> None:
 ProbVector = Sequence[float]
 
 
-def _check_masses(negative: float | None, total: float) -> None:
-    """Refuse a vector by its first negative entry, else by its sum ``total``.
-
-    A NaN entry makes the sum NaN, which fails the sum test as written.
-    """
-    if negative is not None:
-        raise ValueError(f"negative probability entry {negative!r}")
-    if not abs(total - 1.0) <= PROB_TOL:
-        raise ValueError(f"probabilities sum to {total!r}, expected 1 within {PROB_TOL}")
-
-
 def validate_pmf(probs: ProbVector) -> None:
     """Raise ValueError unless ``probs`` is a probability vector."""
-    negative, total = None, 0.0
-    for p in probs:
-        if p < 0.0:
-            negative = p
-            break
-        total += p
-    _check_masses(negative, total)
+    grouped_entropy(((p, 1) for p in probs), 2)
 
 
 def check_int(value: int, name: str) -> None:
@@ -69,6 +53,21 @@ def check_alphabet(q: int, minimum: int = 2) -> None:
         raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 
 
+def check_between(
+    value: float, lo: float, hi: float, shown: str, name: str = "theta", open_lo: bool = False
+) -> None:
+    """Raise ValueError unless lo <= value <= hi (lo < value if ``open_lo``).
+
+    ``shown`` is the interval as printed; a str, None or NaN is refused too.
+    """
+    try:
+        inside = lo < value <= hi if open_lo else lo <= value <= hi
+    except TypeError:
+        inside = False
+    if not inside:
+        raise ValueError(f"{name} must lie in {shown}, got {value!r}")
+
+
 def entropy_q(probs: ProbVector, q: int) -> float:
     """Base-q Shannon entropy -sum(p * log_q p) of a probability vector."""
     return grouped_entropy(((p, 1) for p in probs), q)
@@ -79,27 +78,33 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
 
     Each mass is split uniformly over ``multiplicity`` equal cells, so the
     result equals ``-sum(m_i * log_q(m_i / r_i))`` without expanding the
-    vector. One pass checks and sums; a bad multiplicity anywhere is
-    refused before a negative mass, and a negative mass before the sum.
+    vector. This one pass is the package's mass check: a multiplicity that
+    is not an int >= 1, or a mass that is not a number, is refused where the
+    pass meets it; then the first negative mass, then the sum.
     """
     check_alphabet(q)
     negative, mass, total = None, 0.0, 0.0
     for m, r in masses:
-        if r != int(r) or r < 1:
+        if type(r) is not int or r < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {r!r}")
-        if m > 0.0:
-            total += m * math.log(m / r)
-        elif m < 0.0 and negative is None:
-            negative = m
-        mass += m
-    _check_masses(negative, mass)
+        try:
+            if m > 0.0:
+                total += m * math.log(m / r)
+            elif m < 0.0 and negative is None:
+                negative = m
+            mass += m
+        except TypeError:
+            raise ValueError(f"probability entry {m!r} is not a number") from None
+    if negative is not None:
+        raise ValueError(f"negative probability entry {negative!r}")
+    if not abs(mass - 1.0) <= PROB_TOL:  # so is a NaN entry, which makes the sum NaN
+        raise ValueError(f"probabilities sum to {mass!r}, expected 1 within {PROB_TOL}")
     return -total / math.log(q)
 
 
 def binary_entropy(p: float) -> float:
     """Binary entropy H_b(p) in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binary entropy argument must lie in [0, 1], got {p!r}")
+    check_between(p, 0.0, 1.0, "[0, 1]", "binary entropy argument")
     total = 0.0
     if p > 0.0:
         total += p * math.log2(p)

@@ -14,11 +14,12 @@ import copy
 import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
+from operator import add, mul
 
 from .entropy import (
-    DEFAULT_SEED, check_alphabet, check_int, check_seed, entropy_q, validate_pmf,
+    DEFAULT_SEED, check_alphabet, check_between, check_int, check_seed, entropy_q, validate_pmf,
 )
 
 
@@ -55,7 +56,7 @@ class FeasiblePair:
     def __post_init__(self) -> None:
         validate_pmf(self.a)
         validate_pmf(self.b)
-        actual = sum(x * y for x, y in zip(self.a, self.b))
+        actual = reduce(add, map(mul, self.a, self.b), 0.0)  # sum() compensates from 3.12
         if not abs(actual - self.theta) <= _IP_TOL:  # a NaN theta fails too
             raise ValueError(
                 f"inner product {actual!r} differs from theta {self.theta!r}"
@@ -97,12 +98,9 @@ def interpolate_to_theta(
     q = len(a)
     validate_pmf(a)
     validate_pmf(b)
-    theta0 = sum(x * y for x, y in zip(a, b))
+    theta0 = reduce(add, map(mul, a, b), 0.0)
     lo, hi = min(theta0, 1.0 / q), max(theta0, 1.0 / q)
-    if not lo - _IP_TOL <= theta_target <= hi + _IP_TOL:
-        raise ValueError(
-            f"theta {theta_target!r} not between inner product {theta0!r} and 1/q"
-        )
+    check_between(theta_target, lo - _IP_TOL, hi + _IP_TOL, f"[{lo!r}, {hi!r}]")
     ap, bp = _interpolate(
         np.array([theta0]), theta_target, q,
         np.array([a], dtype=float), np.array([b], dtype=float),
@@ -127,10 +125,8 @@ def two_level_point(q: int, theta: float, r: int) -> TwoLevelPoint | None:
     """Solve r*a + s*b = 1, r*a^2 + s*b^2 = theta with a >= b; None if b < 0."""
     check_alphabet(q)
     check_int(r, "r")
-    if not 1 <= r <= q - 1:
-        raise ValueError(f"r must lie in [1, {q - 1}], got {r}")
-    if not 1.0 / q <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/{q}, 1], got {theta!r}")
+    check_between(r, 1, q - 1, f"[1, {q - 1}]", "r")
+    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
     p = theta * q - 1.0
     s = q - r
     root = math.sqrt(max(r * s * p, 0.0))
@@ -181,8 +177,7 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
     check_int(grid_points, "grid_points")
     if grid_points < 1:
         raise ValueError(f"need at least one grid point, got {grid_points}")
-    if not 1.0 / q < theta <= 1.0:
-        raise ValueError(f"theta must lie in (1/{q}, 1], got {theta!r}")
+    check_between(theta, 1.0 / q, 1.0, f"(1/{q}, 1]", open_lo=True)
     p = theta * q - 1.0
     step = (1.0 - 2.0 / q) / max(grid_points - 1, 1)
     ts, values, ratios = [], [], []
@@ -535,13 +530,11 @@ def grid_max_joint_entropy(
     check_alphabet(q)
     if q not in GRID_QS:
         raise ValueError(f"grid search supports q in {set(GRID_QS)}, got {q}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
+    check_between(theta, 0.0, 1.0, "[0, 1]")
     default, floor, refusal = _GRID_STEPS[q]
     if resolution is None:
         resolution = default
-    if not 0.0 < resolution <= 0.5:
-        raise ValueError(f"resolution must lie in (0, 0.5], got {resolution!r}")
+    check_between(resolution, 0.0, 0.5, "(0, 0.5]", "resolution", open_lo=True)
     if resolution < floor:
         raise ValueError(f"{refusal}; got {resolution!r}")
     check_int(refinements, "refinements")
@@ -572,8 +565,7 @@ def random_feasible_sampler(
     """
     check_alphabet(q)
     check_int(samples, "samples")
-    if not 1.0 / q <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [1/{q}, 1], got {theta!r}")
+    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if samples * q > MAX_SAMPLER_ENTRIES:

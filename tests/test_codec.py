@@ -8,7 +8,7 @@ import re
 import time
 import tracemalloc
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
 
@@ -143,6 +143,10 @@ def test_pattern_errors():
         rank_pattern((STAR, 3), 2, 1)
 
 
+# the outputs of w1=(1, 2), w2=(2, 2) at q=2, n=3, m=2, one block; as a list they decode
+_TRANSCRIPT = [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})]
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -170,12 +174,35 @@ def test_pattern_errors():
          "transcript must be a sequence of outputs, got NoneType"),
         (lambda: decode_transcript(CodeParams(2, 3, 2, 1), 5),
          "transcript must be a sequence of outputs, got int"),
+        # the walk back slices the transcript: both raised a TypeError there, the
+        # iterator after the accepting path had read it whole and passed it
+        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), deque(_TRANSCRIPT)),
+         "transcript must be a sequence of outputs, got deque"),
+        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), iter(_TRANSCRIPT)),
+         "transcript must be a sequence of outputs, got list_iterator"),
+        (lambda: new_session(CodeParams(2, 3, 2, 1), None, [1, 2]),
+         "w1 must be a sequence of digits, got NoneType"),
+        (lambda: new_session(CodeParams(2, 3, 2, 1), [1, 2], (d for d in [1, 2])),
+         "w2 must be a sequence of digits, got generator"),
+        (lambda: rank_pattern(None, 2, 1), "pattern must be a sequence of symbols, got NoneType"),
+        (lambda: rank_pattern({0, 1}, 2, 1), "pattern must be a sequence of symbols, got set"),
+        (lambda: rank_pattern((s for s in (0, 1)), 2, 1),
+         "pattern must be a sequence of symbols, got generator"),
+        (lambda: rank_pattern((0, _numpy_array(1, "int64")[()]), 2, 1),
+         "pattern symbol np.int64(1) is not an int"),
+        # q=1 is the codec's binomial table; below it pattern_count returned 12
+        (lambda: pattern_count(-2, 3, 1), "alphabet size must be at least 1, got -2"),
+        (lambda: unrank_pattern(0, -1, 2, 0), "alphabet size must be at least 1, got -1"),
+        (lambda: rank_pattern((0, 1), 0, 1), "alphabet size must be at least 1, got 0"),
     ],
     ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
          "best_params-n_max", "resolution_digits-size-0", "pattern_count-m-above-n",
          "unrank-m-above-n", "advance-output-count", "best_params-n_max-0", "rank-m",
          "rank-float-symbol", "rank-float-star", "rank-str-symbol", "rank-None-symbol",
-         "peak-n", "peak-m-below-half-n", "peak-m-above-n", "decode-None", "decode-int"],
+         "peak-n", "peak-m-below-half-n", "peak-m-above-n", "decode-None", "decode-int",
+         "decode-deque", "decode-iterator", "session-None", "session-generator",
+         "rank-None", "rank-set", "rank-generator", "rank-numpy-symbol",
+         "pattern_count-q-negative", "unrank-q-negative", "rank-q-0"],
 )
 def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
     with pytest.raises(ValueError) as info:

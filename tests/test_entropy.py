@@ -60,6 +60,35 @@ def test_grouped_rejects_bad_multiplicity():
         grouped_entropy([(0.5, 2), (0.5, 1.5)], 3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # inf once raised an OverflowError from int(), NaN int()'s own ValueError,
+        # None a TypeError; 2.0 and True were taken as the ints they equal
+        (lambda: grouped_entropy([(1.0, math.inf)], 2),
+         "multiplicity must be a positive integer, got inf"),
+        (lambda: grouped_entropy([(1.0, math.nan)], 2),
+         "multiplicity must be a positive integer, got nan"),
+        (lambda: grouped_entropy([(1.0, None)], 2),
+         "multiplicity must be a positive integer, got None"),
+        (lambda: grouped_entropy([(0.5, 2.0), (0.5, 1)], 2),
+         "multiplicity must be a positive integer, got 2.0"),
+        (lambda: grouped_entropy([(0.5, True), (0.5, 1)], 2),
+         "multiplicity must be a positive integer, got True"),
+        (lambda: entropy_q([None, 1.0], 2), "probability entry None is not a number"),
+        (lambda: entropy_q([0.5, "0.5"], 2), "probability entry '0.5' is not a number"),
+        (lambda: binary_entropy(None), "binary entropy argument must lie in [0, 1], got None"),
+        (lambda: binary_entropy("x"), "binary entropy argument must lie in [0, 1], got 'x'"),
+    ],
+    ids=["multiplicity-inf", "multiplicity-nan", "multiplicity-None", "multiplicity-float",
+         "multiplicity-bool", "entry-None", "entry-str", "binary-None", "binary-str"],
+)
+def test_inputs_that_are_not_numbers_are_refused_in_one_line(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_grouped_refuses_in_a_fixed_order():
     # the alphabet, then a bad multiplicity anywhere, then a negative mass, then the sum
     with pytest.raises(ValueError, match="alphabet size"):

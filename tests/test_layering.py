@@ -47,3 +47,35 @@ def test_internal_imports_are_exactly_the_declared_layers():
         if path.stem != "__init__"
     }
     assert actual == EXPECTED_IMPORTS
+
+
+def _message_texts(path: Path) -> list[str]:
+    """The string constants of a module, f-string parts included, without docstrings."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and id(node) not in docstrings
+    ]
+
+
+def test_interval_refusals_are_written_only_in_entropy():
+    # every "x must lie in [lo, hi]" refusal goes through entropy.check_between,
+    # so a value that is not a number meets the same one-line refusal everywhere
+    assert any("must lie in" in text for text in _message_texts(PACKAGE_DIR / "entropy.py"))
+    written = {
+        path.stem
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "entropy"
+        and any("must lie in" in text for text in _message_texts(path))
+    }
+    assert written == set()

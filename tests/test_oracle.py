@@ -7,7 +7,9 @@ import pytest
 
 from union_channel import (
     concave_envelope,
+    cover_leung_witness,
     entropy_q,
+    envelope_line,
     grid_max_joint_entropy,
     interpolate_to_theta,
     max_joint_entropy,
@@ -64,6 +66,24 @@ def test_interpolate_rejects_unreachable_target():
         interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.95)  # above theta0
     with pytest.raises(ValueError):
         interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.3)  # below 1/q
+
+
+def test_inner_products_add_left_to_right():
+    # from Python 3.12 on, sum() of floats is compensated: for this pair it gives
+    # 0.36496814496527114, so the refusals and interpolate_to_theta's theta0
+    # would depend on the Python version
+    a = (0.396775054713128, 0.559235060792343, 0.043989884494529057)
+    b = (0.08727436926353717, 0.5632059660208322, 0.3495196647156306)
+    inner = 0.0
+    for x, y in zip(a, b):
+        inner += x * y
+    assert repr(inner) == "0.3649681449652712"
+    with pytest.raises(ValueError) as info:
+        interpolate_to_theta(a, b, 0.9)
+    assert str(info.value) == f"theta must lie in [{1 / 3!r}, {inner!r}], got 0.9"
+    with pytest.raises(ValueError) as info:
+        FeasiblePair(a, b, 0.9)
+    assert str(info.value) == f"inner product {inner!r} differs from theta 0.9"
 
 
 def test_feasible_pair_validates_inner_product():
@@ -594,6 +614,24 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: grid_max_joint_entropy(2.0, 0.5), "alphabet size must be an int, got 2.0"),
         (lambda: grid_max_joint_entropy(3, 0.5, refinements=-5),
          "refinements must be >= 0, got -5"),
+        # a value that is not a number fails the interval rule, not a comparison
+        (lambda: max_joint_entropy("0.5", 3), "theta must lie in [1/3, 1], got '0.5'"),
+        (lambda: output_entropy(None, 3), "theta must lie in [0, 1], got None"),
+        (lambda: concave_envelope("x", 3), "theta must lie in [1/3, 1], got 'x'"),
+        (lambda: envelope_line(None, 3), "theta must lie in [1/3, 0.5], got None"),
+        (lambda: cover_leung_witness(3, "0.4"), "theta must lie in [1/3, 2/4], got '0.4'"),
+        (lambda: two_level_point(3, None, 1), "theta must lie in [1/3, 1], got None"),
+        (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in (1/3, 1], got 'x'"),
+        (lambda: grid_max_joint_entropy(3, None), "theta must lie in [0, 1], got None"),
+        (lambda: grid_max_joint_entropy(3, 0.5, "0.1"),
+         "resolution must lie in (0, 0.5], got '0.1'"),
+        (lambda: random_feasible_sampler(3, "x", 10), "theta must lie in [1/3, 1], got 'x'"),
+        (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0), "x"),
+         "theta must lie in [0.5, 0.5], got 'x'"),
+        (lambda: interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.95),
+         "theta must lie in [0.5, 0.8200000000000001], got 0.95"),
+        (lambda: interpolate_to_theta((0.5, "x"), (0.5, 0.5), 0.5),
+         "probability entry 'x' is not a number"),
     ],
     ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
          "interpolate-negative-entry", "interpolate-unequal-lengths", "two_level-r",
@@ -601,7 +639,11 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
          "output_entropy-theta", "two_level-q", "two_level_value-r", "sampler-seed-None",
          "sampler-seed-True", "sampler-seed-float", "sampler-seed-str",
          "sampler-seed-negative", "grid-q2-seed-None", "grid-q3-seed-negative",
-         "grid-q-float", "grid-refinements-negative"],
+         "grid-q-float", "grid-refinements-negative", "max_joint_entropy-theta-str",
+         "output_entropy-theta-None", "envelope-theta-str", "envelope_line-theta-None",
+         "witness-theta-str", "two_level-theta-None", "monotonicity-theta-str",
+         "grid-theta-None", "grid-resolution-str", "sampler-theta-str",
+         "interpolate-theta-str", "interpolate-theta-above", "interpolate-entry-str"],
 )
 def test_oracle_counts_that_are_not_ints_are_refused_before_numpy(
     monkeypatch, call, message
