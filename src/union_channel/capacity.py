@@ -9,9 +9,9 @@ maximum over theta in [1/q, 2/(q+1)] of half the minimum of two curves:
   the q singletons share mass theta and the C(q, 2) pairs share the rest).
 
 Which curve binds at the optimum depends on q, decided at runtime by the
-sign of :func:`case_discriminant`: the two curves cross for q = 2, the
-envelope's chord crosses the output curve for q = 3 and 4, and from q = 5
-on the output curve's own peak at 2/(q+1) is the bottleneck.
+sign of :func:`case_discriminant`: for q = 2, 3, 4 one bisection meets the
+output curve with :func:`concave_envelope` (the curve at q = 2, its chord at
+q = 3, 4), and from q = 5 on the output curve's own peak at 2/(q+1) binds.
 """
 
 from __future__ import annotations
@@ -143,24 +143,18 @@ def avg_feedback_capacity(q: int) -> CapacityReport:
     """Symmetric capacity with feedback, with the maximizer and case taken.
 
     The case split is decided by the computed sign of the discriminant, not
-    by a table of alphabet sizes; roots are found by bisection on the
-    interval [1/q, 2/(q+1)] whose endpoints have opposite signs by the
-    monotonicity of the two curves.
+    by a table of alphabet sizes; the envelope's crossing is found by bisection
+    on [1/q, 2/(q+1)], whose endpoints have opposite signs by the monotonicity
+    of the two curves.
     """
     check_alphabet(q)
     hi = 2.0 / (q + 1)
-    if q == 2:
+    if q == 2 or case_discriminant(q) < 0:
         theta_star = bisect_root(
-            lambda t: max_joint_entropy(t, 2) - output_entropy(t, 2), 0.5, hi
+            lambda t: concave_envelope(t, q).value - output_entropy(t, q), 1.0 / q, hi
         )
-        r = 0.5 * max_joint_entropy(theta_star, 2)
-        case = CASE_CURVE_INTERSECTION
-    elif case_discriminant(q) < 0:
-        theta_star = bisect_root(
-            lambda t: envelope_line(t, q) - output_entropy(t, q), 1.0 / q, hi
-        )
-        r = 0.5 * envelope_line(theta_star, q)
-        case = CASE_CHORD_INTERSECTION
+        r = 0.5 * concave_envelope(theta_star, q).value
+        case = CASE_CURVE_INTERSECTION if q == 2 else CASE_CHORD_INTERSECTION
     else:
         theta_star = hi
         r = 0.5 * math.log(math.comb(q + 1, 2)) / math.log(q)

@@ -38,7 +38,7 @@ from itertools import chain, product
 from typing import Iterator, Sequence
 
 from .entropy import (
-    DEFAULT_SEED, binary_entropy, bisect_root, check_alphabet, check_int, check_seed,
+    DEFAULT_SEED, bisect_root, check_alphabet, check_int, check_seed, unchecked_binary_entropy,
 )
 
 STAR = 0
@@ -770,11 +770,11 @@ def rate_root(q: int) -> float:
 
     The left side is strictly decreasing there, so the root is unique; it is
     the asymptotic rate of the scheme and a lower bound on the zero-error
-    feedback rate.
+    feedback rate. Its steps lie in [1/2, 1] and skip ``binary_entropy``'s check.
     """
     check_alphabet(q)
     lg = math.log2(q)
-    return bisect_root(lambda a: binary_entropy(a) + (1.0 - a) * lg - 1.0, 0.5, 1.0)
+    return bisect_root(lambda a: unchecked_binary_entropy(a) + (1.0 - a) * lg - 1.0, 0.5, 1.0)
 
 
 def asymptotic_rate_lower_bound(q: int) -> float:

@@ -10,6 +10,7 @@ applies ``0 * log 0 = 0``, so degenerate distributions never produce a NaN.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
 PROB_TOL = 1e-12
@@ -34,7 +35,7 @@ ProbVector = Sequence[float]
 
 def validate_pmf(probs: ProbVector) -> None:
     """Raise ValueError unless ``probs`` is a probability vector."""
-    grouped_entropy(((p, 1) for p in probs), 2)
+    entropy_q(probs, 2)
 
 
 def check_int(value: int, name: str) -> None:
@@ -48,8 +49,8 @@ def check_int(value: int, name: str) -> None:
 
 def check_alphabet(q: int, minimum: int = 2) -> None:
     """Raise ValueError unless the alphabet size ``q`` is an int >= ``minimum``."""
-    check_int(q, "alphabet size")
-    if q < minimum:
+    if type(q) is not int or q < minimum:  # one test on the path every caller takes
+        check_int(q, "alphabet size")
         raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 
 
@@ -70,7 +71,11 @@ def check_between(
 
 def entropy_q(probs: ProbVector, q: int) -> float:
     """Base-q Shannon entropy -sum(p * log_q p) of a probability vector."""
-    return grouped_entropy(((p, 1) for p in probs), q)
+    try:
+        units = zip(probs, repeat(1))
+    except TypeError:  # not an iterable: grouped_entropy refuses it
+        units = probs
+    return grouped_entropy(units, q)
 
 
 def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
@@ -78,13 +83,24 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
 
     Each mass is split uniformly over ``multiplicity`` equal cells, so the
     result equals ``-sum(m_i * log_q(m_i / r_i))`` without expanding the
-    vector. This one pass is the package's mass check: a multiplicity that
-    is not an int >= 1, or a mass that is not a number, is refused where the
-    pass meets it; then the first negative mass, then the sum.
+    vector. This one pass is the package's mass check: an input that is not
+    an iterable, a group that is not a pair, a multiplicity that is not an
+    int >= 1, or a mass that is not a number, is refused where the pass meets
+    it; then the first negative mass, then the sum.
     """
     check_alphabet(q)
     negative, mass, total = None, 0.0, 0.0
-    for m, r in masses:
+    try:
+        groups = iter(masses)
+    except TypeError:
+        raise ValueError(f"probabilities must be an iterable, got {masses!r}") from None
+    for group in groups:
+        try:
+            m, r = group
+        except (TypeError, ValueError):
+            raise ValueError(f"probability group must be a (mass, multiplicity) pair, "
+                             f"got {group!r}") from None
+        del group  # so entropy_q's zip can reuse its pair tuple
         if type(r) is not int or r < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {r!r}")
         try:
@@ -105,6 +121,11 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
 def binary_entropy(p: float) -> float:
     """Binary entropy H_b(p) in bits."""
     check_between(p, 0.0, 1.0, "[0, 1]", "binary entropy argument")
+    return unchecked_binary_entropy(p)
+
+
+def unchecked_binary_entropy(p: float) -> float:
+    """:func:`binary_entropy` without its input check, for p known to lie in [0, 1]."""
     total = 0.0
     if p > 0.0:
         total += p * math.log2(p)

@@ -93,11 +93,11 @@ def interpolate_to_theta(
 
     The target must lie between a.b and 1/q; see :func:`_interpolate`.
     """
+    validate_pmf(a)
+    validate_pmf(b)
     if len(a) != len(b):
         raise ValueError("a and b must have equal lengths")
     q = len(a)
-    validate_pmf(a)
-    validate_pmf(b)
     theta0 = reduce(add, map(mul, a, b), 0.0)
     lo, hi = min(theta0, 1.0 / q), max(theta0, 1.0 / q)
     check_between(theta_target, lo - _IP_TOL, hi + _IP_TOL, f"[{lo!r}, {hi!r}]")

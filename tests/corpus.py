@@ -71,6 +71,8 @@ def _cases() -> dict[str, Case]:
         # many blocks, so the true index is tracked far past the README's B=3
         "codec --q 2 --n 12 --m 9 --B 200 --trials 3 --seed 1 --format jsonl",
         "codec --q 3 --n 10 --m 7 --B 20 --trials 50 --seed 1 --format csv",
+        # the benchmark's table, whose sha256 perfbench/pins.json also holds
+        "table --q-max 1000 --format csv",
     ]
     cases = {argv: Case(partial(_stdout, argv), argv.startswith("lemma ")) for argv in argvs}
     for q in range(2, 13):

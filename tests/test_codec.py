@@ -1191,6 +1191,17 @@ def test_rate_root_is_a_root_and_dominates_asymptotic_bound():
         assert r >= asymptotic_rate_lower_bound(q)
 
 
+def test_rate_root_has_the_bits_of_the_checked_objective():
+    # rate_root's steps skip binary_entropy's input check; the root must not move
+    from union_channel import binary_entropy
+    from union_channel.entropy import bisect_root
+
+    for q in range(2, 2001):
+        lg = math.log2(q)
+        checked = bisect_root(lambda a: binary_entropy(a) + (1.0 - a) * lg - 1.0, 0.5, 1.0)
+        assert rate_root(q).hex() == checked.hex(), q
+
+
 def test_best_params_includes_n17_m13():
     choices = best_params(2, 17)
     assert any(c.n == 17 and c.m == 13 for c in choices)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import union_channel as uc
 from union_channel import binary_entropy, entropy_q, grouped_entropy
-from union_channel.entropy import bisect_root
+from union_channel.entropy import bisect_root, validate_pmf
 
 
 def test_uniform_has_unit_entropy():
@@ -79,9 +79,19 @@ def test_grouped_rejects_bad_multiplicity():
         (lambda: entropy_q([0.5, "0.5"], 2), "probability entry '0.5' is not a number"),
         (lambda: binary_entropy(None), "binary entropy argument must lie in [0, 1], got None"),
         (lambda: binary_entropy("x"), "binary entropy argument must lie in [0, 1], got 'x'"),
+        # each once raised Python's own TypeError or ValueError
+        (lambda: entropy_q(None, 2), "probabilities must be an iterable, got None"),
+        (lambda: validate_pmf(3), "probabilities must be an iterable, got 3"),
+        (lambda: grouped_entropy(None, 2), "probabilities must be an iterable, got None"),
+        (lambda: grouped_entropy([0.5, 0.5], 2),
+         "probability group must be a (mass, multiplicity) pair, got 0.5"),
+        (lambda: grouped_entropy([(0.5, 1, 7)], 2),
+         "probability group must be a (mass, multiplicity) pair, got (0.5, 1, 7)"),
     ],
     ids=["multiplicity-inf", "multiplicity-nan", "multiplicity-None", "multiplicity-float",
-         "multiplicity-bool", "entry-None", "entry-str", "binary-None", "binary-str"],
+         "multiplicity-bool", "entry-None", "entry-str", "binary-None", "binary-str",
+         "entropy_q-None", "validate_pmf-int", "grouped-None", "grouped-float-entries",
+         "grouped-triple"],
 )
 def test_inputs_that_are_not_numbers_are_refused_in_one_line(call, message):
     with pytest.raises(ValueError) as info:

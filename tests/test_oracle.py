@@ -587,6 +587,9 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
          "negative probability entry -0.5"),
         (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0, 0.0), 0.5),
          "a and b must have equal lengths"),
+        # len() of a float once raised Python's own TypeError
+        (lambda: interpolate_to_theta(0.5, (0.5, 0.5), 0.5),
+         "probabilities must be an iterable, got 0.5"),
         (lambda: two_level_point(3, 0.5, 0), "r must lie in [1, 2], got 0"),
         (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/3, 1], got 0.2"),
         (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in (1/3, 1], got 0.3"),
@@ -634,7 +637,8 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
          "probability entry 'x' is not a number"),
     ],
     ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
-         "interpolate-negative-entry", "interpolate-unequal-lengths", "two_level-r",
+         "interpolate-negative-entry", "interpolate-unequal-lengths",
+         "interpolate-float-a", "two_level-r",
          "two_level-theta", "monotonicity-theta", "sampler-samples-0", "envelope-theta",
          "output_entropy-theta", "two_level-q", "two_level_value-r", "sampler-seed-None",
          "sampler-seed-True", "sampler-seed-float", "sampler-seed-str",
