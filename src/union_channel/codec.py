@@ -52,8 +52,8 @@ class ProtocolViolation(RuntimeError):
     """An internal invariant of the block protocol failed."""
 
 
-def _not_a_sequence(name: str, value: object, items: str) -> ValueError:
-    return ValueError(f"{name} must be a sequence of {items}, got {type(value).__name__}")
+def _wrong_type(name: str, value: object, expected: str) -> ValueError:
+    return ValueError(f"{name} must be {expected}, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
     try:  # None, a set or a generator cannot be read right to left
         symbols = reversed(pattern)
     except TypeError:
-        raise _not_a_sequence("pattern", pattern, "symbols") from None
+        raise _wrong_type("pattern", pattern, "a sequence of symbols") from None
     # one test on the hot path, as in unrank_pattern: q and m before the
     # shared memo reads q (2.0 and 2 are one key), and the symbols' sum, an
     # int only if no symbol is a float or another non-int number; a symbol
@@ -396,13 +396,15 @@ def new_session(
     params: CodeParams, w1: Sequence[int], w2: Sequence[int]
 ) -> SessionState:
     """Start a protocol session for two messages of ``blocks * m`` digits."""
+    if not isinstance(params, CodeParams):
+        raise _wrong_type("params", params, "a CodeParams")
     digits = range(1, params.q + 1)
     stored = []
     for name, w in (("w1", w1), ("w2", w2)):
         try:
             size = len(w)
         except TypeError:  # None, or a generator
-            raise _not_a_sequence(name, w, "digits") from None
+            raise _wrong_type(name, w, "a sequence of digits") from None
         if size != params.message_digits:
             raise ValueError(f"{name} must have {params.message_digits} digits, got {size}")
         try:  # a digit is valid iff it has __index__ and lies in [1, q]
@@ -568,11 +570,13 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     Raises ValueError for an output that is not a frozenset of one or two
     ints in [1, q], and for a transcript that no message pair can produce.
     """
+    if not isinstance(params, CodeParams):
+        raise _wrong_type("params", params, "a CodeParams")
     q, n, m = params.q, params.n, params.m
     try:  # the walk back slices it: None, a deque or an iterator cannot be sliced
         transcript[:0]
     except (TypeError, KeyError):  # a dict takes the slice as a key from Python 3.12
-        raise _not_a_sequence("transcript", transcript, "outputs") from None
+        raise _wrong_type("transcript", transcript, "a sequence of outputs") from None
     table = _symbol_codes(q)
     try:  # the accepting path: C-level passes over the outputs and their elements
         codes = bytes(map(table.__getitem__, transcript))
@@ -711,6 +715,8 @@ def simulate(
     count is 1. Any protocol invariant failure raises; a decode mismatch
     (which the construction rules out) would be counted in ``errors``.
     """
+    if not isinstance(params, CodeParams):
+        raise _wrong_type("params", params, "a CodeParams")
     if type(trials) is not int or trials < 1:
         raise ValueError(f"need at least one trial, got {trials!r}")
     if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:

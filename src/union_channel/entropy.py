@@ -104,8 +104,8 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
         if type(r) is not int or r < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {r!r}")
         try:
-            if m > 0.0:
-                total += m * math.log(m / r)
+            if m > 0.0 and (cell := m / r) > 0.0:  # a share that underflows adds 0 log 0
+                total += m * math.log(cell)
             elif m < 0.0 and negative is None:
                 negative = m
             mass += m

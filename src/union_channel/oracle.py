@@ -267,21 +267,8 @@ def _xlogx(x: np.ndarray) -> np.ndarray:
 
 
 def _row_entropies(x: np.ndarray, q: int) -> np.ndarray:
-    return -_row_sums(_xlogx(x)) / math.log(q)
-
-
-def _binary_entropies(masses: np.ndarray) -> np.ndarray:
-    """Base-2 entropy of each pmf (masses[0], masses[1]), as ``_row_entropies`` gives it.
-
-    ``masses[1]`` must be ``1 - masses[0]``, with masses[0] at most 1. The
-    two terms are added as ``_row_sums`` adds them but without its +0.0
-    start, which changes a sum only when both terms are -0.0, and the
-    second term never is; and -s / ln 2 == s / -ln 2 bit for bit, since
-    rounding is symmetric in sign.
-    """
-    terms = _xlogx(masses)
-    terms[0] += terms[1]
-    return terms[0] / -math.log(2)
+    """Base-q entropy of each row of x: the one entropy kernel of all three oracles."""
+    return _row_sums(_xlogx(x)) / -math.log(q)  # the bits of -s / ln q, one pass fewer
 
 
 def _unit_rows(x: np.ndarray) -> np.ndarray:
@@ -403,22 +390,26 @@ def _best_pair(
 def _grid_q2_chunk(
     a1: np.ndarray, theta: float
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
-    # the partner mass is solved exactly from a1*b1 + (1-a1)(1-b1) = theta,
-    # so every evaluated pair is feasible; rows whose partner falls outside
-    # [0, 1] are dropped, and a chunk with none left gives None
+    # the partner b1 solves a1*b1 + (1-a1)(1-b1) = theta exactly, so every evaluated
+    # pair is feasible; rows whose b1 falls outside [0, 1] are dropped, None if all are
     denom = 2.0 * a1 - 1.0
     ok = np.abs(denom) > 1e-12
-    b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
-    rows = np.flatnonzero((b1 >= -1e-12) & (b1 <= 1.0 + 1e-12))
-    if not len(rows):
+    if ok.all():  # every chunk but one holding a1 = 0.5
+        b1 = (theta - 1.0 + a1) / denom
+    else:
+        b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
+    keep = (b1 >= -1e-12) & (b1 <= 1.0 + 1e-12)
+    count = np.count_nonzero(keep)
+    if not count:
         return None
-    # masses[0] holds the kept rows' a1 and b1, masses[1] their complements
-    masses = np.empty((2, 2, len(rows)))
-    a1.take(rows, out=masses[0, 0])
-    np.clip(b1.take(rows), 0.0, 1.0, out=masses[0, 1])
+    # masses[0] holds the kept rows' a1 and b1, masses[1] their complements,
+    # so each pmf is one row of masses.reshape(2, -1).T: the a side, then b
+    masses = np.empty((2, 2, count))
+    masses[0, 0] = a1[keep]
+    np.clip(b1[keep], 0.0, 1.0, out=masses[0, 1])
     np.subtract(1.0, masses[0], out=masses[1])
-    entropies = _binary_entropies(masses)
-    values = entropies[0] + entropies[1]
+    entropies = _row_entropies(masses.reshape(2, -1).T, 2)
+    values = entropies[:count] + entropies[count:]
     i = int(np.argmax(values))
     return float(values[i]), masses[:, 0, i].copy(), masses[:, 1, i].copy()
 

@@ -17,6 +17,7 @@ from union_channel import (
     top_symbol_mass,
 )
 from union_channel import capacity
+from union_channel.cli import main
 from union_channel.capacity import (
     CASE_CHORD_INTERSECTION,
     CASE_CURVE_INTERSECTION,
@@ -251,6 +252,31 @@ def test_feedback_capacity_refuses_a_rate_ordering_violation(monkeypatch):
     with pytest.raises(RuntimeError) as info:
         avg_feedback_capacity(2)
     assert str(info.value) == f"rate ordering violated for q=2: {report}"
+
+
+@pytest.mark.parametrize("q", [79850951894099, 2**47, 2**53])
+def test_rate_ordering_check_allows_the_rounding_of_huge_alphabets(q):
+    # the true margin r_feedback - r_no_feedback falls like (1 - ln 2) / (2 q ln q),
+    # far below one ulp here: r_feedback reads 1 ulp below r_no_feedback at the
+    # first two q, and the ordering check must let that rounding pass
+    report = avg_feedback_capacity(q)
+    assert report.r_no_feedback <= report.r_feedback + 4 * math.ulp(report.r_feedback)
+
+
+def test_capacity_cli_runs_at_the_largest_alphabet(capsys):
+    assert main(["capacity", "--q", str(2**53)]) == 0
+    assert "output_peak" in capsys.readouterr().out
+
+
+def test_rate_ordering_check_sees_an_error_below_the_old_absolute_slack(monkeypatch):
+    # at q = 10**8 the true margin is 8.3e-11: an r_no_feedback raised by 1e-10
+    # passes r_feedback, which an absolute slack of 1e-9 would let through
+    q = 10**8
+    assert avg_capacity_no_feedback(q) < avg_feedback_capacity(q).r_feedback
+    true_value = capacity.avg_capacity_no_feedback
+    monkeypatch.setattr(capacity, "avg_capacity_no_feedback", lambda q: true_value(q) + 1e-10)
+    with pytest.raises(RuntimeError, match=r"^rate ordering violated for q=100000000: "):
+        avg_feedback_capacity(q)
 
 
 @pytest.mark.parametrize("q", range(5, 51))

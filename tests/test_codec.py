@@ -194,6 +194,11 @@ _TRANSCRIPT = [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})
         (lambda: pattern_count(-2, 3, 1), "alphabet size must be at least 1, got -2"),
         (lambda: unrank_pattern(0, -1, 2, 0), "alphabet size must be at least 1, got -1"),
         (lambda: rank_pattern((0, 1), 0, 1), "alphabet size must be at least 1, got 0"),
+        # a tuple of the four fields raised AttributeError: no attribute 'q'
+        (lambda: decode_transcript((2, 3, 2, 1), []), "params must be a CodeParams, got tuple"),
+        (lambda: simulate((2, 3, 2, 1), 1), "params must be a CodeParams, got tuple"),
+        (lambda: new_session((2, 3, 2, 1), [1, 1], [1, 1]),
+         "params must be a CodeParams, got tuple"),
     ],
     ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
          "best_params-n_max", "resolution_digits-size-0", "pattern_count-m-above-n",
@@ -202,7 +207,8 @@ _TRANSCRIPT = [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})
          "peak-n", "peak-m-below-half-n", "peak-m-above-n", "decode-None", "decode-int",
          "decode-deque", "decode-iterator", "session-None", "session-generator",
          "rank-None", "rank-set", "rank-generator", "rank-numpy-symbol",
-         "pattern_count-q-negative", "unrank-q-negative", "rank-q-0"],
+         "pattern_count-q-negative", "unrank-q-negative", "rank-q-0", "decode-params-tuple",
+         "simulate-params-tuple", "session-params-tuple"],
 )
 def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
     with pytest.raises(ValueError) as info:

@@ -53,6 +53,15 @@ def test_grouped_point_mass():
         assert grouped_entropy([(1.0, 1), (0.0, q - 1)], q) == 0.0
 
 
+def test_a_cell_share_that_underflows_adds_nothing():
+    # 5e-324 / 2 underflows to 0.0; its log once raised "math domain error"
+    assert grouped_entropy([(5e-324, 2), (1.0, 1)], 2) == 0.0
+    assert grouped_entropy([(5e-324, 2), (0.5, 1), (0.5, 1)], 2) == 1.0
+    assert grouped_entropy([(0.0, 10**400), (1.0, 1)], 2) == 0.0  # a zero mass divides nothing
+    # output_entropy spreads theta over q cells: 5e-324 / 3 underflows too
+    assert uc.output_entropy(5e-324, 3) == uc.output_entropy(1e-320, 3) == 1.0
+
+
 def test_grouped_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         grouped_entropy([(1.0, 0)], 3)

@@ -6,11 +6,18 @@ the discriminant from the envelope chord and the output entropy at
 theta = 2/(q+1), and the feedback capacity from the crossing of the concave
 envelope with the output entropy on [1/q, 2/(q+1)]. The five-decimal rate
 roots of acceptance criterion 2 are checked against the same references.
+The entropy core, ``grouped_entropy``, is checked as a property on drawn
+groups whose masses reach down to the subnormals.
 """
 
-import pytest
+import math
+from fractions import Fraction
 
-from union_channel import avg_feedback_capacity, case_discriminant, rate_root
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from union_channel import avg_feedback_capacity, case_discriminant, grouped_entropy, rate_root
+from union_channel.entropy import PROB_TOL
 
 from test_acceptance import RATE_ROOT_TABLE
 
@@ -89,3 +96,69 @@ def test_feedback_capacity_at_50_digits(q):
         )
         reference = _envelope(theta, q) / 2
     assert abs(avg_feedback_capacity(q).r_feedback - reference) < 1e-11
+
+
+# masses far below any regular one: the smallest subnormal, deeper subnormals,
+# the smallest normal and 1e-300; spread over up to 10**6 cells each
+_TINY = (5e-324, 1e-320, 1e-310, 2.0**-1022, 1e-300)
+_multiplicity = st.integers(1, 10**6)
+
+
+@st.composite
+def _groups(draw):
+    """(mass, multiplicity) groups: regular masses scaled to sum 1, plus tiny ones.
+
+    Some draws are pushed off the unit sum, or make a tiny mass negative, so
+    that the refusals are drawn too.
+    """
+    regular = draw(st.lists(st.tuples(st.floats(0.0, 1.0), _multiplicity), min_size=1,
+                            max_size=5))
+    total = math.fsum(m for m, _ in regular)
+    regular = [(m / total, r) for m, r in regular] if total > 0.0 else [(1.0, regular[0][1])]
+    tiny = draw(st.lists(st.tuples(st.sampled_from(_TINY), _multiplicity), max_size=3))
+    groups = draw(st.permutations(regular + tiny))
+    i = draw(st.integers(0, len(groups) - 1))
+    m, r = groups[i]
+    change = draw(st.sampled_from(["none"] * 6 + ["negate", "+1e-12", "-1e-11", "+1e-6"]))
+    if change == "negate":
+        m = -m
+    elif change != "none":
+        m += float(change)
+    return groups[:i] + [(m, r)] + groups[i + 1 :]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_groups(), st.integers(2, 255))
+@example([(5e-324, 2), (1.0, 1)], 2)  # its cell share m / r underflows to 0.0
+@example([(5e-324, 3), (1.0, 3)], 3)  # output_entropy(5e-324, 3)
+def test_grouped_entropy_against_50_digits(groups, q):
+    """The result lies within REL * scale + ABS of the 50-digit entropy, or the
+    call gives its documented refusal.
+
+    With s_i = m_i ln(m_i / r_i) taken exactly from the float inputs, the
+    reference is -sum(s_i) / ln q and scale = sum(|s_i|) / ln q. REL = 64 ulps
+    of 1 covers the rounding of at most 8 cell shares, logs, products and sums
+    and of the final division. A cell share at or below the smallest normal
+    float carries an absolute error of up to 2**-1075, and one that underflows
+    to 0.0 drops its term: ABS = 2**-1074 * sum(r_i (2 + |ln(m_i / r_i)|)) / ln q
+    bounds both (about 1e-315 per group at r = 10**6).
+    """
+    negative = next((m for m, _ in groups if m < 0.0), None)
+    off = abs(sum(Fraction(m) for m, _ in groups) - 1)  # exact
+    try:
+        value = grouped_entropy(groups, q)
+    except ValueError as refusal:
+        if negative is not None:
+            assert str(refusal) == f"negative probability entry {negative!r}"
+        else:
+            assert str(refusal).startswith("probabilities sum to ")
+            assert off > Fraction(PROB_TOL) - Fraction(1, 10**14)  # the float sum's slack
+        return
+    assert negative is None and off < Fraction(PROB_TOL) + Fraction(1, 10**14)
+    terms = [mp.mpf(m) * mp.log(mp.mpf(m) / r) for m, r in groups if m > 0.0]
+    ln_q = mp.log(q)
+    reference = -mp.fsum(terms) / ln_q
+    bound = 64 * mp.mpf(2) ** -53 * mp.fsum(map(abs, terms)) / ln_q + mp.mpf(2) ** -1074 * sum(
+        r * (2 + abs(mp.log(mp.mpf(m) / r))) for m, r in groups if m > 0.0
+    ) / ln_q
+    assert abs(mp.mpf(value) - reference) <= bound
