@@ -391,14 +391,12 @@ def _grid_q2_chunk(
     a1: np.ndarray, theta: float
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     # the partner b1 solves a1*b1 + (1-a1)(1-b1) = theta exactly, so every evaluated
-    # pair is feasible; rows whose b1 falls outside [0, 1] are dropped, None if all are
+    # pair is feasible; rows at a1 = 0.5 (no partner) or whose b1 falls outside
+    # [0, 1] are dropped, None if all are
     denom = 2.0 * a1 - 1.0
     ok = np.abs(denom) > 1e-12
-    if ok.all():  # every chunk but one holding a1 = 0.5
-        b1 = (theta - 1.0 + a1) / denom
-    else:
-        b1 = np.where(ok, (theta - 1.0 + a1) / np.where(ok, denom, 1.0), -1.0)
-    keep = (b1 >= -1e-12) & (b1 <= 1.0 + 1e-12)
+    b1 = (theta - 1.0 + a1) / np.where(ok, denom, 1.0)
+    keep = ok & (b1 >= -1e-12) & (b1 <= 1.0 + 1e-12)
     count = np.count_nonzero(keep)
     if not count:
         return None

@@ -3,9 +3,9 @@
 Runs the tier-1 suite in this process under a line tracer, without
 acceptance criterion 8 (about 3M pattern round trips through code the rest
 of the suite runs too), and lists every line of ``src/union_channel`` that
-holds code but never ran. The tracer is the standard library's:
-``sys.settrace`` before Python 3.12 and ``sys.monitoring`` from 3.12 on.
-Lines that only a subprocess or a pool worker runs count as unrun.
+holds code but never ran. The tracer is the standard library's
+``sys.settrace``. Lines that only a subprocess or a pool worker runs count
+as unrun.
 
     python tools/unrun_lines.py
 
@@ -53,24 +53,6 @@ def traced(run: Callable[[], int], files: Iterable[str]) -> tuple[int, set[tuple
     """Call ``run`` and return its result with the (file, line) pairs of ``files`` it ran."""
     files = frozenset(files)
     ran: set[tuple[str, int]] = set()
-    if sys.version_info >= (3, 12):
-        mon = sys.monitoring
-        tool = mon.COVERAGE_ID
-
-        def on_line(code: types.CodeType, line: int) -> object:
-            if code.co_filename in files:
-                ran.add((code.co_filename, line))
-            return mon.DISABLE  # each location reports once
-
-        mon.use_tool_id(tool, "unrun_lines")
-        mon.register_callback(tool, mon.events.LINE, on_line)
-        mon.set_events(tool, mon.events.LINE)
-        try:
-            return run(), ran
-        finally:
-            mon.set_events(tool, 0)
-            mon.register_callback(tool, mon.events.LINE, None)
-            mon.free_tool_id(tool)
 
     def local(frame: types.FrameType, event: str, arg: object) -> Callable:
         if event == "line":
