@@ -38,12 +38,14 @@ from itertools import chain, product
 from typing import Iterator, Sequence
 
 from .entropy import (
-    DEFAULT_SEED, bisect_root, check_alphabet, check_int, check_seed, unchecked_binary_entropy,
+    DEFAULT_SEED, bisect_root, check_alphabet, check_between, check_count, check_int,
+    unchecked_binary_entropy,
 )
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255
 MAX_WORKERS = 64  # processes one simulate() may start
+_WORKERS_SHOWN = f"[1, {MAX_WORKERS}]"  # formatted once, not on every simulate()
 
 Output = frozenset  # channel output: set of one or two symbols
 
@@ -79,8 +81,7 @@ def validate_params(q: int, n: int, m: int) -> FeasibilityCheck:
     check_alphabet(q)
     check_int(n, "n")
     check_int(m, "m")
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got n={n}, m={m}")
+    check_between(m, 1, n, f"[1, {n}]", "m")
     lhs = math.comb(2 * (n - m), n - m) << max(2 * m - n, 0)
     rhs = pattern_count(q, n, m) << max(n - 2 * m, 0)
     return FeasibilityCheck(feasible=2 * m >= n and lhs <= rhs, lhs=lhs, rhs=rhs)
@@ -96,15 +97,14 @@ class CodeParams:
     blocks: int
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            check_int(getattr(self, f.name), f.name)
+        for name in ("q", "n", "m"):
+            check_int(getattr(self, name), name)
+        check_count(self.blocks, "blocks", 1)
         if self.q > MAX_CODEC_ALPHABET:
             raise ValueError(
                 f"codec digits are stored one per byte; q must be <= "
                 f"{MAX_CODEC_ALPHABET}, got {self.q}"
             )
-        if self.blocks < 1:
-            raise ValueError(f"need at least one message block, got {self.blocks}")
         check = validate_params(self.q, self.n, self.m)
         if not check.feasible:
             raise ValueError(
@@ -124,8 +124,7 @@ def uncertainty_peak_bound(n: int, m: int) -> int:
     """
     check_int(n, "n")
     check_int(m, "m")
-    if not n <= 2 * m <= 2 * n:
-        raise ValueError(f"need n/2 <= m <= n, got n={n}, m={m}")
+    check_between(m, (n + 1) // 2, n, f"[{n}/2, {n}]", "m")  # n / 2 overflows past 2**1024
     return survivor_bound(n, m, 2 * m - n)
 
 
@@ -147,9 +146,7 @@ def uses_bound(params: CodeParams) -> int:
 def resolution_digits(size: int, q: int) -> int:
     """Smallest d with q^d >= size (base-q digits needed to index ``size`` items)."""
     check_alphabet(q)
-    check_int(size, "size")  # the loop below never ends at inf and returns 0 at NaN
-    if size < 1:
-        raise ValueError(f"size must be positive, got {size}")
+    check_count(size, "size", 1)  # the loop below never ends at inf and returns 0 at NaN
     d = 0
     value = 1
     while value < size:
@@ -167,8 +164,7 @@ def pattern_count(q: int, n: int, m: int) -> int:
     check_alphabet(q, minimum=1)
     check_int(n, "n")
     check_int(m, "m")
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
+    check_between(m, 0, n, f"[0, {n}]", "m")
     return math.comb(n, m) * q ** (n - m)
 
 
@@ -717,11 +713,10 @@ def simulate(
     """
     if not isinstance(params, CodeParams):
         raise _wrong_type("params", params, "a CodeParams")
-    if type(trials) is not int or trials < 1:
-        raise ValueError(f"need at least one trial, got {trials!r}")
-    if type(workers) is not int or not 1 <= workers <= MAX_WORKERS:
-        raise ValueError(f"workers must be an int in [1, {MAX_WORKERS}], got {workers!r}")
-    check_seed(seed)
+    check_count(trials, "trials", 1)
+    check_int(workers, "workers")
+    check_between(workers, 1, MAX_WORKERS, _WORKERS_SHOWN, "workers")
+    check_count(seed, "seed", 0)
     jobs = [(params, seed, t) for t in range(trials)]
     processes = min(workers, trials)
     if processes == 1:
@@ -798,9 +793,7 @@ class ParamChoice:
 
 def best_params(q: int, n_max: int = 64) -> list[ParamChoice]:
     """All feasible (n, m) with n <= n_max, best asymptotic rate first."""
-    check_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
+    check_count(n_max, "n_max", 1)
     found = []
     for n in range(1, n_max + 1):
         for m in range((n + 1) // 2, n + 1):

@@ -1,6 +1,6 @@
 """Shannon entropy primitives in base q and base 2, a bisection root finder,
 and the package's numeric input rules, each written once: an int, an alphabet
-size, a seed, an interval (``check_between``) and a probability vector (the
+size, a count, an interval (``check_between``) and a probability vector (the
 one pass of :func:`grouped_entropy`, which ``validate_pmf`` runs). Entries must
 be nonnegative numbers summing to 1 within ``PROB_TOL``: inputs here come from
 closed forms, so a larger drift signals a bug upstream. An explicit branch
@@ -17,17 +17,6 @@ PROB_TOL = 1e-12
 # the seed of every seeded draw in the package (codec trials, oracle searches)
 # when the caller gives none
 DEFAULT_SEED = 0x5EED
-
-
-def check_seed(seed: int) -> None:
-    """Raise ValueError unless ``seed`` is an int >= 0.
-
-    ``random.Random`` seeds with abs(x), so seed -3 would draw trial 0 of
-    seed 3; numpy would draw from the OS's entropy for None, and refuse a
-    float or a negative seed with its own errors.
-    """
-    if type(seed) is not int or seed < 0:
-        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
 
 
 ProbVector = Sequence[float]
@@ -47,6 +36,17 @@ def check_int(value: int, name: str) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
+def check_count(value: int, name: str, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an int >= ``minimum`` (not a bool).
+
+    A seed is a count from 0: ``random.Random`` seeds with abs(x), so seed -3
+    would draw trial 0 of seed 3; numpy would draw from the OS's entropy for
+    None, and refuse a float or a negative seed with its own errors.
+    """
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 def check_alphabet(q: int, minimum: int = 2) -> None:
     """Raise ValueError unless the alphabet size ``q`` is an int >= ``minimum``."""
     if type(q) is not int or q < minimum:  # one test on the path every caller takes
@@ -54,15 +54,13 @@ def check_alphabet(q: int, minimum: int = 2) -> None:
         raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
 
 
-def check_between(
-    value: float, lo: float, hi: float, shown: str, name: str = "theta", open_lo: bool = False
-) -> None:
-    """Raise ValueError unless lo <= value <= hi (lo < value if ``open_lo``).
+def check_between(value: float, lo: float, hi: float, shown: str, name: str = "theta") -> None:
+    """Raise ValueError unless lo <= value <= hi.
 
     ``shown`` is the interval as printed; a str, None or NaN is refused too.
     """
     try:
-        inside = lo < value <= hi if open_lo else lo <= value <= hi
+        inside = lo <= value <= hi
     except TypeError:
         inside = False
     if not inside:
@@ -104,13 +102,15 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
         if type(r) is not int or r < 1:
             raise ValueError(f"multiplicity must be a positive integer, got {r!r}")
         try:
+            mass += m
             if m > 0.0 and (cell := m / r) > 0.0:  # a share that underflows adds 0 log 0
                 total += m * math.log(cell)
             elif m < 0.0 and negative is None:
                 negative = m
-            mass += m
         except TypeError:
             raise ValueError(f"probability entry {m!r} is not a number") from None
+        except OverflowError:  # r past float range, which m / r needs; math.log takes ints
+            total += m * (math.log(m) - math.log(r))
     if negative is not None:
         raise ValueError(f"negative probability entry {negative!r}")
     if not abs(mass - 1.0) <= PROB_TOL:  # so is a NaN entry, which makes the sum NaN

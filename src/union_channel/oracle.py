@@ -19,7 +19,7 @@ from itertools import chain
 from operator import add, mul
 
 from .entropy import (
-    DEFAULT_SEED, check_alphabet, check_between, check_int, check_seed, entropy_q, validate_pmf,
+    DEFAULT_SEED, check_alphabet, check_between, check_count, check_int, entropy_q, validate_pmf,
 )
 
 
@@ -174,11 +174,9 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
     closed-form derivative sign expression at every encountered ratio > 1.
     """
     check_alphabet(q)
-    check_int(grid_points, "grid_points")
-    if grid_points < 1:
-        raise ValueError(f"need at least one grid point, got {grid_points}")
-    check_between(theta, 1.0 / q, 1.0, f"(1/{q}, 1]", open_lo=True)
-    p = theta * q - 1.0
+    check_count(grid_points, "grid_points", 1)
+    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
+    p = max(theta * q - 1.0, 0.0)  # (1/49) * 49 is 1 - 1.1e-16
     step = (1.0 - 2.0 / q) / max(grid_points - 1, 1)
     ts, values, ratios = [], [], []
     sign_ok = True
@@ -523,18 +521,16 @@ def grid_max_joint_entropy(
     default, floor, refusal = _GRID_STEPS[q]
     if resolution is None:
         resolution = default
-    check_between(resolution, 0.0, 0.5, "(0, 0.5]", "resolution", open_lo=True)
+    check_between(resolution, 0.0, 0.5, "(0, 0.5]", "resolution")  # 0 meets the floor
     if resolution < floor:
         raise ValueError(f"{refusal}; got {resolution!r}")
-    check_int(refinements, "refinements")
-    if refinements < 0:
-        raise ValueError(f"refinements must be >= 0, got {refinements}")
+    check_count(refinements, "refinements", 0)
     if refinements * 3 > MAX_SAMPLER_ENTRIES // 6:
         raise ValueError(
             f"refinements * 3 must be at most {MAX_SAMPLER_ENTRIES // 6}, "
             f"got {refinements * 3}"
         )
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     if q == 2:
         value, a, b = _grid_q2(theta, resolution)
     else:
@@ -553,15 +549,13 @@ def random_feasible_sampler(
     discarded rather than re-solved. Returns -inf if nothing was feasible.
     """
     check_alphabet(q)
-    check_int(samples, "samples")
+    check_count(samples, "samples", 1)
     check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
     if samples * q > MAX_SAMPLER_ENTRIES:
         raise ValueError(
             f"samples * q must be at most {MAX_SAMPLER_ENTRIES}, got {samples * q}"
         )
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     per = max(1, samples // 6)  # per batch: each concentration symmetric, then not
 

@@ -73,7 +73,8 @@ def test_lemma_grid_pass(capsys):
 @pytest.mark.parametrize(
     "q, theta, resolution, message",
     [
-        ("2", "0.75", "0", "resolution must lie in (0, 0.5], got 0.0"),
+        # the step's interval is closed: 0 meets the floor, which names its reason
+        ("2", "0.75", "0", "grid step below 1e-6 means >1M points per side; got 0.0"),
         ("2", "0.75", "-1", "resolution must lie in (0, 0.5], got -1.0"),
         ("2", "0.75", "0.9", "resolution must lie in (0, 0.5], got 0.9"),
         ("2", "0.75", "nan", "resolution must lie in (0, 0.5], got nan"),
@@ -289,7 +290,7 @@ def test_codec_refuses_infeasible(capsys):
     "q, n, m, message",
     [
         ("300", "3", "2", "q must be <= 255, got 300"),
-        ("2", "3", "5", "need 1 <= m <= n, got n=3, m=5"),
+        ("2", "3", "5", "m must lie in [1, 3], got 5"),
     ],
 )
 def test_codec_refuses_bad_params_in_one_line(capsys, q, n, m, message):

@@ -95,7 +95,8 @@ def test_code_params_rejects_infeasible():
 )
 def test_code_params_refuses_a_field_that_is_not_an_int(name, value):
     fields = {"q": 2, "n": 4, "m": 3, "blocks": 1, name: value}
-    message = f"{name} must be an int, got {value!r}"
+    rule = "an int >= 1" if name == "blocks" else "an int"
+    message = f"{name} must be {rule}, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CodeParams(**fields)
 
@@ -155,21 +156,21 @@ _TRANSCRIPT = [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})
         (lambda: unrank_pattern(0.0, 2, 3, 1), "rank must be an int, got 0.0"),
         (lambda: unrank_pattern(0, 2.0, 3, 1), "alphabet size must be an int, got 2.0"),
         (lambda: validate_params(2, 17.5, 13), "n must be an int, got 17.5"),
-        (lambda: best_params(2, 2.5), "n_max must be an int, got 2.5"),
-        (lambda: resolution_digits(0, 2), "size must be positive, got 0"),
-        (lambda: pattern_count(2, 3, 4), "need 0 <= m <= n, got n=3, m=4"),
-        (lambda: unrank_pattern(0, 2, 3, 4), "need 0 <= m <= n, got n=3, m=4"),
+        (lambda: best_params(2, 2.5), "n_max must be an int >= 1, got 2.5"),
+        (lambda: resolution_digits(0, 2), "size must be an int >= 1, got 0"),
+        (lambda: pattern_count(2, 3, 4), "m must lie in [0, 3], got 4"),
+        (lambda: unrank_pattern(0, 2, 3, 4), "m must lie in [0, 3], got 4"),
         (lambda: advance_uncertainty([b""], [channel(1, 2)] * 2, 2, 3, 1),
          "expected 3 outputs, got 2"),
-        (lambda: best_params(2, 0), "n_max must be positive, got 0"),
+        (lambda: best_params(2, 0), "n_max must be an int >= 1, got 0"),
         (lambda: rank_pattern((STAR, 1), 2, True), "m must be an int, got True"),
         (lambda: rank_pattern((STAR, 1.0), 2, 1), "pattern symbol 1.0 outside alphabet [1, 2]"),
         (lambda: rank_pattern((0.0, 1), 2, 1), "pattern symbol 0.0 outside alphabet [1, 2]"),
         (lambda: rank_pattern((0, "a", 1), 2, 1), "pattern symbol 'a' outside alphabet [1, 2]"),
         (lambda: rank_pattern((0, None, 1), 2, 1), "pattern symbol None outside alphabet [1, 2]"),
         (lambda: uncertainty_peak_bound(17.0, 13), "n must be an int, got 17.0"),
-        (lambda: uncertainty_peak_bound(10, 3), "need n/2 <= m <= n, got n=10, m=3"),
-        (lambda: uncertainty_peak_bound(3, 5), "need n/2 <= m <= n, got n=3, m=5"),
+        (lambda: uncertainty_peak_bound(10, 3), "m must lie in [10/2, 10], got 3"),
+        (lambda: uncertainty_peak_bound(3, 5), "m must lie in [3/2, 3], got 5"),
         (lambda: decode_transcript(CodeParams(2, 3, 2, 1), None),
          "transcript must be a sequence of outputs, got NoneType"),
         (lambda: decode_transcript(CodeParams(2, 3, 2, 1), 5),
@@ -548,7 +549,7 @@ def test_resolution_digits():
 @pytest.mark.parametrize("size", [float("inf"), float("nan"), 2.5])
 def test_resolution_digits_refuses_a_size_that_is_not_an_int(size):
     # inf used to loop forever, and NaN returned 0
-    with pytest.raises(ValueError, match=r"^size must be an int, got (inf|nan|2\.5)$"):
+    with pytest.raises(ValueError, match=r"^size must be an int >= 1, got (inf|nan|2\.5)$"):
         resolution_digits(size, 2)
 
 
@@ -1272,12 +1273,12 @@ def test_simulate_starts_no_more_processes_than_trials(pool_sizes):
 @pytest.mark.parametrize(
     "trials, workers, seed, message",
     [
-        (3, 65, 0, "workers must be an int in [1, 64], got 65"),
-        (3, 10**6, 0, "workers must be an int in [1, 64], got 1000000"),
-        (3, 0, 0, "workers must be an int in [1, 64], got 0"),
-        (3, 2.0, 0, "workers must be an int in [1, 64], got 2.0"),
-        (3, True, 0, "workers must be an int in [1, 64], got True"),
-        (2.5, 1, 0, "need at least one trial, got 2.5"),
+        (3, 65, 0, "workers must lie in [1, 64], got 65"),
+        (3, 10**6, 0, "workers must lie in [1, 64], got 1000000"),
+        (3, 0, 0, "workers must lie in [1, 64], got 0"),
+        (3, 2.0, 0, "workers must be an int, got 2.0"),
+        (3, True, 0, "workers must be an int, got True"),
+        (2.5, 1, 0, "trials must be an int >= 1, got 2.5"),
         (3, 2, 1.5, "seed must be an int >= 0, got 1.5"),
         (3, 2, -3, "seed must be an int >= 0, got -3"),
     ],

@@ -62,6 +62,13 @@ def test_a_cell_share_that_underflows_adds_nothing():
     assert uc.output_entropy(5e-324, 3) == uc.output_entropy(1e-320, 3) == 1.0
 
 
+def test_a_multiplicity_past_float_range_keeps_its_share():
+    # m / r once raised OverflowError for r above 2**1024; log_10(10**400) = 400
+    assert grouped_entropy([(1.0, 10**400)], 10) == pytest.approx(400.0, rel=1e-15)
+    expected = 0.5 * 400 + math.log10(2)  # half the mass on 10**400 cells
+    assert grouped_entropy([(0.5, 1), (0.5, 10**400)], 10) == pytest.approx(expected, rel=1e-15)
+
+
 def test_grouped_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         grouped_entropy([(1.0, 0)], 3)

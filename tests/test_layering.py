@@ -68,14 +68,22 @@ def _message_texts(path: Path) -> list[str]:
     ]
 
 
+def _modules_writing(phrase: str) -> set[str]:
+    return {
+        path.stem
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if any(phrase in text for text in _message_texts(path))
+    }
+
+
 def test_interval_refusals_are_written_only_in_entropy():
     # every "x must lie in [lo, hi]" refusal goes through entropy.check_between,
     # so a value that is not a number meets the same one-line refusal everywhere
-    assert any("must lie in" in text for text in _message_texts(PACKAGE_DIR / "entropy.py"))
-    written = {
-        path.stem
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        if path.stem != "entropy"
-        and any("must lie in" in text for text in _message_texts(path))
-    }
-    assert written == set()
+    assert _modules_writing("must lie in") == {"entropy"}
+
+
+def test_count_refusals_are_written_only_in_entropy():
+    # every int and count refusal goes through entropy.check_int or
+    # entropy.check_count, so each count is refused in the one text
+    assert _modules_writing("must be an int") == {"entropy"}
+    assert _modules_writing("need at least") == set()

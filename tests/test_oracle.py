@@ -512,8 +512,16 @@ def test_monotonicity_single_point_is_the_left_end():
     report = two_level_monotonicity(4, 0.5, 1)
     assert report.ts == (0.25,)
     assert report.decreasing
-    with pytest.raises(ValueError, match="need at least one grid point, got 0"):
+    with pytest.raises(ValueError, match="^grid_points must be an int >= 1, got 0$"):
         two_level_monotonicity(4, 0.5, 0)
+
+
+def test_monotonicity_runs_at_the_left_end_theta():
+    # theta = 1/q is a flat objective; (1/49) * 49 is 1 - 1.1e-16, where
+    # sqrt(theta * q - 1) would raise without the clamp at 0
+    for q in range(2, 200):
+        report = two_level_monotonicity(q, 1.0 / q, 9)
+        assert (len(report.ts), report.decreasing, report.derivative_sign_ok) == (9, True, True), q
 
 
 def test_monotonicity_ratio_is_infinite_where_the_low_mass_vanishes():
@@ -579,10 +587,11 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: two_level_monotonicity(3, 0.7, 2.5), "grid_points must be an int, got 2.5"),
-        (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int, got 10.5"),
+        (lambda: two_level_monotonicity(3, 0.7, 2.5),
+         "grid_points must be an int >= 1, got 2.5"),
+        (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int >= 1, got 10.5"),
         (lambda: grid_max_joint_entropy(3, 0.7, 0.1, refinements=math.nan),
-         "refinements must be an int, got nan"),
+         "refinements must be an int >= 0, got nan"),
         (lambda: interpolate_to_theta((-0.5, 1.5), (0.5, 0.5), 0.5),
          "negative probability entry -0.5"),
         (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0, 0.0), 0.5),
@@ -592,8 +601,10 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
          "probabilities must be an iterable, got 0.5"),
         (lambda: two_level_point(3, 0.5, 0), "r must lie in [1, 2], got 0"),
         (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/3, 1], got 0.2"),
-        (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in (1/3, 1], got 0.3"),
-        (lambda: random_feasible_sampler(3, 0.5, 0), "need at least one sample, got 0"),
+        (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in [1/3, 1], got 0.3"),
+        (lambda: random_feasible_sampler(3, 0.5, 0), "samples must be an int >= 1, got 0"),
+        # the count is checked before theta
+        (lambda: random_feasible_sampler(3, 0.2, 0), "samples must be an int >= 1, got 0"),
         (lambda: concave_envelope(0.2, 3), "theta must lie in [1/3, 1], got 0.2"),
         (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
         (lambda: two_level_point(3.0, 0.5, 1), "alphabet size must be an int, got 3.0"),
@@ -616,7 +627,10 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         # 2.0 == 2 is in GRID_QS, so the alphabet rule must come first
         (lambda: grid_max_joint_entropy(2.0, 0.5), "alphabet size must be an int, got 2.0"),
         (lambda: grid_max_joint_entropy(3, 0.5, refinements=-5),
-         "refinements must be >= 0, got -5"),
+         "refinements must be an int >= 0, got -5"),
+        # the step's interval is closed; a step of 0 meets the floor
+        (lambda: grid_max_joint_entropy(2, 0.5, 0.0),
+         "grid step below 1e-6 means >1M points per side; got 0.0"),
         # a value that is not a number fails the interval rule, not a comparison
         (lambda: max_joint_entropy("0.5", 3), "theta must lie in [1/3, 1], got '0.5'"),
         (lambda: output_entropy(None, 3), "theta must lie in [0, 1], got None"),
@@ -624,7 +638,7 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: envelope_line(None, 3), "theta must lie in [1/3, 0.5], got None"),
         (lambda: cover_leung_witness(3, "0.4"), "theta must lie in [1/3, 2/4], got '0.4'"),
         (lambda: two_level_point(3, None, 1), "theta must lie in [1/3, 1], got None"),
-        (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in (1/3, 1], got 'x'"),
+        (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in [1/3, 1], got 'x'"),
         (lambda: grid_max_joint_entropy(3, None), "theta must lie in [0, 1], got None"),
         (lambda: grid_max_joint_entropy(3, 0.5, "0.1"),
          "resolution must lie in (0, 0.5], got '0.1'"),
@@ -639,11 +653,13 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
     ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
          "interpolate-negative-entry", "interpolate-unequal-lengths",
          "interpolate-float-a", "two_level-r",
-         "two_level-theta", "monotonicity-theta", "sampler-samples-0", "envelope-theta",
+         "two_level-theta", "monotonicity-theta", "sampler-samples-0",
+         "sampler-samples-0-bad-theta", "envelope-theta",
          "output_entropy-theta", "two_level-q", "two_level_value-r", "sampler-seed-None",
          "sampler-seed-True", "sampler-seed-float", "sampler-seed-str",
          "sampler-seed-negative", "grid-q2-seed-None", "grid-q3-seed-negative",
-         "grid-q-float", "grid-refinements-negative", "max_joint_entropy-theta-str",
+         "grid-q-float", "grid-refinements-negative", "grid-resolution-0",
+         "max_joint_entropy-theta-str",
          "output_entropy-theta-None", "envelope-theta-str", "envelope_line-theta-None",
          "witness-theta-str", "two_level-theta-None", "monotonicity-theta-str",
          "grid-theta-None", "grid-resolution-str", "sampler-theta-str",
