@@ -46,6 +46,9 @@ STAR = 0
 MAX_CODEC_ALPHABET = 255
 MAX_WORKERS = 64  # processes one simulate() may start
 _WORKERS_SHOWN = f"[1, {MAX_WORKERS}]"  # formatted once, not on every simulate()
+# the longest block the exact-int bounds take; math.comb refuses n past 2**63
+MAX_BLOCK_LENGTH = 2**14
+_LENGTH_SHOWN = f"[0, {MAX_BLOCK_LENGTH}]"
 
 Output = frozenset  # channel output: set of one or two symbols
 
@@ -80,6 +83,7 @@ def validate_params(q: int, n: int, m: int) -> FeasibilityCheck:
     """
     check_alphabet(q)
     check_int(n, "n")
+    check_between(n, 0, MAX_BLOCK_LENGTH, _LENGTH_SHOWN, "n")
     check_int(m, "m")
     check_between(m, 1, n, f"[1, {n}]", "m")
     lhs = math.comb(2 * (n - m), n - m) << max(2 * m - n, 0)
@@ -123,6 +127,7 @@ def uncertainty_peak_bound(n: int, m: int) -> int:
     That is :func:`survivor_bound` at its peak, a block with 2m - n pair outputs.
     """
     check_int(n, "n")
+    check_between(n, 0, MAX_BLOCK_LENGTH, _LENGTH_SHOWN, "n")
     check_int(m, "m")
     check_between(m, (n + 1) // 2, n, f"[{n}/2, {n}]", "m")  # n / 2 overflows past 2**1024
     return survivor_bound(n, m, 2 * m - n)
@@ -163,6 +168,7 @@ def pattern_count(q: int, n: int, m: int) -> int:
     """|S| = C(n, m) * q^(n-m), exact."""
     check_alphabet(q, minimum=1)
     check_int(n, "n")
+    check_between(n, 0, MAX_BLOCK_LENGTH, _LENGTH_SHOWN, "n")
     check_int(m, "m")
     check_between(m, 0, n, f"[0, {n}]", "m")
     return math.comb(n, m) * q ** (n - m)

@@ -109,8 +109,11 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
                 negative = m
         except TypeError:
             raise ValueError(f"probability entry {m!r} is not a number") from None
-        except OverflowError:  # r past float range, which m / r needs; math.log takes ints
-            total += m * (math.log(m) - math.log(r))
+        except OverflowError:  # an int past float range: m, or r, which m / r needs
+            if isinstance(m, int):  # m / r overflows only for a float m, so mass += m did
+                raise ValueError(f"probability entry is an int of {m.bit_length()} bits, "
+                                 f"past float range") from None
+            total += m * (math.log(m) - math.log(r))  # math.log takes ints
     if negative is not None:
         raise ValueError(f"negative probability entry {negative!r}")
     if not abs(mass - 1.0) <= PROB_TOL:  # so is a NaN entry, which makes the sum NaN

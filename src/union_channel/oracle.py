@@ -74,11 +74,7 @@ def _interpolate(
     already at theta0 = 1/q stay put. Each side is moved by the same t.
     """
     denom = theta0 - 1.0 / q
-    safe = np.abs(denom) > 1e-15
-    if safe.all():
-        c = (theta - theta0) / denom
-    else:
-        c = np.where(safe, (theta - theta0) / np.where(safe, denom, 1.0), 0.0)
+    c = np.divide(theta - theta0, denom, out=np.zeros_like(denom), where=np.abs(denom) > 1e-15)
     t = 1.0 - np.sqrt(np.maximum(1.0 + c, 0.0))
     keep, shift = (1.0 - t)[:, None], (t / q)[:, None]
     return tuple(keep * x + shift for x in sides)
@@ -179,7 +175,6 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
     p = max(theta * q - 1.0, 0.0)  # (1/49) * 49 is 1 - 1.1e-16
     step = (1.0 - 2.0 / q) / max(grid_points - 1, 1)
     ts, values, ratios = [], [], []
-    sign_ok = True
     for t in (1.0 / q + i * step for i in range(grid_points)):
         a = (1.0 + math.sqrt(p * (1.0 - t) / t)) / q
         b = (1.0 - math.sqrt(p * t / (1.0 - t))) / q
@@ -191,13 +186,7 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
                 v -= weight * mass * math.log(mass)
         ts.append(t)
         values.append(v)
-        if b > 0.0:
-            ratio = a / b
-            ratios.append(ratio)
-            if ratio > 1.0 and derivative_sign_expression(ratio) >= 0.0:
-                sign_ok = False
-        else:
-            ratios.append(math.inf)
+        ratios.append(a / b if b > 0.0 else math.inf)
     decreasing = all(
         values[i + 1] - values[i] < 1e-12 for i in range(len(values) - 1)
     )
@@ -206,7 +195,9 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
         values=tuple(values),
         ratios=tuple(ratios),
         decreasing=decreasing,
-        derivative_sign_ok=sign_ok,
+        derivative_sign_ok=all(
+            derivative_sign_expression(r) < 0.0 for r in ratios if 1.0 < r < math.inf
+        ),
     )
 
 
@@ -335,8 +326,8 @@ def _first_max(found: Iterable[tuple | None]) -> tuple | None:
     return best
 
 
-def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray | None:
-    """Indices of the rows whose interpolation can reach theta; None for all rows.
+def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray:
+    """Indices of the rows whose interpolation can reach theta.
 
     A row reaches theta when theta lies between min(theta0, 1/q) - 1e-15 and
     max(theta0, 1/q) + 1e-15. Rounding is monotone, so
@@ -346,7 +337,7 @@ def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray | Non
     u = 1.0 / q
     above, below = theta >= u - 1e-15, theta <= u + 1e-15
     if above and below:
-        return None
+        return np.arange(len(theta0))
     return np.flatnonzero(theta <= theta0 + 1e-15 if above else theta >= theta0 - 1e-15)
 
 
@@ -362,11 +353,10 @@ def _interpolated_max(
     symmetric = b is a
     theta0 = _row_sums(a * b)
     rows = _feasible_rows(theta0, theta, q)
-    if rows is not None:
-        if not len(rows):
-            return None
-        a, theta0 = a.take(rows, axis=0), theta0.take(rows)
-        b = a if symmetric else b.take(rows, axis=0)
+    if not len(rows):
+        return None
+    a, theta0 = a.take(rows, axis=0), theta0.take(rows)
+    b = a if symmetric else b.take(rows, axis=0)
     if symmetric:
         (ap,) = _interpolate(theta0, theta, q, a)
         bp, values = ap, 2.0 * _row_entropies(ap, q)
@@ -457,8 +447,6 @@ def _grid_q3(
         ),
         theta, 3,
     )
-    if refinements <= 0:
-        return best
     # local refinements: jitter both incumbent rows. Side a's draws come
     # before side b's; rather than hold side a, skip its draws on rng and
     # draw them again from a copy taken before them, beside side b

@@ -101,6 +101,30 @@ def test_code_params_refuses_a_field_that_is_not_an_int(name, value):
         CodeParams(**fields)
 
 
+@pytest.mark.parametrize(
+    "call, n",
+    [
+        (lambda: uncertainty_peak_bound(2**1100 + 1, 2**1099 + 1), 2**1100 + 1),
+        (lambda: validate_params(2, 2**64, 2**63), 2**64),
+        (lambda: pattern_count(2, 2**64, 2**63), 2**64),
+        (lambda: CodeParams(2, 2**64, 2**63, 1), 2**64),
+    ],
+    ids=["peak", "validate_params", "pattern_count", "CodeParams"],
+)
+def test_exact_bounds_refuse_a_block_length_past_the_cap(call, n):
+    # each raised OverflowError from math.comb, which takes no k past 2**63
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == f"n must lie in [0, {codec.MAX_BLOCK_LENGTH}], got {n}"
+
+
+def test_exact_bounds_take_the_cap_itself():
+    n = codec.MAX_BLOCK_LENGTH
+    assert uncertainty_peak_bound(n, n) == 2**n
+    assert validate_params(2, n, n) == codec.FeasibilityCheck(False, 2**n, 1)
+    assert pattern_count(2, n, n) == 1
+
+
 # ---------------------------------------------------------------------------
 # star patterns
 

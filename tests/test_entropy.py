@@ -69,6 +69,23 @@ def test_a_multiplicity_past_float_range_keeps_its_share():
     assert grouped_entropy([(0.5, 1), (0.5, 10**400)], 10) == pytest.approx(expected, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: grouped_entropy([(10**400, 1)], 2),
+        lambda: entropy_q([10**400], 2),
+        lambda: grouped_entropy([(0.5, 1), (-(10**400), 3)], 2),
+    ],
+    ids=["grouped", "entropy_q", "negative"],
+)
+def test_an_int_mass_past_float_range_is_refused_in_one_line(call):
+    # mass += m raised OverflowError, and so did the branch kept for a
+    # multiplicity past float range, on m * (...)
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == "probability entry is an int of 1329 bits, past float range"
+
+
 def test_grouped_rejects_bad_multiplicity():
     with pytest.raises(ValueError):
         grouped_entropy([(1.0, 0)], 3)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -23,6 +24,7 @@ from union_channel import oracle
 from union_channel.oracle import (
     FeasiblePair,
     _feasible_rows,
+    _interpolate,
     _row_chunks,
     _row_sums,
     _simplex_grid,
@@ -59,6 +61,25 @@ def test_interpolate_binary_example():
     assert inner == pytest.approx(0.7, abs=1e-10)
     t = 1.0 - math.sqrt(1.0 + (0.7 - 0.82) / (0.82 - 0.5))
     assert pair.a[0] == pytest.approx((1 - t) * 0.9 + t / 2, abs=1e-12)
+
+
+def test_interpolate_leaves_rows_at_uniform_and_divides_the_rest_plainly():
+    q, theta = 3, 0.5
+    rng = np.random.default_rng(4)
+    a, b = (_unit_rows(rng.gamma(0.5, size=(8, q))) for _ in range(2))
+    theta0 = _row_sums(a * b)
+    theta0[[2, 5]] = 1.0 / q, 1.0 / q + 9e-16  # within 1e-15 of 1/q: t = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the guarded rows divide nothing
+        sides = _interpolate(theta0, theta, q, a, b)
+    guarded = np.abs(theta0 - 1.0 / q) <= 1e-15
+    assert np.flatnonzero(guarded).tolist() == [2, 5]
+    rest = theta0[~guarded]
+    t = 1.0 - np.sqrt(np.maximum(1.0 + (theta - rest) / (rest - 1.0 / q), 0.0))
+    for x, moved in zip((a, b), sides):
+        assert moved[guarded].tobytes() == x[guarded].tobytes()
+        plain = (1.0 - t)[:, None] * x[~guarded] + (t / q)[:, None]
+        assert moved[~guarded].tobytes() == plain.tobytes()
 
 
 def test_interpolate_rejects_unreachable_target():
@@ -404,8 +425,7 @@ def test_feasible_rows_match_the_min_max_formula(q):
     for theta in near + far:
         lo, hi = np.minimum(theta0, u), np.maximum(theta0, u)
         mask = (theta >= lo - 1e-15) & (theta <= hi + 1e-15)
-        rows = _feasible_rows(theta0, theta, q)
-        kept = np.arange(len(theta0)) if rows is None else rows
+        kept = _feasible_rows(theta0, theta, q)
         assert kept.tolist() == np.flatnonzero(mask).tolist(), theta
 
 

@@ -33,7 +33,6 @@ PYTEST_ARGS = [
 # by text so that an edit above them does not move them
 ALLOWED = {
     ("cli.py", "sys.exit(main())"): "cli.entry, the console script: tests call main",
-    ("oracle.py", "sign_ok = False"): "two_level_monotonicity: runs only if the lemma were false",
     ("cli.py", "entry()"): "the body of the module's __main__ guard",
 }
 
