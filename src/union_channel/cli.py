@@ -21,6 +21,7 @@ import sys
 from typing import NoReturn, Sequence
 
 from . import capacity, codec, oracle
+from .entropy import MAX_ALPHABET
 
 THREADS_ENV = "UNION_CHANNEL_THREADS"
 
@@ -277,12 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
 
-    # each numeric option's range is checked once, by its type=; --q stops at
-    # 2**53, beyond which alphabet sizes are not exact floats, and block
-    # lengths at 64, the largest n that `params` searches
+    # each numeric option's range is checked once, by its type=: --q up to the
+    # library's MAX_ALPHABET, block lengths up to 64, the largest n `params` searches
 
     p = sub.add_parser("capacity", help="symmetric rates for one alphabet size")
-    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
     add_common(p)
     p.set_defaults(func=_cmd_capacity)
 
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("lemma", help="oracle vs closed-form joint-entropy maximum")
-    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
     p.add_argument("--theta", type=_number(float, 0, 1), required=True)
     # the grid oracle owns the range and default of its step; see grid_max_joint_entropy
     p.add_argument("--resolution", type=float, default=None)
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lemma)
 
     p = sub.add_parser("codec", help="run the zero-error protocol simulation")
-    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
     p.add_argument("--n", type=_number(int, 1, 64), required=True)
     p.add_argument("--m", type=_number(int, 1, 64), required=True)
     p.add_argument("--B", type=_number(int, 1, 10**4), required=True)
@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_codec)
 
     p = sub.add_parser("params", help="feasible (n, m) pairs and their rates")
-    p.add_argument("--q", type=_number(int, 2, 2**53), required=True)
+    p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
     p.add_argument("--n-max", type=_number(int, 1, 64), default=64)
     add_common(p)
     p.set_defaults(func=_cmd_params)

@@ -38,12 +38,12 @@ from itertools import chain, product
 from typing import Iterator, Sequence
 
 from .entropy import (
-    DEFAULT_SEED, bisect_root, check_alphabet, check_between, check_count, check_int,
+    DEFAULT_SEED, _shown, bisect_root, check_alphabet, check_between, check_count, check_int,
     unchecked_binary_entropy,
 )
 
 STAR = 0
-MAX_CODEC_ALPHABET = 255
+MAX_CODEC_ALPHABET = 255  # codec digits are stored one per byte
 MAX_WORKERS = 64  # processes one simulate() may start
 _WORKERS_SHOWN = f"[1, {MAX_WORKERS}]"  # formatted once, not on every simulate()
 # the longest block the exact-int bounds take; math.comb refuses n past 2**63
@@ -82,9 +82,7 @@ def validate_params(q: int, n: int, m: int) -> FeasibilityCheck:
     the comparison is unaffected.
     """
     check_alphabet(q)
-    check_int(n, "n")
     check_between(n, 0, MAX_BLOCK_LENGTH, _LENGTH_SHOWN, "n")
-    check_int(m, "m")
     check_between(m, 1, n, f"[1, {n}]", "m")
     lhs = math.comb(2 * (n - m), n - m) << max(2 * m - n, 0)
     rhs = pattern_count(q, n, m) << max(n - 2 * m, 0)
@@ -101,19 +99,15 @@ class CodeParams:
     blocks: int
 
     def __post_init__(self) -> None:
-        for name in ("q", "n", "m"):
+        check_between(self.q, 2, MAX_CODEC_ALPHABET, f"[2, {MAX_CODEC_ALPHABET}]", "q")
+        for name in ("n", "m"):
             check_int(getattr(self, name), name)
         check_count(self.blocks, "blocks", 1)
-        if self.q > MAX_CODEC_ALPHABET:
-            raise ValueError(
-                f"codec digits are stored one per byte; q must be <= "
-                f"{MAX_CODEC_ALPHABET}, got {self.q}"
-            )
         check = validate_params(self.q, self.n, self.m)
         if not check.feasible:
             raise ValueError(
                 f"infeasible (q={self.q}, n={self.n}, m={self.m}): "
-                f"lhs={check.lhs} rhs={check.rhs}"
+                f"lhs={_shown(check.lhs)} rhs={_shown(check.rhs)}"
             )
 
     @property
@@ -126,9 +120,7 @@ def uncertainty_peak_bound(n: int, m: int) -> int:
 
     That is :func:`survivor_bound` at its peak, a block with 2m - n pair outputs.
     """
-    check_int(n, "n")
     check_between(n, 0, MAX_BLOCK_LENGTH, _LENGTH_SHOWN, "n")
-    check_int(m, "m")
     check_between(m, (n + 1) // 2, n, f"[{n}/2, {n}]", "m")  # n / 2 overflows past 2**1024
     return survivor_bound(n, m, 2 * m - n)
 
@@ -167,9 +159,7 @@ def resolution_digits(size: int, q: int) -> int:
 def pattern_count(q: int, n: int, m: int) -> int:
     """|S| = C(n, m) * q^(n-m), exact."""
     check_alphabet(q, minimum=1)
-    check_int(n, "n")
     check_between(n, 0, MAX_BLOCK_LENGTH, _LENGTH_SHOWN, "n")
-    check_int(m, "m")
     check_between(m, 0, n, f"[0, {n}]", "m")
     return math.comb(n, m) * q ** (n - m)
 
@@ -203,7 +193,7 @@ def unrank_pattern(rank: int, q: int, n: int, m: int) -> tuple[int, ...]:
     cnt = _completions(q, n)
     total = cnt[n][m]
     if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range [0, {total})")
+        raise ValueError(f"rank {_shown(rank)} out of range [0, {_shown(total)})")
     out = []
     m_rem = m
     for row in cnt[-2::-1]:  # rows n-1..0 (none if n=0): completions after this position
@@ -249,7 +239,7 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
         elif 1 <= s <= q:
             rank += cnt[k][stars - 1] + (s - 1) * cnt[k][stars]
         else:
-            raise ValueError(f"pattern symbol {s!r} outside alphabet [1, {q}]")
+            raise ValueError(f"pattern symbol {_shown(s)} outside alphabet [1, {q}]")
     if stars != m:
         raise ValueError(f"pattern has {stars} stars, expected {m}")
     return rank
@@ -416,7 +406,7 @@ def new_session(
             valid = False
         if not valid:  # the same test, digit by digit, names the first bad one
             bad = next(d for d in w if not hasattr(d, "__index__") or d not in digits)
-            raise ValueError(f"{name} digit {bad!r} outside alphabet [1, {params.q}]")
+            raise ValueError(f"{name} digit {_shown(bad)} outside alphabet [1, {params.q}]")
     w1, w2 = stored
     return SessionState(params, w1, w2)
 
@@ -593,9 +583,9 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
             if type(y) is frozenset and y in table and {*map(type, y)} == {int}:
                 continue
             try:
-                shown = sorted(y)
+                shown = _shown(sorted(y))
             except TypeError:  # not iterable, or elements without an order
-                shown = repr(y)
+                shown = _shown(y)
             raise ValueError(
                 f"output {shown} at position {pos} is not a 1- or 2-element "
                 f"subset of [1, {q}]"
@@ -720,7 +710,6 @@ def simulate(
     if not isinstance(params, CodeParams):
         raise _wrong_type("params", params, "a CodeParams")
     check_count(trials, "trials", 1)
-    check_int(workers, "workers")
     check_between(workers, 1, MAX_WORKERS, _WORKERS_SHOWN, "workers")
     check_count(seed, "seed", 0)
     jobs = [(params, seed, t) for t in range(trials)]

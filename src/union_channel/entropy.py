@@ -17,6 +17,7 @@ PROB_TOL = 1e-12
 # the seed of every seeded draw in the package (codec trials, oracle searches)
 # when the caller gives none
 DEFAULT_SEED = 0x5EED
+MAX_ALPHABET = 2**53  # beyond which alphabet sizes are not exact floats
 
 
 ProbVector = Sequence[float]
@@ -27,13 +28,22 @@ def validate_pmf(probs: ProbVector) -> None:
     entropy_q(probs, 2)
 
 
+def _shown(value: object) -> str:  # repr, or a stand-in for an int too long for it
+    try:
+        return repr(value)
+    except ValueError:  # past the interpreter's limit on int-to-str digits
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
+
+
 def check_int(value: int, name: str) -> None:
     """Raise ValueError unless ``value`` is an int.
 
     A ``bool`` or a float of integral value is refused too, as NaN and 2.5 are.
     """
     if type(value) is not int:
-        raise ValueError(f"{name} must be an int, got {value!r}")
+        raise ValueError(f"{name} must be an int, got {_shown(value)}")
 
 
 def check_count(value: int, name: str, minimum: int) -> None:
@@ -44,27 +54,30 @@ def check_count(value: int, name: str, minimum: int) -> None:
     None, and refuse a float or a negative seed with its own errors.
     """
     if type(value) is not int or value < minimum:
-        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an int >= {minimum}, got {_shown(value)}")
 
 
 def check_alphabet(q: int, minimum: int = 2) -> None:
-    """Raise ValueError unless the alphabet size ``q`` is an int >= ``minimum``."""
-    if type(q) is not int or q < minimum:  # one test on the path every caller takes
+    """Raise ValueError unless the alphabet size ``q`` is an int in [minimum, MAX_ALPHABET]."""
+    if type(q) is not int or not minimum <= q <= MAX_ALPHABET:  # one test on every call
         check_int(q, "alphabet size")
-        raise ValueError(f"alphabet size must be at least {minimum}, got {q}")
+        bound = f"at least {minimum}" if q < minimum else f"at most {MAX_ALPHABET}"
+        raise ValueError(f"alphabet size must be {bound}, got {_shown(q)}")
 
 
 def check_between(value: float, lo: float, hi: float, shown: str, name: str = "theta") -> None:
-    """Raise ValueError unless lo <= value <= hi.
+    """Raise ValueError unless lo <= value <= hi (an int, if both bounds are ints).
 
     ``shown`` is the interval as printed; a str, None or NaN is refused too.
     """
+    if type(lo) is type(hi) is int:
+        check_int(value, name)
     try:
         inside = lo <= value <= hi
     except TypeError:
         inside = False
     if not inside:
-        raise ValueError(f"{name} must lie in {shown}, got {value!r}")
+        raise ValueError(f"{name} must lie in {shown}, got {_shown(value)}")
 
 
 def entropy_q(probs: ProbVector, q: int) -> float:
@@ -91,16 +104,16 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
     try:
         groups = iter(masses)
     except TypeError:
-        raise ValueError(f"probabilities must be an iterable, got {masses!r}") from None
+        raise ValueError(f"probabilities must be an iterable, got {_shown(masses)}") from None
     for group in groups:
         try:
             m, r = group
         except (TypeError, ValueError):
             raise ValueError(f"probability group must be a (mass, multiplicity) pair, "
-                             f"got {group!r}") from None
+                             f"got {_shown(group)}") from None
         del group  # so entropy_q's zip can reuse its pair tuple
         if type(r) is not int or r < 1:
-            raise ValueError(f"multiplicity must be a positive integer, got {r!r}")
+            raise ValueError(f"multiplicity must be a positive integer, got {_shown(r)}")
         try:
             mass += m
             if m > 0.0 and (cell := m / r) > 0.0:  # a share that underflows adds 0 log 0

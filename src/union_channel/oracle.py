@@ -19,7 +19,7 @@ from itertools import chain
 from operator import add, mul
 
 from .entropy import (
-    DEFAULT_SEED, check_alphabet, check_between, check_count, check_int, entropy_q, validate_pmf,
+    DEFAULT_SEED, check_alphabet, check_between, check_count, entropy_q, validate_pmf,
 )
 
 
@@ -120,7 +120,6 @@ class TwoLevelPoint:
 def two_level_point(q: int, theta: float, r: int) -> TwoLevelPoint | None:
     """Solve r*a + s*b = 1, r*a^2 + s*b^2 = theta with a >= b; None if b < 0."""
     check_alphabet(q)
-    check_int(r, "r")
     check_between(r, 1, q - 1, f"[1, {q - 1}]", "r")
     check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
     p = theta * q - 1.0
@@ -478,12 +477,9 @@ def _grid_q3(
     return _first_max((best, refined))
 
 
-# per q: the default grid step, and the smallest step with the refusal below it;
-# the q=3 search grids a 2-simplex, quadratic in 1/resolution
-_GRID_STEPS = {
-    2: (1e-4, 1e-6, "grid step below 1e-6 means >1M points per side"),
-    3: (1e-2, 1e-3, "simplex grid step below 1e-3 means >500k points"),
-}
+# per q: the default grid step and the floor; a finer q=2 grid has over 1M points a
+# side, a finer q=3 grid over 500k points on its 2-simplex (quadratic in 1/step)
+_GRID_STEPS = {2: (1e-4, 1e-6), 3: (1e-2, 1e-3)}
 GRID_QS = frozenset(_GRID_STEPS)  # the alphabet sizes grid_max_joint_entropy covers
 
 
@@ -506,18 +502,11 @@ def grid_max_joint_entropy(
     if q not in GRID_QS:
         raise ValueError(f"grid search supports q in {set(GRID_QS)}, got {q}")
     check_between(theta, 0.0, 1.0, "[0, 1]")
-    default, floor, refusal = _GRID_STEPS[q]
-    if resolution is None:
-        resolution = default
-    check_between(resolution, 0.0, 0.5, "(0, 0.5]", "resolution")  # 0 meets the floor
-    if resolution < floor:
-        raise ValueError(f"{refusal}; got {resolution!r}")
-    check_count(refinements, "refinements", 0)
-    if refinements * 3 > MAX_SAMPLER_ENTRIES // 6:
-        raise ValueError(
-            f"refinements * 3 must be at most {MAX_SAMPLER_ENTRIES // 6}, "
-            f"got {refinements * 3}"
-        )
+    default, floor = _GRID_STEPS[q]
+    resolution = default if resolution is None else resolution
+    check_between(resolution, floor, 0.5, f"[{floor!r}, 0.5]", "resolution")
+    cap = MAX_SAMPLER_ENTRIES // 18  # refinements * 3 <= a sixth of the sampler's cap
+    check_between(refinements, 0, cap, f"[0, {cap}]", "refinements")
     check_count(seed, "seed", 0)
     if q == 2:
         value, a, b = _grid_q2(theta, resolution)
@@ -537,12 +526,9 @@ def random_feasible_sampler(
     discarded rather than re-solved. Returns -inf if nothing was feasible.
     """
     check_alphabet(q)
-    check_count(samples, "samples", 1)
+    cap = MAX_SAMPLER_ENTRIES // q  # samples * q values drawn
+    check_between(samples, 1, cap, f"[1, {cap}]", "samples")
     check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
-    if samples * q > MAX_SAMPLER_ENTRIES:
-        raise ValueError(
-            f"samples * q must be at most {MAX_SAMPLER_ENTRIES}, got {samples * q}"
-        )
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     per = max(1, samples // 6)  # per batch: each concentration symmetric, then not

@@ -6,6 +6,7 @@ import pytest
 
 from union_channel import avg_feedback_capacity, oracle, rate_root
 from union_channel.cli import _workers_from_env, main
+from union_channel.entropy import MAX_ALPHABET
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +57,17 @@ def test_table_single_row(capsys):
     assert json.loads(lines[0])["q"] == 2
 
 
+@pytest.mark.parametrize("command", ["capacity", "lemma", "codec", "params"])
+def test_every_q_option_stops_at_the_library_alphabet_cap(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", str(MAX_ALPHABET + 1)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        f"union-channel {command}: error: argument --q: must be in [2, {MAX_ALPHABET}], "
+        f"got {MAX_ALPHABET + 1}\n"
+    )
+
+
 def test_table_rejects_out_of_range(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--q-max", "1001"])
@@ -73,13 +85,13 @@ def test_lemma_grid_pass(capsys):
 @pytest.mark.parametrize(
     "q, theta, resolution, message",
     [
-        # the step's interval is closed: 0 meets the floor, which names its reason
-        ("2", "0.75", "0", "grid step below 1e-6 means >1M points per side; got 0.0"),
-        ("2", "0.75", "-1", "resolution must lie in (0, 0.5], got -1.0"),
-        ("2", "0.75", "0.9", "resolution must lie in (0, 0.5], got 0.9"),
-        ("2", "0.75", "nan", "resolution must lie in (0, 0.5], got nan"),
-        ("3", "0.5", "1e-5", "simplex grid step below 1e-3"),
-        ("2", "0.75", "1e-8", "grid step below 1e-6"),
+        # the step's interval is closed and starts at the per-q floor, above 0
+        ("2", "0.75", "0", "resolution must lie in [1e-06, 0.5], got 0.0"),
+        ("2", "0.75", "-1", "resolution must lie in [1e-06, 0.5], got -1.0"),
+        ("2", "0.75", "0.9", "resolution must lie in [1e-06, 0.5], got 0.9"),
+        ("2", "0.75", "nan", "resolution must lie in [1e-06, 0.5], got nan"),
+        ("3", "0.5", "1e-5", "resolution must lie in [0.001, 0.5], got 1e-05"),
+        ("2", "0.75", "1e-8", "resolution must lie in [1e-06, 0.5], got 1e-08"),
     ],
 )
 def test_lemma_refuses_bad_resolution_in_one_line(capsys, q, theta, resolution, message):
@@ -289,7 +301,7 @@ def test_codec_refuses_infeasible(capsys):
 @pytest.mark.parametrize(
     "q, n, m, message",
     [
-        ("300", "3", "2", "q must be <= 255, got 300"),
+        ("300", "3", "2", "q must lie in [2, 255], got 300"),
         ("2", "3", "5", "m must lie in [1, 3], got 5"),
     ],
 )

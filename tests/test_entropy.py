@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 import union_channel as uc
 from union_channel import binary_entropy, entropy_q, grouped_entropy
-from union_channel.entropy import bisect_root, validate_pmf
+from union_channel.entropy import (
+    MAX_ALPHABET, bisect_root, check_alphabet, check_between, check_count, check_int, validate_pmf,
+)
 
 
 def test_uniform_has_unit_entropy():
@@ -256,3 +258,103 @@ def test_an_alphabet_that_is_not_an_int_is_refused(call, q):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == f"alphabet size must be an int, got {q!r}"
+
+
+HUGE = 10**5000  # past the interpreter's 4300-digit limit on int-to-str conversion
+
+
+def _refusal(call):
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "value",
+    [5, True, 2.0, 2.5, NAN, math.inf, "5", None, -1, 10**30, HUGE],
+    ids=["5", "True", "2.0", "2.5", "nan", "inf", "str", "None", "-1", "10**30", "10**5000"],
+)
+def test_an_int_range_refuses_as_check_int_then_check_between_did(value):
+    def two_calls():  # what each int range wrote before check_between took ints
+        check_int(value, "n")
+        check_between(value, 0, 10, "[0, 10]", "n")
+
+    assert _refusal(lambda: check_between(value, 0, 10, "[0, 10]", "n")) == _refusal(two_calls)
+
+
+def test_a_float_range_still_takes_an_int():
+    check_between(0, 0.0, 1.0, "[0, 1]")
+    check_between(1, 0.0, 1.0, "[0, 1]")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: uc.validate_params(2, HUGE, 1),
+         "n must lie in [0, 16384], got an int of 16610 bits"),
+        (lambda: check_count(-HUGE, "seed", 0),
+         "seed must be an int >= 0, got an int of 16610 bits"),
+        (lambda: check_alphabet(-HUGE),
+         "alphabet size must be at least 2, got an int of 16610 bits"),
+        (lambda: check_alphabet(HUGE),
+         f"alphabet size must be at most {MAX_ALPHABET}, got an int of 16610 bits"),
+        (lambda: uc.unrank_pattern(HUGE, 2, 3, 1),
+         "rank an int of 16610 bits out of range [0, 12)"),
+        (lambda: uc.rank_pattern([HUGE], 2, 0),
+         "pattern symbol an int of 16610 bits outside alphabet [1, 2]"),
+        (lambda: uc.new_session(uc.CodeParams(2, 3, 2, 1), [HUGE, 1], [1, 1]),
+         "w1 digit an int of 16610 bits outside alphabet [1, 2]"),
+        (lambda: uc.decode_transcript(uc.CodeParams(2, 3, 2, 1), [HUGE] * 4),
+         "output an int of 16610 bits at position 0 is not a 1- or 2-element subset of [1, 2]"),
+        (lambda: uc.decode_transcript(uc.CodeParams(2, 3, 2, 1), [frozenset({HUGE})] * 4),
+         "output a list holding an int too long to print at position 0 is not a 1- or "
+         "2-element subset of [1, 2]"),
+        (lambda: grouped_entropy(HUGE, 2),
+         "probabilities must be an iterable, got an int of 16610 bits"),
+        (lambda: grouped_entropy([HUGE], 2),
+         "probability group must be a (mass, multiplicity) pair, got an int of 16610 bits"),
+        (lambda: grouped_entropy([(1.0, -HUGE)], 2),
+         "multiplicity must be a positive integer, got an int of 16610 bits"),
+        (lambda: uc.two_level_point(3, [HUGE], 1),
+         "theta must lie in [1/3, 1], got a list holding an int too long to print"),
+        # in-range inputs whose infeasibility report holds an int too long to print
+        (lambda: uc.CodeParams(2, 9000, 4000, 1),
+         f"infeasible (q=2, n=9000, m=4000): lhs={math.comb(10000, 5000)} "
+         f"rhs=an int of 14913 bits"),
+        (lambda: uc.CodeParams(2, 2**14, 1, 1),
+         "infeasible (q=2, n=16384, m=1): lhs=an int of 32759 bits rhs=an int of 32780 bits"),
+    ],
+    ids=[
+        "validate_params-n", "check_count", "check_alphabet-below", "check_alphabet-above",
+        "unrank_pattern-rank", "rank_pattern-symbol", "new_session-digit",
+        "decode_transcript-int", "decode_transcript-frozenset",
+        "grouped_entropy-masses", "grouped_entropy-group", "grouped_entropy-multiplicity",
+        "two_level_point-theta-list", "CodeParams-rhs", "CodeParams-lhs-rhs",
+    ],
+)
+def test_a_refusal_names_an_int_too_long_to_print_by_its_size(call, message):
+    # repr of such an int raises Python's own ValueError, which once replaced the refusal
+    assert _refusal(call) == message
+
+
+@pytest.mark.parametrize(
+    "call, q",
+    [
+        (lambda: check_alphabet(MAX_ALPHABET + 1), MAX_ALPHABET + 1),
+        (lambda: uc.pattern_count(10**100, 2**14, 0), 10**100),  # took 0.4 s to return
+        (lambda: uc.avg_feedback_capacity(10**400), 10**400),  # OverflowError
+        (lambda: uc.tangent_point(10**400), 10**400),
+        (lambda: uc.concave_envelope(0.5, 10**400), 10**400),
+        (lambda: uc.cover_leung_witness(10**400, 0.5), 10**400),
+        (lambda: uc.two_level_value(10**400, 0.5, 1), 10**400),
+        (lambda: uc.two_level_monotonicity(2**64, 0.5, 5), 2**64),  # ZeroDivisionError
+    ],
+    ids=[
+        "check_alphabet", "pattern_count", "avg_feedback_capacity", "tangent_point",
+        "concave_envelope", "cover_leung_witness", "two_level_value", "two_level_monotonicity",
+    ],
+)
+def test_an_alphabet_past_the_cap_is_refused_in_one_line(call, q):
+    assert _refusal(call) == f"alphabet size must be at most {MAX_ALPHABET}, got {q}"

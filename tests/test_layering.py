@@ -16,7 +16,7 @@ EXPECTED_IMPORTS = {
     "codec": {"entropy"},
     "capacity": {"entropy", "codec"},
     "oracle": {"entropy"},
-    "cli": {"capacity", "codec", "oracle"},
+    "cli": {"entropy", "capacity", "codec", "oracle"},
 }
 
 
@@ -87,3 +87,11 @@ def test_count_refusals_are_written_only_in_entropy():
     # entropy.check_count, so each count is refused in the one text
     assert _modules_writing("must be an int") == {"entropy"}
     assert _modules_writing("need at least") == set()
+
+
+def test_caps_are_written_only_in_entropy():
+    # every cap is a range through entropy.check_between or the alphabet cap of
+    # entropy.check_alphabet; cli keeps its own --samples pre-check, which
+    # refuses before the grid runs
+    assert _modules_writing("must be at most") <= {"entropy", "cli"}
+    assert _modules_writing("must be <=") == set()

@@ -236,20 +236,20 @@ def test_grid_rejects_bad_arguments():
         grid_max_joint_entropy(4, 0.5, 1e-3)
     with pytest.raises(ValueError):
         grid_max_joint_entropy(2, 0.5, 0.0)
-    with pytest.raises(ValueError, match=r"resolution must lie in \(0, 0.5\], got nan"):
+    with pytest.raises(ValueError, match=r"resolution must lie in \[1e-06, 0.5\], got nan"):
         grid_max_joint_entropy(2, 0.5, float("nan"))
     with pytest.raises(ValueError):
         grid_max_joint_entropy(3, 0.5, 1e-4)  # simplex grid would explode
-    with pytest.raises(ValueError, match="grid step below 1e-6"):
+    with pytest.raises(ValueError, match=r"resolution must lie in \[1e-06, 0.5\], got 1e-08"):
         grid_max_joint_entropy(2, 0.75, 1e-8)  # 1e8-point arrays
 
 
 def test_grid_step_caps_follow_the_general_checks():
     with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 2.0"):
         grid_max_joint_entropy(3, 2.0, 1e-4)
-    with pytest.raises(ValueError, match=r"resolution must lie in \(0, 0.5\], got -1.0"):
+    with pytest.raises(ValueError, match=r"resolution must lie in \[0.001, 0.5\], got -1.0"):
         grid_max_joint_entropy(3, 0.5, -1.0)
-    with pytest.raises(ValueError, match="simplex grid step below 1e-3 means >500k points"):
+    with pytest.raises(ValueError, match=r"resolution must lie in \[0.001, 0.5\], got 0.0001"):
         grid_max_joint_entropy(3, 0.5, 1e-4)
 
 
@@ -587,13 +587,13 @@ class _NoNumpy:
         # the grid's cap is a sixth of the sampler's; it bounds time only,
         # since the refinements are streamed a chunk at a time
         (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=10**8),
-         "refinements * 3 must be at most 1666666, got 300000000"),
+         "refinements must lie in [0, 555555], got 100000000"),
         (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_556),
-         "refinements * 3 must be at most 1666666, got 1666668"),
+         "refinements must lie in [0, 555555], got 555556"),
         (lambda: random_feasible_sampler(5, 0.7, 6 * 10**8),
-         "samples * q must be at most 10000000, got 3000000000"),
+         "samples must lie in [1, 2000000], got 600000000"),
         (lambda: random_feasible_sampler(5, 0.7, 2_000_001),
-         "samples * q must be at most 10000000, got 10000005"),
+         "samples must lie in [1, 2000000], got 2000001"),
     ],
     ids=["grid-1e8", "grid-just-over", "sampler-6e8", "sampler-just-over"],
 )
@@ -609,9 +609,9 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
     [
         (lambda: two_level_monotonicity(3, 0.7, 2.5),
          "grid_points must be an int >= 1, got 2.5"),
-        (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int >= 1, got 10.5"),
+        (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int, got 10.5"),
         (lambda: grid_max_joint_entropy(3, 0.7, 0.1, refinements=math.nan),
-         "refinements must be an int >= 0, got nan"),
+         "refinements must be an int, got nan"),
         (lambda: interpolate_to_theta((-0.5, 1.5), (0.5, 0.5), 0.5),
          "negative probability entry -0.5"),
         (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0, 0.0), 0.5),
@@ -622,9 +622,9 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: two_level_point(3, 0.5, 0), "r must lie in [1, 2], got 0"),
         (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/3, 1], got 0.2"),
         (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in [1/3, 1], got 0.3"),
-        (lambda: random_feasible_sampler(3, 0.5, 0), "samples must be an int >= 1, got 0"),
+        (lambda: random_feasible_sampler(3, 0.5, 0), "samples must lie in [1, 3333333], got 0"),
         # the count is checked before theta
-        (lambda: random_feasible_sampler(3, 0.2, 0), "samples must be an int >= 1, got 0"),
+        (lambda: random_feasible_sampler(3, 0.2, 0), "samples must lie in [1, 3333333], got 0"),
         (lambda: concave_envelope(0.2, 3), "theta must lie in [1/3, 1], got 0.2"),
         (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
         (lambda: two_level_point(3.0, 0.5, 1), "alphabet size must be an int, got 3.0"),
@@ -647,10 +647,10 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         # 2.0 == 2 is in GRID_QS, so the alphabet rule must come first
         (lambda: grid_max_joint_entropy(2.0, 0.5), "alphabet size must be an int, got 2.0"),
         (lambda: grid_max_joint_entropy(3, 0.5, refinements=-5),
-         "refinements must be an int >= 0, got -5"),
-        # the step's interval is closed; a step of 0 meets the floor
+         "refinements must lie in [0, 555555], got -5"),
+        # the step's interval is closed and starts at the per-q floor, above 0
         (lambda: grid_max_joint_entropy(2, 0.5, 0.0),
-         "grid step below 1e-6 means >1M points per side; got 0.0"),
+         "resolution must lie in [1e-06, 0.5], got 0.0"),
         # a value that is not a number fails the interval rule, not a comparison
         (lambda: max_joint_entropy("0.5", 3), "theta must lie in [1/3, 1], got '0.5'"),
         (lambda: output_entropy(None, 3), "theta must lie in [0, 1], got None"),
@@ -661,7 +661,7 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in [1/3, 1], got 'x'"),
         (lambda: grid_max_joint_entropy(3, None), "theta must lie in [0, 1], got None"),
         (lambda: grid_max_joint_entropy(3, 0.5, "0.1"),
-         "resolution must lie in (0, 0.5], got '0.1'"),
+         "resolution must lie in [0.001, 0.5], got '0.1'"),
         (lambda: random_feasible_sampler(3, "x", 10), "theta must lie in [1/3, 1], got 'x'"),
         (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0), "x"),
          "theta must lie in [0.5, 0.5], got 'x'"),
