@@ -39,7 +39,7 @@ def top_symbol_mass(theta: float, q: int) -> float:
     shape that maximizes the joint entropy at that agreement level.
     """
     check_alphabet(q)
-    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
+    check_between(theta, 1.0 / q, 1.0, "[1/q, 1]")
     return 1.0 / q + math.sqrt((1.0 - 1.0 / q) * (theta - 1.0 / q))
 
 
@@ -69,7 +69,7 @@ def envelope_line(theta: float, q: int) -> float:
     2 - (2(q-1) log_q(q-1) / (q-2)) * (theta - 1/q).
     """
     tp = tangent_point(q)
-    check_between(theta, 1.0 / q, tp, f"[1/{q}, {tp}]")
+    check_between(theta, 1.0 / q, tp, "[1/q, tangent_point(q)]")
     slope = 2.0 * (q - 1) * math.log(q - 1, q) / (q - 2)
     return 2.0 - slope * (theta - 1.0 / q)
 
@@ -88,7 +88,7 @@ def concave_envelope(theta: float, q: int) -> EnvelopeValue:
     linear-interpolation weights), then the curve.
     """
     check_alphabet(q)
-    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
+    check_between(theta, 1.0 / q, 1.0, "[1/q, 1]")
     if q > 2 and theta < (tp := tangent_point(q)):
         p2 = (theta - 1.0 / q) / (tp - 1.0 / q)
         return EnvelopeValue(envelope_line(theta, q), ((1.0 - p2, 1.0 / q), (p2, tp)))
@@ -101,7 +101,7 @@ def output_entropy(theta: float, q: int) -> float:
     Concave in theta with its maximum log_q C(q+1, 2) at theta = 2/(q+1).
     """
     check_alphabet(q)
-    check_between(theta, 0.0, 1.0, "[0, 1]")
+    check_between(theta, 0.0, 1.0)
     return grouped_entropy([(theta, q), (1.0 - theta, math.comb(q, 2))], q)
 
 
@@ -252,7 +252,7 @@ def cover_leung_witness(q: int, theta: float) -> CoverLeungWitness:
     the bits of a pass over the joint entry by entry.
     """
     check_alphabet(q)
-    check_between(theta, 1.0 / q, 2.0 / (q + 1), f"[1/{q}, 2/{q + 1}]")
+    check_between(theta, 1.0 / q, 2.0 / (q + 1), "[1/q, 2/(q+1)]")
     marginal = [0.0] * (q * q)
     h1 = h2 = 0.0
     for p_uv, products in _branches(q, theta):

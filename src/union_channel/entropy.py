@@ -65,10 +65,13 @@ def check_alphabet(q: int, minimum: int = 2) -> None:
         raise ValueError(f"alphabet size must be {bound}, got {_shown(q)}")
 
 
-def check_between(value: float, lo: float, hi: float, shown: str, name: str = "theta") -> None:
+def check_between(
+    value: float, lo: float, hi: float, shown: str | None = None, name: str = "theta"
+) -> None:
     """Raise ValueError unless lo <= value <= hi (an int, if both bounds are ints).
 
-    ``shown`` is the interval as printed; a str, None or NaN is refused too.
+    A str, None or NaN is refused too. Only a refusal prints the interval: as
+    ``shown``, a literal for a symbolic bound, or as ``[lo, hi]``, whole floats as ints.
     """
     if type(lo) is type(hi) is int:
         check_int(value, name)
@@ -77,6 +80,8 @@ def check_between(value: float, lo: float, hi: float, shown: str, name: str = "t
     except TypeError:
         inside = False
     if not inside:
+        lo, hi = (int(b) if type(b) is float and b.is_integer() else b for b in (lo, hi))
+        shown = shown or f"[{_shown(lo)}, {_shown(hi)}]"
         raise ValueError(f"{name} must lie in {shown}, got {_shown(value)}")
 
 
@@ -136,7 +141,7 @@ def grouped_entropy(masses: Iterable[tuple[float, int]], q: int) -> float:
 
 def binary_entropy(p: float) -> float:
     """Binary entropy H_b(p) in bits."""
-    check_between(p, 0.0, 1.0, "[0, 1]", "binary entropy argument")
+    check_between(p, 0.0, 1.0, name="binary entropy argument")
     return unchecked_binary_entropy(p)
 
 

@@ -96,7 +96,7 @@ def interpolate_to_theta(
     q = len(a)
     theta0 = reduce(add, map(mul, a, b), 0.0)
     lo, hi = min(theta0, 1.0 / q), max(theta0, 1.0 / q)
-    check_between(theta_target, lo - _IP_TOL, hi + _IP_TOL, f"[{lo!r}, {hi!r}]")
+    check_between(theta_target, lo - _IP_TOL, hi + _IP_TOL)
     ap, bp = _interpolate(
         np.array([theta0]), theta_target, q,
         np.array([a], dtype=float), np.array([b], dtype=float),
@@ -120,8 +120,8 @@ class TwoLevelPoint:
 def two_level_point(q: int, theta: float, r: int) -> TwoLevelPoint | None:
     """Solve r*a + s*b = 1, r*a^2 + s*b^2 = theta with a >= b; None if b < 0."""
     check_alphabet(q)
-    check_between(r, 1, q - 1, f"[1, {q - 1}]", "r")
-    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
+    check_between(r, 1, q - 1, name="r")
+    check_between(theta, 1.0 / q, 1.0, "[1/q, 1]")
     p = theta * q - 1.0
     s = q - r
     root = math.sqrt(max(r * s * p, 0.0))
@@ -170,7 +170,7 @@ def two_level_monotonicity(q: int, theta: float, grid_points: int) -> Monotonici
     """
     check_alphabet(q)
     check_count(grid_points, "grid_points", 1)
-    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
+    check_between(theta, 1.0 / q, 1.0, "[1/q, 1]")
     p = max(theta * q - 1.0, 0.0)  # (1/49) * 49 is 1 - 1.1e-16
     step = (1.0 - 2.0 / q) / max(grid_points - 1, 1)
     ts, values, ratios = [], [], []
@@ -501,12 +501,12 @@ def grid_max_joint_entropy(
     check_alphabet(q)
     if q not in GRID_QS:
         raise ValueError(f"grid search supports q in {set(GRID_QS)}, got {q}")
-    check_between(theta, 0.0, 1.0, "[0, 1]")
+    check_between(theta, 0.0, 1.0)
     default, floor = _GRID_STEPS[q]
     resolution = default if resolution is None else resolution
-    check_between(resolution, floor, 0.5, f"[{floor!r}, 0.5]", "resolution")
-    cap = MAX_SAMPLER_ENTRIES // 18  # refinements * 3 <= a sixth of the sampler's cap
-    check_between(refinements, 0, cap, f"[0, {cap}]", "refinements")
+    check_between(resolution, floor, 0.5, name="resolution")
+    # refinements * 3 <= a sixth of the sampler's cap
+    check_between(refinements, 0, MAX_SAMPLER_ENTRIES // 18, name="refinements")
     check_count(seed, "seed", 0)
     if q == 2:
         value, a, b = _grid_q2(theta, resolution)
@@ -526,9 +526,8 @@ def random_feasible_sampler(
     discarded rather than re-solved. Returns -inf if nothing was feasible.
     """
     check_alphabet(q)
-    cap = MAX_SAMPLER_ENTRIES // q  # samples * q values drawn
-    check_between(samples, 1, cap, f"[1, {cap}]", "samples")
-    check_between(theta, 1.0 / q, 1.0, f"[1/{q}, 1]")
+    check_between(samples, 1, MAX_SAMPLER_ENTRIES // q, name="samples")  # samples * q drawn
+    check_between(theta, 1.0 / q, 1.0, "[1/q, 1]")
     check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     per = max(1, samples // 6)  # per batch: each concentration symmetric, then not

@@ -125,6 +125,46 @@ def test_exact_bounds_take_the_cap_itself():
     assert pattern_count(2, n, n) == 1
 
 
+def _unchecked_params(q, n, m, blocks):  # a CodeParams that skipped its own checks
+    params = object.__new__(CodeParams)
+    for name, value in zip(("q", "n", "m", "blocks"), (q, n, m, blocks)):
+        object.__setattr__(params, name, value)
+    return params
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CodeParams(2, 2**14, 12000, 1), "n must lie in [0, 64], got 16384"),
+        (lambda: simulate(_unchecked_params(2, 2**14, 12000, 1), 1),
+         "n must lie in [0, 64], got 16384"),
+        (lambda: unrank_pattern(-1, 2, 2**14, 1), "n must lie in [0, 64], got 16384"),
+        (lambda: unrank_pattern(0, 255, 65, 1), "n must lie in [0, 64], got 65"),
+        (lambda: rank_pattern((0,) * 100, 2, 100), "n must lie in [0, 64], got 100"),
+        (lambda: rank_pattern((1,) * 65, 255, 0), "n must lie in [0, 64], got 65"),
+        (lambda: best_params(2, 65), "n_max must lie in [1, 64], got 65"),
+        (lambda: best_params(2, 10**30), f"n_max must lie in [1, 64], got {10**30}"),
+    ],
+    ids=["CodeParams", "simulate", "unrank-rank-negative", "unrank", "rank", "rank-q255",
+         "best_params", "best_params-10**30"],
+)
+def test_a_block_past_the_cap_is_refused_before_its_pattern_table(call, message):
+    # with the cap at 2**14 each was accepted, or built the (n+1)^2 table of
+    # exact counts before refusing: 8.7 s at n = 512, never done at 2**14
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        call()
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == message
+
+
+def test_patterns_at_the_block_cap_round_trip():
+    n = codec.MAX_BLOCK_LENGTH
+    last = pattern_count(255, n, 1) - 1
+    assert rank_pattern(unrank_pattern(last, 255, n, 1), 255, 1) == last
+    assert best_params(2, n) == best_params(2)
+
+
 # ---------------------------------------------------------------------------
 # star patterns
 
@@ -180,21 +220,21 @@ _TRANSCRIPT = [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})
         (lambda: unrank_pattern(0.0, 2, 3, 1), "rank must be an int, got 0.0"),
         (lambda: unrank_pattern(0, 2.0, 3, 1), "alphabet size must be an int, got 2.0"),
         (lambda: validate_params(2, 17.5, 13), "n must be an int, got 17.5"),
-        (lambda: best_params(2, 2.5), "n_max must be an int >= 1, got 2.5"),
+        (lambda: best_params(2, 2.5), "n_max must be an int, got 2.5"),
         (lambda: resolution_digits(0, 2), "size must be an int >= 1, got 0"),
         (lambda: pattern_count(2, 3, 4), "m must lie in [0, 3], got 4"),
         (lambda: unrank_pattern(0, 2, 3, 4), "m must lie in [0, 3], got 4"),
         (lambda: advance_uncertainty([b""], [channel(1, 2)] * 2, 2, 3, 1),
          "expected 3 outputs, got 2"),
-        (lambda: best_params(2, 0), "n_max must be an int >= 1, got 0"),
+        (lambda: best_params(2, 0), "n_max must lie in [1, 64], got 0"),
         (lambda: rank_pattern((STAR, 1), 2, True), "m must be an int, got True"),
         (lambda: rank_pattern((STAR, 1.0), 2, 1), "pattern symbol 1.0 outside alphabet [1, 2]"),
         (lambda: rank_pattern((0.0, 1), 2, 1), "pattern symbol 0.0 outside alphabet [1, 2]"),
         (lambda: rank_pattern((0, "a", 1), 2, 1), "pattern symbol 'a' outside alphabet [1, 2]"),
         (lambda: rank_pattern((0, None, 1), 2, 1), "pattern symbol None outside alphabet [1, 2]"),
         (lambda: uncertainty_peak_bound(17.0, 13), "n must be an int, got 17.0"),
-        (lambda: uncertainty_peak_bound(10, 3), "m must lie in [10/2, 10], got 3"),
-        (lambda: uncertainty_peak_bound(3, 5), "m must lie in [3/2, 3], got 5"),
+        (lambda: uncertainty_peak_bound(10, 3), "m must lie in [5, 10], got 3"),
+        (lambda: uncertainty_peak_bound(3, 5), "m must lie in [2, 3], got 5"),
         (lambda: decode_transcript(CodeParams(2, 3, 2, 1), None),
          "transcript must be a sequence of outputs, got NoneType"),
         (lambda: decode_transcript(CodeParams(2, 3, 2, 1), 5),

@@ -290,10 +290,39 @@ def test_a_float_range_still_takes_an_int():
 
 
 @pytest.mark.parametrize(
+    "value, lo, hi, shown, message",
+    [
+        (11, 0, 10, None, "n must lie in [0, 10], got 11"),
+        (-1, 1, 2**14, None, "n must lie in [1, 16384], got -1"),
+        (1.5, 0.0, 1.0, None, "n must lie in [0, 1], got 1.5"),
+        (NAN, -3.0, math.inf, None, "n must lie in [-3, inf], got nan"),
+        (0.9, 1e-06, 0.5, None, "n must lie in [1e-06, 0.5], got 0.9"),
+        (0.0, 1 / 3, 1.0, None, "n must lie in [0.3333333333333333, 1], got 0.0"),
+        (HUGE, 0, 10, None, "n must lie in [0, 10], got an int of 16610 bits"),
+        (0.2, 1 / 3, 1.0, "[1/q, 1]", "n must lie in [1/q, 1], got 0.2"),
+    ],
+    ids=["int", "int-large", "whole-float", "whole-float-inf", "float", "float-third",
+         "value-too-long-to-print", "literal"],
+)
+def test_a_refused_interval_is_printed_from_its_bounds(value, lo, hi, shown, message):
+    # ints and whole floats print as ints, other floats by repr, a literal as given
+    assert _refusal(lambda: check_between(value, lo, hi, shown, "n")) == message
+
+
+class _Unprintable(float):
+    def __repr__(self):
+        raise AssertionError("a passing check formatted its bounds")
+
+
+def test_a_passing_check_formats_no_text():
+    check_between(0.5, _Unprintable(0.25), _Unprintable(0.75))
+
+
+@pytest.mark.parametrize(
     "call, message",
     [
         (lambda: uc.validate_params(2, HUGE, 1),
-         "n must lie in [0, 16384], got an int of 16610 bits"),
+         "n must lie in [0, 64], got an int of 16610 bits"),
         (lambda: check_count(-HUGE, "seed", 0),
          "seed must be an int >= 0, got an int of 16610 bits"),
         (lambda: check_alphabet(-HUGE),
@@ -318,20 +347,14 @@ def test_a_float_range_still_takes_an_int():
         (lambda: grouped_entropy([(1.0, -HUGE)], 2),
          "multiplicity must be a positive integer, got an int of 16610 bits"),
         (lambda: uc.two_level_point(3, [HUGE], 1),
-         "theta must lie in [1/3, 1], got a list holding an int too long to print"),
-        # in-range inputs whose infeasibility report holds an int too long to print
-        (lambda: uc.CodeParams(2, 9000, 4000, 1),
-         f"infeasible (q=2, n=9000, m=4000): lhs={math.comb(10000, 5000)} "
-         f"rhs=an int of 14913 bits"),
-        (lambda: uc.CodeParams(2, 2**14, 1, 1),
-         "infeasible (q=2, n=16384, m=1): lhs=an int of 32759 bits rhs=an int of 32780 bits"),
+         "theta must lie in [1/q, 1], got a list holding an int too long to print"),
     ],
     ids=[
         "validate_params-n", "check_count", "check_alphabet-below", "check_alphabet-above",
         "unrank_pattern-rank", "rank_pattern-symbol", "new_session-digit",
         "decode_transcript-int", "decode_transcript-frozenset",
         "grouped_entropy-masses", "grouped_entropy-group", "grouped_entropy-multiplicity",
-        "two_level_point-theta-list", "CodeParams-rhs", "CodeParams-lhs-rhs",
+        "two_level_point-theta-list",
     ],
 )
 def test_a_refusal_names_an_int_too_long_to_print_by_its_size(call, message):

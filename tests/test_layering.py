@@ -95,3 +95,21 @@ def test_caps_are_written_only_in_entropy():
     # refuses before the grid runs
     assert _modules_writing("must be at most") <= {"entropy", "cli"}
     assert _modules_writing("must be <=") == set()
+
+
+def test_check_between_takes_only_a_literal_interval_text():
+    # check_between prints [lo, hi] itself, and only when it refuses; a caller
+    # that passes its own text passes a literal, so no passing call formats one
+    calls = [
+        (path.stem, node)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_between"
+    ]
+    assert len(calls) >= 20  # the walk found the package's range checks
+    for module, call in calls:
+        shown = call.args[3:4] + [kw.value for kw in call.keywords if kw.arg == "shown"]
+        for text in shown:
+            assert isinstance(text, ast.Constant) and isinstance(text.value, str), (
+                f"{module}.py:{call.lineno} passes check_between a shown that is not a literal"
+            )

@@ -101,7 +101,7 @@ def test_inner_products_add_left_to_right():
     assert repr(inner) == "0.3649681449652712"
     with pytest.raises(ValueError) as info:
         interpolate_to_theta(a, b, 0.9)
-    assert str(info.value) == f"theta must lie in [{1 / 3!r}, {inner!r}], got 0.9"
+    assert str(info.value) == f"theta must lie in [{1 / 3 - 1e-10!r}, {inner + 1e-10!r}], got 0.9"
     with pytest.raises(ValueError) as info:
         FeasiblePair(a, b, 0.9)
     assert str(info.value) == f"inner product {inner!r} differs from theta 0.9"
@@ -620,12 +620,12 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: interpolate_to_theta(0.5, (0.5, 0.5), 0.5),
          "probabilities must be an iterable, got 0.5"),
         (lambda: two_level_point(3, 0.5, 0), "r must lie in [1, 2], got 0"),
-        (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/3, 1], got 0.2"),
-        (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in [1/3, 1], got 0.3"),
+        (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/q, 1], got 0.2"),
+        (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in [1/q, 1], got 0.3"),
         (lambda: random_feasible_sampler(3, 0.5, 0), "samples must lie in [1, 3333333], got 0"),
         # the count is checked before theta
         (lambda: random_feasible_sampler(3, 0.2, 0), "samples must lie in [1, 3333333], got 0"),
-        (lambda: concave_envelope(0.2, 3), "theta must lie in [1/3, 1], got 0.2"),
+        (lambda: concave_envelope(0.2, 3), "theta must lie in [1/q, 1], got 0.2"),
         (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
         (lambda: two_level_point(3.0, 0.5, 1), "alphabet size must be an int, got 3.0"),
         (lambda: two_level_value(3, 0.5, 1.5), "r must be an int, got 1.5"),
@@ -652,21 +652,21 @@ def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, messa
         (lambda: grid_max_joint_entropy(2, 0.5, 0.0),
          "resolution must lie in [1e-06, 0.5], got 0.0"),
         # a value that is not a number fails the interval rule, not a comparison
-        (lambda: max_joint_entropy("0.5", 3), "theta must lie in [1/3, 1], got '0.5'"),
+        (lambda: max_joint_entropy("0.5", 3), "theta must lie in [1/q, 1], got '0.5'"),
         (lambda: output_entropy(None, 3), "theta must lie in [0, 1], got None"),
-        (lambda: concave_envelope("x", 3), "theta must lie in [1/3, 1], got 'x'"),
-        (lambda: envelope_line(None, 3), "theta must lie in [1/3, 0.5], got None"),
-        (lambda: cover_leung_witness(3, "0.4"), "theta must lie in [1/3, 2/4], got '0.4'"),
-        (lambda: two_level_point(3, None, 1), "theta must lie in [1/3, 1], got None"),
-        (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in [1/3, 1], got 'x'"),
+        (lambda: concave_envelope("x", 3), "theta must lie in [1/q, 1], got 'x'"),
+        (lambda: envelope_line(None, 3), "theta must lie in [1/q, tangent_point(q)], got None"),
+        (lambda: cover_leung_witness(3, "0.4"), "theta must lie in [1/q, 2/(q+1)], got '0.4'"),
+        (lambda: two_level_point(3, None, 1), "theta must lie in [1/q, 1], got None"),
+        (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in [1/q, 1], got 'x'"),
         (lambda: grid_max_joint_entropy(3, None), "theta must lie in [0, 1], got None"),
         (lambda: grid_max_joint_entropy(3, 0.5, "0.1"),
          "resolution must lie in [0.001, 0.5], got '0.1'"),
-        (lambda: random_feasible_sampler(3, "x", 10), "theta must lie in [1/3, 1], got 'x'"),
+        (lambda: random_feasible_sampler(3, "x", 10), "theta must lie in [1/q, 1], got 'x'"),
         (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0), "x"),
-         "theta must lie in [0.5, 0.5], got 'x'"),
+         "theta must lie in [0.4999999999, 0.5000000001], got 'x'"),
         (lambda: interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.95),
-         "theta must lie in [0.5, 0.8200000000000001], got 0.95"),
+         "theta must lie in [0.4999999999, 0.8200000001000001], got 0.95"),
         (lambda: interpolate_to_theta((0.5, "x"), (0.5, 0.5), 0.5),
          "probability entry 'x' is not a number"),
     ],
