@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--format", choices=FORMATS, default="table")
 
-    # each numeric option's range is checked once, by its type=: --q up to the
-    # library's MAX_ALPHABET, block lengths and --n-max up to codec.MAX_BLOCK_LENGTH
+    # each numeric option's range is checked once, by its type=
+    block_length = _number(int, 1, codec.MAX_BLOCK_LENGTH)
 
     p = sub.add_parser("capacity", help="symmetric rates for one alphabet size")
     p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
@@ -304,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("codec", help="run the zero-error protocol simulation")
     p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
-    p.add_argument("--n", type=_number(int, 1, codec.MAX_BLOCK_LENGTH), required=True)
-    p.add_argument("--m", type=_number(int, 1, codec.MAX_BLOCK_LENGTH), required=True)
+    p.add_argument("--n", type=block_length, required=True)
+    p.add_argument("--m", type=block_length, required=True)
     p.add_argument("--B", type=_number(int, 1, 10**4), required=True)
     p.add_argument("--trials", type=_number(int, 1, 10**6), default=100)
     p.add_argument("--seed", type=_number(int, 0), default=codec.DEFAULT_SEED)
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("params", help="feasible (n, m) pairs and their rates")
     p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
-    p.add_argument("--n-max", type=_number(int, 1, codec.MAX_BLOCK_LENGTH), default=64)
+    p.add_argument("--n-max", type=block_length, default=codec.MAX_BLOCK_LENGTH)
     add_common(p)
     p.set_defaults(func=_cmd_params)
 

@@ -45,7 +45,7 @@ from .entropy import (
 STAR = 0
 MAX_CODEC_ALPHABET = 255  # codec digits are stored one per byte
 MAX_WORKERS = 64  # processes one simulate() may start
-MAX_BLOCK_LENGTH = 64  # _completions' (n+1)^2 exact ints take 0.01 s at 64, 9-11 s at 512
+MAX_BLOCK_LENGTH = 64  # each cached _completions table: ~1 ms, 0.1 MB at 64; 0.7 s, 32 MB at 512
 
 Output = frozenset  # channel output: set of one or two symbols
 
@@ -226,7 +226,11 @@ def rank_pattern(pattern: Sequence[int], q: int, m: int) -> int:
         bad = next(s for s in symbols if not isinstance(s, int))
         rule = "is not an int" if hasattr(bad, "__index__") else f"outside alphabet [1, {q}]"
         raise ValueError(f"pattern symbol {bad!r} {rule}")
-    cnt = _completions(q, len(pattern))
+    try:
+        cnt = _completions(q, len(pattern))
+    except ValueError:  # refuse as _completions did, naming its n as the pattern's length
+        check_alphabet(q, minimum=1)
+        check_between(len(pattern), 0, MAX_BLOCK_LENGTH, name="pattern length")
     rank = 0
     stars = 0
     for k, s in enumerate(symbols):
@@ -782,7 +786,7 @@ class ParamChoice:
     rate: float  # asymptotic rate m/n
 
 
-def best_params(q: int, n_max: int = 64) -> list[ParamChoice]:
+def best_params(q: int, n_max: int = MAX_BLOCK_LENGTH) -> list[ParamChoice]:
     """All feasible (n, m) with n <= n_max, best asymptotic rate first."""
     check_between(n_max, 1, MAX_BLOCK_LENGTH, name="n_max")
     found = []

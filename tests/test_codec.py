@@ -8,13 +8,15 @@ import re
 import time
 import tracemalloc
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from refusals import LOOKALIKES, ROWS
+from test_refusals import check_row, kept_tests
 from union_channel import (
     STAR,
     CodeParams,
@@ -46,6 +48,8 @@ from union_channel.codec import (
     _walk_back,
 )
 
+globals().update(kept_tests(__file__))  # this module's refusal rows, under their old test ids
+
 
 # ---------------------------------------------------------------------------
 # feasibility arithmetic
@@ -74,48 +78,6 @@ def test_validate_params_q3():
 
 def test_validate_params_small_m():
     assert not validate_params(2, 10, 3).feasible  # m < n/2
-    with pytest.raises(ValueError):
-        validate_params(2, 5, 0)
-    with pytest.raises(ValueError):
-        validate_params(1, 5, 3)
-
-
-def test_code_params_rejects_infeasible():
-    with pytest.raises(ValueError):
-        CodeParams(q=2, n=17, m=17, blocks=1)
-    with pytest.raises(ValueError):
-        CodeParams(q=2, n=17, m=13, blocks=0)
-    with pytest.raises(ValueError):
-        CodeParams(q=300, n=4, m=3, blocks=1)
-
-
-@pytest.mark.parametrize(
-    "name, value",
-    [("blocks", 1.5), ("blocks", 2.0), ("blocks", True), ("q", 2.5), ("n", 4.0), ("m", "3")],
-)
-def test_code_params_refuses_a_field_that_is_not_an_int(name, value):
-    fields = {"q": 2, "n": 4, "m": 3, "blocks": 1, name: value}
-    rule = "an int >= 1" if name == "blocks" else "an int"
-    message = f"{name} must be {rule}, got {value!r}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        CodeParams(**fields)
-
-
-@pytest.mark.parametrize(
-    "call, n",
-    [
-        (lambda: uncertainty_peak_bound(2**1100 + 1, 2**1099 + 1), 2**1100 + 1),
-        (lambda: validate_params(2, 2**64, 2**63), 2**64),
-        (lambda: pattern_count(2, 2**64, 2**63), 2**64),
-        (lambda: CodeParams(2, 2**64, 2**63, 1), 2**64),
-    ],
-    ids=["peak", "validate_params", "pattern_count", "CodeParams"],
-)
-def test_exact_bounds_refuse_a_block_length_past_the_cap(call, n):
-    # each raised OverflowError from math.comb, which takes no k past 2**63
-    with pytest.raises(ValueError) as info:
-        call()
-    assert str(info.value) == f"n must lie in [0, {codec.MAX_BLOCK_LENGTH}], got {n}"
 
 
 def test_exact_bounds_take_the_cap_itself():
@@ -123,39 +85,6 @@ def test_exact_bounds_take_the_cap_itself():
     assert uncertainty_peak_bound(n, n) == 2**n
     assert validate_params(2, n, n) == codec.FeasibilityCheck(False, 2**n, 1)
     assert pattern_count(2, n, n) == 1
-
-
-def _unchecked_params(q, n, m, blocks):  # a CodeParams that skipped its own checks
-    params = object.__new__(CodeParams)
-    for name, value in zip(("q", "n", "m", "blocks"), (q, n, m, blocks)):
-        object.__setattr__(params, name, value)
-    return params
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: CodeParams(2, 2**14, 12000, 1), "n must lie in [0, 64], got 16384"),
-        (lambda: simulate(_unchecked_params(2, 2**14, 12000, 1), 1),
-         "n must lie in [0, 64], got 16384"),
-        (lambda: unrank_pattern(-1, 2, 2**14, 1), "n must lie in [0, 64], got 16384"),
-        (lambda: unrank_pattern(0, 255, 65, 1), "n must lie in [0, 64], got 65"),
-        (lambda: rank_pattern((0,) * 100, 2, 100), "n must lie in [0, 64], got 100"),
-        (lambda: rank_pattern((1,) * 65, 255, 0), "n must lie in [0, 64], got 65"),
-        (lambda: best_params(2, 65), "n_max must lie in [1, 64], got 65"),
-        (lambda: best_params(2, 10**30), f"n_max must lie in [1, 64], got {10**30}"),
-    ],
-    ids=["CodeParams", "simulate", "unrank-rank-negative", "unrank", "rank", "rank-q255",
-         "best_params", "best_params-10**30"],
-)
-def test_a_block_past_the_cap_is_refused_before_its_pattern_table(call, message):
-    # with the cap at 2**14 each was accepted, or built the (n+1)^2 table of
-    # exact counts before refusing: 8.7 s at n = 512, never done at 2**14
-    start = time.perf_counter()
-    with pytest.raises(ValueError) as info:
-        call()
-    assert time.perf_counter() - start < 0.1
-    assert str(info.value) == message
 
 
 def test_patterns_at_the_block_cap_round_trip():
@@ -197,98 +126,13 @@ def test_round_trip_exhaustive_q2_n6_m3():
         previous = pattern
 
 
-def test_pattern_errors():
-    with pytest.raises(ValueError):
-        unrank_pattern(4, 2, 2, 1)
-    with pytest.raises(ValueError):
-        unrank_pattern(-1, 2, 2, 1)
-    with pytest.raises(ValueError, match=r"pattern has 1 stars, expected 2"):
-        rank_pattern((STAR, 1), 2, m=2)
-    with pytest.raises(ValueError, match=r"pattern symbol 3 outside alphabet \[1, 2\]"):
-        rank_pattern((STAR, 3), 2, 1)
-
-
-# the outputs of w1=(1, 2), w2=(2, 2) at q=2, n=3, m=2, one block; as a list they decode
-_TRANSCRIPT = [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})]
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: pattern_count(2.5, 3, 1), "alphabet size must be an int, got 2.5"),
-        (lambda: unrank_pattern(0, 2, 3, 1.5), "m must be an int, got 1.5"),
-        (lambda: unrank_pattern(0.0, 2, 3, 1), "rank must be an int, got 0.0"),
-        (lambda: unrank_pattern(0, 2.0, 3, 1), "alphabet size must be an int, got 2.0"),
-        (lambda: validate_params(2, 17.5, 13), "n must be an int, got 17.5"),
-        (lambda: best_params(2, 2.5), "n_max must be an int, got 2.5"),
-        (lambda: resolution_digits(0, 2), "size must be an int >= 1, got 0"),
-        (lambda: pattern_count(2, 3, 4), "m must lie in [0, 3], got 4"),
-        (lambda: unrank_pattern(0, 2, 3, 4), "m must lie in [0, 3], got 4"),
-        (lambda: advance_uncertainty([b""], [channel(1, 2)] * 2, 2, 3, 1),
-         "expected 3 outputs, got 2"),
-        (lambda: best_params(2, 0), "n_max must lie in [1, 64], got 0"),
-        (lambda: rank_pattern((STAR, 1), 2, True), "m must be an int, got True"),
-        (lambda: rank_pattern((STAR, 1.0), 2, 1), "pattern symbol 1.0 outside alphabet [1, 2]"),
-        (lambda: rank_pattern((0.0, 1), 2, 1), "pattern symbol 0.0 outside alphabet [1, 2]"),
-        (lambda: rank_pattern((0, "a", 1), 2, 1), "pattern symbol 'a' outside alphabet [1, 2]"),
-        (lambda: rank_pattern((0, None, 1), 2, 1), "pattern symbol None outside alphabet [1, 2]"),
-        (lambda: uncertainty_peak_bound(17.0, 13), "n must be an int, got 17.0"),
-        (lambda: uncertainty_peak_bound(10, 3), "m must lie in [5, 10], got 3"),
-        (lambda: uncertainty_peak_bound(3, 5), "m must lie in [2, 3], got 5"),
-        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), None),
-         "transcript must be a sequence of outputs, got NoneType"),
-        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), 5),
-         "transcript must be a sequence of outputs, got int"),
-        # the walk back slices the transcript: both raised a TypeError there, the
-        # iterator after the accepting path had read it whole and passed it
-        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), deque(_TRANSCRIPT)),
-         "transcript must be a sequence of outputs, got deque"),
-        (lambda: decode_transcript(CodeParams(2, 3, 2, 1), iter(_TRANSCRIPT)),
-         "transcript must be a sequence of outputs, got list_iterator"),
-        (lambda: new_session(CodeParams(2, 3, 2, 1), None, [1, 2]),
-         "w1 must be a sequence of digits, got NoneType"),
-        (lambda: new_session(CodeParams(2, 3, 2, 1), [1, 2], (d for d in [1, 2])),
-         "w2 must be a sequence of digits, got generator"),
-        (lambda: rank_pattern(None, 2, 1), "pattern must be a sequence of symbols, got NoneType"),
-        (lambda: rank_pattern({0, 1}, 2, 1), "pattern must be a sequence of symbols, got set"),
-        (lambda: rank_pattern((s for s in (0, 1)), 2, 1),
-         "pattern must be a sequence of symbols, got generator"),
-        (lambda: rank_pattern((0, _numpy_array(1, "int64")[()]), 2, 1),
-         "pattern symbol np.int64(1) is not an int"),
-        # q=1 is the codec's binomial table; below it pattern_count returned 12
-        (lambda: pattern_count(-2, 3, 1), "alphabet size must be at least 1, got -2"),
-        (lambda: unrank_pattern(0, -1, 2, 0), "alphabet size must be at least 1, got -1"),
-        (lambda: rank_pattern((0, 1), 0, 1), "alphabet size must be at least 1, got 0"),
-        # a tuple of the four fields raised AttributeError: no attribute 'q'
-        (lambda: decode_transcript((2, 3, 2, 1), []), "params must be a CodeParams, got tuple"),
-        (lambda: simulate((2, 3, 2, 1), 1), "params must be a CodeParams, got tuple"),
-        (lambda: new_session((2, 3, 2, 1), [1, 1], [1, 1]),
-         "params must be a CodeParams, got tuple"),
-    ],
-    ids=["pattern_count-q", "unrank-m", "unrank-rank", "unrank-q", "validate_params-n",
-         "best_params-n_max", "resolution_digits-size-0", "pattern_count-m-above-n",
-         "unrank-m-above-n", "advance-output-count", "best_params-n_max-0", "rank-m",
-         "rank-float-symbol", "rank-float-star", "rank-str-symbol", "rank-None-symbol",
-         "peak-n", "peak-m-below-half-n", "peak-m-above-n", "decode-None", "decode-int",
-         "decode-deque", "decode-iterator", "session-None", "session-generator",
-         "rank-None", "rank-set", "rank-generator", "rank-numpy-symbol",
-         "pattern_count-q-negative", "unrank-q-negative", "rank-q-0", "decode-params-tuple",
-         "simulate-params-tuple", "session-params-tuple"],
-)
-def test_counts_that_are_not_ints_are_refused_in_one_line(call, message):
-    with pytest.raises(ValueError) as info:
-        call()
-    assert str(info.value) == message
-
-
-def test_rank_pattern_refuses_a_float_alphabet_before_the_shared_memo():
+def test_rank_pattern_refuses_a_float_alphabet_before_the_shared_memo(monkeypatch, request):
     # lru_cache keys 2.0 and 2 alike, so a float q once filled _completions
     # with float tables that later int calls read: unrank_pattern returned
     # (0, 0, 1.0, 0, 2.0) and simulate raised a TypeError
     codec._completions.cache_clear()
     codec._pattern_at.cache_clear()
-    with pytest.raises(ValueError, match=r"^alphabet size must be an int, got 2\.0$"):
-        rank_pattern((STAR, 1, 2, 1, 1), 2.0, 1)
+    check_row(next(r for r in ROWS if r.id.endswith("[rank-q-float]")), monkeypatch, request)
     pattern = unrank_pattern(5, 2, 5, 3)
     assert pattern == (0, 0, 1, 0, 2) and {*map(type, pattern)} == {int}
     assert simulate(CodeParams(2, 5, 3, 2), 3, seed=1).errors == 0
@@ -605,52 +449,6 @@ def test_resolution_digits():
     assert resolution_digits(7, 3) == 2
     assert resolution_digits(9, 3) == 2
     assert resolution_digits(10, 3) == 3
-    for q in (1, 0):
-        with pytest.raises(ValueError, match="alphabet size must be at least 2"):
-            resolution_digits(5, q)
-
-
-@pytest.mark.parametrize("size", [float("inf"), float("nan"), 2.5])
-def test_resolution_digits_refuses_a_size_that_is_not_an_int(size):
-    # inf used to loop forever, and NaN returned 0
-    with pytest.raises(ValueError, match=r"^size must be an int >= 1, got (inf|nan|2\.5)$"):
-        resolution_digits(size, 2)
-
-
-def test_run_block_order_errors():
-    params = CodeParams(q=2, n=2, m=1, blocks=1)
-    state = new_session(params, w1=(1,), w2=(1,))
-    with pytest.raises(ValueError):
-        run_final_block(state)  # message block not sent yet
-    run_block(state)
-    with pytest.raises(ValueError):
-        run_block(state)  # no message blocks left
-
-
-def test_new_session_validates_messages():
-    params = CodeParams(q=2, n=2, m=1, blocks=2)
-    with pytest.raises(ValueError):
-        new_session(params, w1=(1,), w2=(1, 2))
-    with pytest.raises(ValueError):
-        new_session(params, w1=(1, 3), w2=(1, 2))
-
-
-@pytest.mark.parametrize(
-    "w1, w2, bad",
-    [
-        ([1.0, 2], [1, 1], "w1 digit 1.0"),
-        (["a", 1], [1, 1], "w1 digit 'a'"),
-        ([None, 1], [1, 1], "w1 digit None"),
-        ([1, 2], [2, 1.5], "w2 digit 1.5"),
-        ([1, 256], [1, 1], "w1 digit 256"),
-        ([1, 2], [-1, 1], "w2 digit -1"),
-        ([1, 2], [1, 3], "w2 digit 3"),
-    ],
-)
-def test_new_session_refuses_a_digit_it_cannot_store(w1, w2, bad):
-    params = CodeParams(2, 3, 2, 1)
-    with pytest.raises(ValueError, match=rf"^{re.escape(bad)} outside alphabet \[1, 2\]$"):
-        new_session(params, w1, w2)
 
 
 def _numpy_array(digits, dtype=None):
@@ -677,18 +475,6 @@ def test_new_session_stores_a_buffer_digit_by_digit(make):
     assert decode_transcript(params, state.transcript).w1 == (1, 2)
 
 
-@pytest.mark.parametrize(
-    "digits, dtype, pos",
-    [([1, 3], "int64", 1), ([True, True], bool, 0)],
-    ids=["int64", "bool"],
-)
-def test_new_session_names_a_bad_digit_of_a_numpy_array(digits, dtype, pos):
-    # a numpy bool has no __index__; a bool array's raw bytes were stored once
-    w1 = _numpy_array(digits, dtype)
-    with pytest.raises(ValueError, match=rf"^w1 digit {re.escape(repr(w1[pos]))} outside"):
-        new_session(CodeParams(2, 3, 2, 1), w1, [2, 2])
-
-
 @given(
     st.lists(
         st.one_of(
@@ -712,93 +498,11 @@ def test_new_session_names_a_digit_whenever_it_refuses(w1):
         assert valid and state.w1 == bytes(w1)
 
 
-def test_decode_rejects_malformed_transcript():
-    params = CodeParams(q=2, n=2, m=1, blocks=1)
-    state = new_session(params, w1=(2,), w2=(1,))
-    run_block(state)
-    run_final_block(state)
-    with pytest.raises(ValueError):
-        decode_transcript(params, state.transcript[:-1])
-    with pytest.raises(ValueError):
-        decode_transcript(params, state.transcript + [frozenset((1,))])
-
-
-def test_decode_refuses_a_transcript_shorter_than_its_blocks():
-    # two valid outputs where blocks * n = 6 are needed
-    with pytest.raises(
-        ValueError, match="^transcript too short for the declared block count$"
-    ):
-        decode_transcript(CodeParams(2, 3, 2, 2), [frozenset({1})] * 2)
-
-
-def test_decode_refuses_a_resolution_rank_outside_the_set():
-    # the block leaves 2 candidates, and the one resolution digit names rank 2;
-    # the walk back does not check its range, so without this refusal the
-    # transcript would decode to w1=(1,), w2=(2,), which encode to other outputs
-    transcript = [frozenset({1, 2}), frozenset({1}), frozenset({3})]
-    with pytest.raises(ValueError, match="^decoded rank 2 outside uncertainty set$"):
-        decode_transcript(CodeParams(3, 2, 1, 1), transcript)
-
-
-@pytest.mark.parametrize(
-    "outputs, message",
-    [
-        ([{0}, {0}], "output [0] at position 0 is not a 1- or 2-element subset"),
-        ([{3}, {1, 2}, {1}], "output [3] at position 0 is not a 1- or 2-element"),
-        ([{1, 2}, {1, 2}, {1}, {1}], "transcript inconsistent at block 0"),
-    ],
-)
-def test_decode_rejects_impossible_outputs(outputs, message):
-    params = CodeParams(q=2, n=2, m=1, blocks=1)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        decode_transcript(params, [frozenset(y) for y in outputs])
-
-
-@pytest.mark.parametrize("output", [[1, 1], {1, 2}], ids=["list", "set"])
-def test_decode_rejects_outputs_that_are_not_frozensets(output):
-    # the list once decoded to w2=(1, 2), whose re-encoding differs, and the
-    # set, equal to the true output {1, 2}, was accepted; both are refused
-    params = CodeParams(q=2, n=3, m=2, blocks=1)
-    transcript = _encode(params, w1=(1, 2), w2=(2, 2)).transcript
-    assert transcript[0] == frozenset((1, 2))
-    transcript[0] = output
-    message = f"output {sorted(output)} at position 0 is not a 1- or 2-element"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        decode_transcript(params, transcript)
-
-
-@pytest.mark.parametrize(
-    "output", [5, None, frozenset({1, "a"})], ids=["int", "None", "unorderable"]
-)
-def test_decode_refuses_outputs_that_cannot_be_sorted(output):
-    # sorted(output) once raised a TypeError from inside the refusal's message
-    params = CodeParams(q=2, n=3, m=2, blocks=1)
-    message = f"output {output!r} at position 0 is not a 1- or 2-element subset"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        decode_transcript(params, [output, frozenset({1}), frozenset({1})])
-
-
-@pytest.mark.parametrize(
-    "pos, output",
-    [
-        (0, frozenset({True, 2})),
-        (0, frozenset({1.0, 2.0})),
-        (1, frozenset({2.0})),
-        (3, frozenset({True})),  # a resolution use
-    ],
-    ids=["bool-pair", "float-pair", "float-singleton", "bool-resolution"],
-)
-def test_decode_refuses_elements_that_are_not_ints(pos, output):
-    # each equals the valid output it replaces, so it was once accepted and
-    # decoded to bool or float digits, e.g. w1=(1.0, 2)
-    params = CodeParams(q=2, n=3, m=2, blocks=1)
-    transcript = _encode(params, w1=(1, 2), w2=(2, 2)).transcript
+def test_the_decode_lookalikes_equal_the_outputs_they_replace():
+    # why the refusal table's set, bool and float outputs were once accepted
+    transcript = _encode(CodeParams(2, 3, 2, 1), (1, 2), (2, 2)).transcript
     assert transcript == [frozenset({1, 2}), frozenset({2}), frozenset({1}), frozenset({1})]
-    assert transcript[pos] == output
-    transcript[pos] = output
-    message = f"output {sorted(output)} at position {pos} is not a 1- or 2-element"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        decode_transcript(params, transcript)
+    assert all(transcript[at] == output for at, output in LOOKALIKES.values())
 
 
 def test_channel_is_the_unordered_union():
@@ -1332,30 +1036,3 @@ def test_simulate_starts_no_more_processes_than_trials(pool_sizes):
     params = CodeParams(q=2, n=5, m=3, blocks=2)
     assert simulate(params, trials=3, seed=4, workers=8) == simulate(params, 3, seed=4)
     assert pool_sizes == [3]
-
-
-@pytest.mark.parametrize(
-    "trials, workers, seed, message",
-    [
-        (3, 65, 0, "workers must lie in [1, 64], got 65"),
-        (3, 10**6, 0, "workers must lie in [1, 64], got 1000000"),
-        (3, 0, 0, "workers must lie in [1, 64], got 0"),
-        (3, 2.0, 0, "workers must be an int, got 2.0"),
-        (3, True, 0, "workers must be an int, got True"),
-        (2.5, 1, 0, "trials must be an int >= 1, got 2.5"),
-        (3, 2, 1.5, "seed must be an int >= 0, got 1.5"),
-        (3, 2, -3, "seed must be an int >= 0, got -3"),
-    ],
-    ids=["65", "1e6", "0", "2.0", "True", "trials-2.5", "seed-1.5", "seed-negative"],
-)
-def test_simulate_refuses_a_count_before_anything_starts(
-    pool_sizes, monkeypatch, trials, workers, seed, message
-):
-    def never(job):
-        raise AssertionError("a trial ran before the refusal")
-
-    monkeypatch.setattr(codec, "_run_trial", never)
-    with pytest.raises(ValueError) as info:
-        simulate(CodeParams(q=2, n=5, m=3, blocks=2), trials, seed=seed, workers=workers)
-    assert str(info.value) == message
-    assert pool_sizes == []

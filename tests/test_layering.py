@@ -113,3 +113,15 @@ def test_check_between_takes_only_a_literal_interval_text():
             assert isinstance(text, ast.Constant) and isinstance(text.value, str), (
                 f"{module}.py:{call.lineno} passes check_between a shown that is not a literal"
             )
+
+
+def test_refusal_texts_are_pinned_only_in_the_refusal_table():
+    # tests/refusals.py holds every pinned refusal text, so a cap or a wording
+    # moves by editing its rows there and nowhere else
+    tests_dir = Path(__file__).parent
+    pinning = {
+        path.name
+        for path in sorted(tests_dir.glob("*.py"))
+        if any("must lie in" in text or "must be an int" in text for text in _message_texts(path))
+    }
+    assert pinning <= {"refusals.py", "test_layering.py"}

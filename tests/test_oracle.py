@@ -6,15 +6,13 @@ from itertools import chain
 import numpy as np
 import pytest
 
+from refusals import INNER, INNER_A, INNER_B
+from test_refusals import Untouched, kept_tests
 from union_channel import (
-    concave_envelope,
-    cover_leung_witness,
     entropy_q,
-    envelope_line,
     grid_max_joint_entropy,
     interpolate_to_theta,
     max_joint_entropy,
-    output_entropy,
     random_feasible_sampler,
     two_level_monotonicity,
     two_level_point,
@@ -32,6 +30,8 @@ from union_channel.oracle import (
     _zipped_rows,
     derivative_sign_expression,
 )
+
+globals().update(kept_tests(__file__))  # this module's refusal rows, under their old test ids
 
 
 # ---------------------------------------------------------------------------
@@ -82,47 +82,15 @@ def test_interpolate_leaves_rows_at_uniform_and_divides_the_rest_plainly():
         assert moved[~guarded].tobytes() == plain.tobytes()
 
 
-def test_interpolate_rejects_unreachable_target():
-    with pytest.raises(ValueError):
-        interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.95)  # above theta0
-    with pytest.raises(ValueError):
-        interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.3)  # below 1/q
-
-
 def test_inner_products_add_left_to_right():
     # from Python 3.12 on, sum() of floats is compensated: for this pair it gives
     # 0.36496814496527114, so the refusals and interpolate_to_theta's theta0
-    # would depend on the Python version
-    a = (0.396775054713128, 0.559235060792343, 0.043989884494529057)
-    b = (0.08727436926353717, 0.5632059660208322, 0.3495196647156306)
+    # would depend on the Python version; the table's rows "...-added-left-to-right"
+    # pin the refusals that print this sum
     inner = 0.0
-    for x, y in zip(a, b):
+    for x, y in zip(INNER_A, INNER_B):
         inner += x * y
-    assert repr(inner) == "0.3649681449652712"
-    with pytest.raises(ValueError) as info:
-        interpolate_to_theta(a, b, 0.9)
-    assert str(info.value) == f"theta must lie in [{1 / 3 - 1e-10!r}, {inner + 1e-10!r}], got 0.9"
-    with pytest.raises(ValueError) as info:
-        FeasiblePair(a, b, 0.9)
-    assert str(info.value) == f"inner product {inner!r} differs from theta 0.9"
-
-
-def test_feasible_pair_validates_inner_product():
-    with pytest.raises(ValueError):
-        FeasiblePair(a=(0.5, 0.5), b=(0.5, 0.5), theta=0.9)
-
-
-@pytest.mark.parametrize(
-    "a, theta, message",
-    [
-        ((math.nan, 1.0), math.nan, r"^probabilities sum to nan, expected 1"),
-        ((0.5, 0.5), math.nan, r"^inner product 0.5 differs from theta nan$"),
-    ],
-)
-def test_feasible_pair_refuses_nan(a, theta, message):
-    with pytest.raises(ValueError, match=message) as info:
-        FeasiblePair(a, (0.5, 0.5), theta)
-    assert "\n" not in str(info.value)
+    assert repr(inner) == "0.3649681449652712" == repr(INNER)
 
 
 # ---------------------------------------------------------------------------
@@ -229,28 +197,6 @@ def test_grid_q3():
     result = grid_max_joint_entropy(3, 0.6, 0.01)
     assert result.value <= f + 1e-9
     assert result.value == pytest.approx(f, abs=0.01)
-
-
-def test_grid_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        grid_max_joint_entropy(4, 0.5, 1e-3)
-    with pytest.raises(ValueError):
-        grid_max_joint_entropy(2, 0.5, 0.0)
-    with pytest.raises(ValueError, match=r"resolution must lie in \[1e-06, 0.5\], got nan"):
-        grid_max_joint_entropy(2, 0.5, float("nan"))
-    with pytest.raises(ValueError):
-        grid_max_joint_entropy(3, 0.5, 1e-4)  # simplex grid would explode
-    with pytest.raises(ValueError, match=r"resolution must lie in \[1e-06, 0.5\], got 1e-08"):
-        grid_max_joint_entropy(2, 0.75, 1e-8)  # 1e8-point arrays
-
-
-def test_grid_step_caps_follow_the_general_checks():
-    with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 2.0"):
-        grid_max_joint_entropy(3, 2.0, 1e-4)
-    with pytest.raises(ValueError, match=r"resolution must lie in \[0.001, 0.5\], got -1.0"):
-        grid_max_joint_entropy(3, 0.5, -1.0)
-    with pytest.raises(ValueError, match=r"resolution must lie in \[0.001, 0.5\], got 0.0001"):
-        grid_max_joint_entropy(3, 0.5, 1e-4)
 
 
 @pytest.mark.parametrize("q, step", [(2, 1e-4), (3, 1e-2)])
@@ -511,11 +457,6 @@ def test_sampler_deterministic_given_seed():
     assert a == b
 
 
-def test_sampler_domain():
-    with pytest.raises(ValueError):
-        random_feasible_sampler(3, 0.2, 100)
-
-
 # ---------------------------------------------------------------------------
 # two-level monotonicity
 
@@ -532,8 +473,6 @@ def test_monotonicity_single_point_is_the_left_end():
     report = two_level_monotonicity(4, 0.5, 1)
     assert report.ts == (0.25,)
     assert report.decreasing
-    with pytest.raises(ValueError, match="^grid_points must be an int >= 1, got 0$"):
-        two_level_monotonicity(4, 0.5, 0)
 
 
 def test_monotonicity_runs_at_the_left_end_theta():
@@ -576,126 +515,8 @@ def test_derivative_sign_limit_at_unit_ratio():
         assert derivative_sign_expression(ratio) < 0.0
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"numpy.{name} read before the refusal")
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        # the grid's cap is a sixth of the sampler's; it bounds time only,
-        # since the refinements are streamed a chunk at a time
-        (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=10**8),
-         "refinements must lie in [0, 555555], got 100000000"),
-        (lambda: grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_556),
-         "refinements must lie in [0, 555555], got 555556"),
-        (lambda: random_feasible_sampler(5, 0.7, 6 * 10**8),
-         "samples must lie in [1, 2000000], got 600000000"),
-        (lambda: random_feasible_sampler(5, 0.7, 2_000_001),
-         "samples must lie in [1, 2000000], got 2000001"),
-    ],
-    ids=["grid-1e8", "grid-just-over", "sampler-6e8", "sampler-just-over"],
-)
-def test_oracles_refuse_draws_over_the_cap_before_numpy(monkeypatch, call, message):
-    monkeypatch.setattr(oracle, "np", _NoNumpy())
-    with pytest.raises(ValueError) as info:
-        call()
-    assert str(info.value) == message
-
-
-@pytest.mark.parametrize(
-    "call, message",
-    [
-        (lambda: two_level_monotonicity(3, 0.7, 2.5),
-         "grid_points must be an int >= 1, got 2.5"),
-        (lambda: random_feasible_sampler(3, 0.7, 10.5), "samples must be an int, got 10.5"),
-        (lambda: grid_max_joint_entropy(3, 0.7, 0.1, refinements=math.nan),
-         "refinements must be an int, got nan"),
-        (lambda: interpolate_to_theta((-0.5, 1.5), (0.5, 0.5), 0.5),
-         "negative probability entry -0.5"),
-        (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0, 0.0), 0.5),
-         "a and b must have equal lengths"),
-        # len() of a float once raised Python's own TypeError
-        (lambda: interpolate_to_theta(0.5, (0.5, 0.5), 0.5),
-         "probabilities must be an iterable, got 0.5"),
-        (lambda: two_level_point(3, 0.5, 0), "r must lie in [1, 2], got 0"),
-        (lambda: two_level_point(3, 0.2, 1), "theta must lie in [1/q, 1], got 0.2"),
-        (lambda: two_level_monotonicity(3, 0.3, 5), "theta must lie in [1/q, 1], got 0.3"),
-        (lambda: random_feasible_sampler(3, 0.5, 0), "samples must lie in [1, 3333333], got 0"),
-        # the count is checked before theta
-        (lambda: random_feasible_sampler(3, 0.2, 0), "samples must lie in [1, 3333333], got 0"),
-        (lambda: concave_envelope(0.2, 3), "theta must lie in [1/q, 1], got 0.2"),
-        (lambda: output_entropy(1.5, 3), "theta must lie in [0, 1], got 1.5"),
-        (lambda: two_level_point(3.0, 0.5, 1), "alphabet size must be an int, got 3.0"),
-        (lambda: two_level_value(3, 0.5, 1.5), "r must be an int, got 1.5"),
-        # numpy would draw from the OS's entropy for None and take True as 1
-        (lambda: random_feasible_sampler(3, 0.5, 10, seed=None),
-         "seed must be an int >= 0, got None"),
-        (lambda: random_feasible_sampler(3, 0.5, 10, seed=True),
-         "seed must be an int >= 0, got True"),
-        (lambda: random_feasible_sampler(3, 0.5, 10, seed=1.5),
-         "seed must be an int >= 0, got 1.5"),
-        (lambda: random_feasible_sampler(3, 0.5, 10, seed="x"),
-         "seed must be an int >= 0, got 'x'"),
-        (lambda: random_feasible_sampler(3, 0.5, 10, seed=-1),
-         "seed must be an int >= 0, got -1"),
-        # the q=2 grid draws nothing, but takes the seed rule of every other draw
-        (lambda: grid_max_joint_entropy(2, 0.5, seed=None),
-         "seed must be an int >= 0, got None"),
-        (lambda: grid_max_joint_entropy(3, 0.5, seed=-1), "seed must be an int >= 0, got -1"),
-        # 2.0 == 2 is in GRID_QS, so the alphabet rule must come first
-        (lambda: grid_max_joint_entropy(2.0, 0.5), "alphabet size must be an int, got 2.0"),
-        (lambda: grid_max_joint_entropy(3, 0.5, refinements=-5),
-         "refinements must lie in [0, 555555], got -5"),
-        # the step's interval is closed and starts at the per-q floor, above 0
-        (lambda: grid_max_joint_entropy(2, 0.5, 0.0),
-         "resolution must lie in [1e-06, 0.5], got 0.0"),
-        # a value that is not a number fails the interval rule, not a comparison
-        (lambda: max_joint_entropy("0.5", 3), "theta must lie in [1/q, 1], got '0.5'"),
-        (lambda: output_entropy(None, 3), "theta must lie in [0, 1], got None"),
-        (lambda: concave_envelope("x", 3), "theta must lie in [1/q, 1], got 'x'"),
-        (lambda: envelope_line(None, 3), "theta must lie in [1/q, tangent_point(q)], got None"),
-        (lambda: cover_leung_witness(3, "0.4"), "theta must lie in [1/q, 2/(q+1)], got '0.4'"),
-        (lambda: two_level_point(3, None, 1), "theta must lie in [1/q, 1], got None"),
-        (lambda: two_level_monotonicity(3, "x", 5), "theta must lie in [1/q, 1], got 'x'"),
-        (lambda: grid_max_joint_entropy(3, None), "theta must lie in [0, 1], got None"),
-        (lambda: grid_max_joint_entropy(3, 0.5, "0.1"),
-         "resolution must lie in [0.001, 0.5], got '0.1'"),
-        (lambda: random_feasible_sampler(3, "x", 10), "theta must lie in [1/q, 1], got 'x'"),
-        (lambda: interpolate_to_theta((0.5, 0.5), (1.0, 0.0), "x"),
-         "theta must lie in [0.4999999999, 0.5000000001], got 'x'"),
-        (lambda: interpolate_to_theta((0.9, 0.1), (0.9, 0.1), 0.95),
-         "theta must lie in [0.4999999999, 0.8200000001000001], got 0.95"),
-        (lambda: interpolate_to_theta((0.5, "x"), (0.5, 0.5), 0.5),
-         "probability entry 'x' is not a number"),
-    ],
-    ids=["monotonicity-grid_points", "sampler-samples", "grid-refinements",
-         "interpolate-negative-entry", "interpolate-unequal-lengths",
-         "interpolate-float-a", "two_level-r",
-         "two_level-theta", "monotonicity-theta", "sampler-samples-0",
-         "sampler-samples-0-bad-theta", "envelope-theta",
-         "output_entropy-theta", "two_level-q", "two_level_value-r", "sampler-seed-None",
-         "sampler-seed-True", "sampler-seed-float", "sampler-seed-str",
-         "sampler-seed-negative", "grid-q2-seed-None", "grid-q3-seed-negative",
-         "grid-q-float", "grid-refinements-negative", "grid-resolution-0",
-         "max_joint_entropy-theta-str",
-         "output_entropy-theta-None", "envelope-theta-str", "envelope_line-theta-None",
-         "witness-theta-str", "two_level-theta-None", "monotonicity-theta-str",
-         "grid-theta-None", "grid-resolution-str", "sampler-theta-str",
-         "interpolate-theta-str", "interpolate-theta-above", "interpolate-entry-str"],
-)
-def test_oracle_counts_that_are_not_ints_are_refused_before_numpy(
-    monkeypatch, call, message
-):
-    monkeypatch.setattr(oracle, "np", _NoNumpy())
-    with pytest.raises(ValueError) as info:
-        call()
-    assert str(info.value) == message
-
-
 def test_grid_refinements_cap_allows_its_last_value(monkeypatch):
     # 555_555 * 3 is the cap itself, so the call gets past every refusal
-    monkeypatch.setattr(oracle, "np", _NoNumpy())
+    monkeypatch.setattr(oracle, "np", Untouched("numpy"))
     with pytest.raises(AssertionError, match="read before the refusal"):
         grid_max_joint_entropy(3, 0.5, 0.01, refinements=555_555)
