@@ -159,7 +159,10 @@ def pattern_count(q: int, n: int, m: int) -> int:
     return math.comb(n, m) * q ** (n - m)
 
 
-@lru_cache(maxsize=None)
+# bounded: at q = 2..201 and n = 64 an unbounded cache held 27 MiB. 128 tables hold
+# every key of one codec run (n + 2) and the 71 that criterion 8's pattern spaces
+# cycle through, and a hit costs what an unbounded cache's does
+@lru_cache(maxsize=128)
 def _completions(q: int, n: int) -> tuple[tuple[int, ...], ...]:
     # table[n_rem][m_rem] = number of patterns over n_rem positions with m_rem
     # stars; table[k][-1] (column n) is 0 for every k < n. q=1 gives binomials

@@ -6,6 +6,13 @@ defining constraints (two unit-sum vectors with a prescribed inner
 product), and objectives are raw entropy evaluations. The searches
 therefore produce true lower bounds on the maximum, good for falsifying
 the closed forms without sharing a code path with them.
+
+Every search is a list of labelled sources of candidate rows, walked by one
+loop, :func:`_search`, which keeps the first greatest value and its source's
+label: the q=2 grid's one source (``grid``); the q=3 grid's ``symmetric``,
+``random`` and ``disjoint`` sides, then its ``refinement`` around their best
+pair; the sampler's six batches, ``symmetric`` and then ``independent`` at each
+Dirichlet concentration (``symmetric 0.15`` ... ``independent 1.0``).
 """
 
 from __future__ import annotations
@@ -316,15 +323,6 @@ def _zipped_rows(
             yield parts[0] if len(parts) == 1 else np.concatenate(parts), b[:count]
 
 
-def _first_max(found: Iterable[tuple | None]) -> tuple | None:
-    """The first of the results with the greatest value (index 0), as argmax picks."""
-    best = None
-    for item in found:
-        if item is not None and (best is None or item[0] > best[0]):
-            best = item
-    return best
-
-
 def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray:
     """Indices of the rows whose interpolation can reach theta.
 
@@ -367,11 +365,24 @@ def _interpolated_max(
     return float(values[i]), ap[i].copy(), bp[i].copy()
 
 
-def _best_pair(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]], theta: float, q: int
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """:func:`_interpolated_max` over chunks of row pairs, the first maximum kept."""
-    return _first_max(_interpolated_max(a, b, theta, q) for a, b in pairs)
+def _search(
+    sources: Iterable[tuple[str, Iterable[tuple]]],
+    evaluate: Callable[..., tuple[float, np.ndarray, np.ndarray] | None],
+    best: tuple | None = None,
+) -> tuple[str, float, np.ndarray, np.ndarray] | None:
+    """The best ``evaluate(*chunk)`` over the chunks of labelled sources, with its label.
+
+    Each source is a ``(label, chunks)`` pair, walked in order; ``evaluate`` gives a
+    chunk's (value, a, b), or None when no row of it is feasible. A result displaces
+    the incumbent (label, value, a, b), ``best`` at the start, only with a strictly
+    greater value, so the first maximum is kept, as argmax keeps it within a chunk.
+    """
+    for label, chunks in sources:
+        for chunk in chunks:
+            found = evaluate(*chunk)
+            if found is not None and (best is None or found[0] > best[1]):
+                best = (label, *found)
+    return best
 
 
 def _grid_q2_chunk(
@@ -399,11 +410,12 @@ def _grid_q2_chunk(
     return float(values[i]), masses[:, 0, i].copy(), masses[:, 1, i].copy()
 
 
-def _grid_q2(theta: float, resolution: float) -> tuple[float, np.ndarray, np.ndarray]:
+def _grid_q2(theta: float, resolution: float) -> tuple[str, float, np.ndarray, np.ndarray]:
     # one free coordinate per side; at a1 = 0 the partner is b1 = 1 - theta,
     # so for theta in [0, 1] one pair is always feasible
     a1 = np.linspace(0.0, 1.0, round(1.0 / resolution) + 1)
-    return _first_max(_grid_q2_chunk(chunk, theta) for chunk in _row_chunks(a1))
+    chunks = ((chunk,) for chunk in _row_chunks(a1))
+    return _search([("grid", chunks)], partial(_grid_q2_chunk, theta=theta))
 
 
 def _simplex_grid(step: float) -> np.ndarray:
@@ -429,7 +441,7 @@ def _disjoint_pairs(grid: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]
 
 def _grid_q3(
     theta: float, resolution: float, seed: int, refinements: int
-) -> tuple[float, np.ndarray, np.ndarray]:
+) -> tuple[str, float, np.ndarray, np.ndarray]:
     # scan the 2-simplex for one side; the other side runs over the same
     # point (the symmetric family, whose vertices reach every theta in
     # [1/3, 1]), then two sides of seeded random directions, then the
@@ -438,18 +450,16 @@ def _grid_q3(
     rng = np.random.default_rng(seed)
     grid = _simplex_grid(resolution)
     directions = _drawn_unit_rows(partial(rng.gamma, 0.5), 2 * len(grid), 3)
-    best = _best_pair(
-        chain(
-            ((rows, rows) for rows in _row_chunks(grid)),
-            _zipped_rows(chain(_row_chunks(grid), _row_chunks(grid)), directions),
-            _disjoint_pairs(grid),
-        ),
-        theta, 3,
-    )
+    evaluate = partial(_interpolated_max, theta=theta, q=3)
+    best = _search([
+        ("symmetric", ((rows, rows) for rows in _row_chunks(grid))),
+        ("random", _zipped_rows(chain(_row_chunks(grid), _row_chunks(grid)), directions)),
+        ("disjoint", _disjoint_pairs(grid)),
+    ], evaluate)
     # local refinements: jitter both incumbent rows. Side a's draws come
     # before side b's; rather than hold side a, skip its draws on rng and
     # draw them again from a copy taken before them, beside side b
-    _, a_best, b_best = best
+    _, _, a_best, b_best = best
     scale = 2.0 * resolution
     replay = copy.deepcopy(rng)
     skipped = np.empty((min(_CHUNK_ROWS, refinements), 3))
@@ -467,14 +477,11 @@ def _grid_q3(
 
         return draw
 
-    refined = _best_pair(
-        _zipped_rows(
-            _drawn_unit_rows(jitter(replay, a_best), refinements, 3),
-            _drawn_unit_rows(jitter(rng, b_best), refinements, 3),
-        ),
-        theta, 3,
+    refined = _zipped_rows(
+        _drawn_unit_rows(jitter(replay, a_best), refinements, 3),
+        _drawn_unit_rows(jitter(rng, b_best), refinements, 3),
     )
-    return _first_max((best, refined))
+    return _search([("refinement", refined)], evaluate, best)
 
 
 # per q: the default grid step and the floor; a finer q=2 grid has over 1M points a
@@ -509,9 +516,9 @@ def grid_max_joint_entropy(
     check_between(refinements, 0, MAX_SAMPLER_ENTRIES // 18, name="refinements")
     check_count(seed, "seed", 0)
     if q == 2:
-        value, a, b = _grid_q2(theta, resolution)
+        _, value, a, b = _grid_q2(theta, resolution)
     else:
-        value, a, b = _grid_q3(theta, resolution, seed, refinements)
+        _, value, a, b = _grid_q3(theta, resolution, seed, refinements)
     return GridSearchResult(value, tuple(a.tolist()), tuple(b.tolist()), resolution)
 
 
@@ -532,16 +539,16 @@ def random_feasible_sampler(
     rng = np.random.default_rng(seed)
     per = max(1, samples // 6)  # per batch: each concentration symmetric, then not
 
-    def batches() -> Iterator[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    def sources() -> Iterator[tuple[str, Iterator[tuple[np.ndarray, np.ndarray]]]]:
         for conc in (0.15, 0.5, 1.0):
             draw = partial(rng.gamma, conc)
-            yield ((a, a) for a in _drawn_unit_rows(draw, per, q))
+            yield f"symmetric {conc}", ((a, a) for a in _drawn_unit_rows(draw, per, q))
             # side a is held whole, a sixth of the draws: drawing its gamma
             # values twice, as the q=3 refinements draw their normals, would
             # add a third to the draws, which are most of a sampler call
-            yield _zipped_rows(
+            yield f"independent {conc}", _zipped_rows(
                 list(_drawn_unit_rows(draw, per, q)), _drawn_unit_rows(draw, per, q)
             )
 
-    best = _best_pair(chain.from_iterable(batches()), theta, q)
-    return -math.inf if best is None else best[0]
+    best = _search(sources(), partial(_interpolated_max, theta=theta, q=q))
+    return -math.inf if best is None else best[1]

@@ -228,6 +228,12 @@ CAPACITY = _rows(NEW, [
 ]) + _rows("test_capacity::test_witness_domain", [  # the first beyond 2/(q+1)
     ("", lambda: cover_leung_witness(3, 0.9), "theta must lie in [1/q, 2/(q+1)], got 0.9"),
     ("", lambda: cover_leung_witness(3, 0.1), "theta must lie in [1/q, 2/(q+1)], got 0.1"),
+]) + _rows("test_capacity::test_an_alphabet_whose_rates_round_together_is_refused", [
+    # r_feedback read 1 ulp below r_no_feedback at the first two and equal at 2**53,
+    # which a 4-ulp slack in the ordering check once let through
+    (str(q), lambda q=q: avg_feedback_capacity(q),
+     f"alphabet size must be at most {MAX_ALPHABET}, got {q}")
+    for q in (79850951894099, 2**47, 2**53)
 ])
 
 CODEC = _rows(NEW, [

@@ -19,6 +19,7 @@ from union_channel import (
 )
 from union_channel import capacity
 from union_channel.cli import main
+from union_channel.entropy import MAX_ALPHABET
 from union_channel.capacity import (
     CASE_CHORD_INTERSECTION,
     CASE_CURVE_INTERSECTION,
@@ -239,17 +240,26 @@ def test_feedback_capacity_refuses_a_rate_ordering_violation(monkeypatch):
     assert str(info.value) == f"rate ordering violated for q=2: {report}"
 
 
-@pytest.mark.parametrize("q", [79850951894099, 2**47, 2**53])
-def test_rate_ordering_check_allows_the_rounding_of_huge_alphabets(q):
-    # the true margin r_feedback - r_no_feedback falls like (1 - ln 2) / (2 q ln q),
-    # far below one ulp here: r_feedback reads 1 ulp below r_no_feedback at the
-    # first two q, and the ordering check must let that rounding pass
-    report = avg_feedback_capacity(q)
-    assert report.r_no_feedback <= report.r_feedback + 4 * math.ulp(report.r_feedback)
+def test_rates_are_strictly_ordered_at_the_largest_alphabet():
+    # the true gain r_feedback - r_no_feedback, about (1 - ln 2) / (2 q ln q), is
+    # smallest at the cap: 5.6e-15, which reads as 50 ulps of r_feedback
+    report = avg_feedback_capacity(MAX_ALPHABET)
+    assert report.r_no_feedback < report.r_feedback
+    assert report.r_zero_error_lower < report.r_feedback
+    gain = (report.r_feedback - report.r_no_feedback) / math.ulp(report.r_feedback)
+    assert gain > 40
+
+
+def test_rate_ordering_check_refuses_equal_rates(monkeypatch):
+    # the paper's ordering is strict: equal floats once passed a 4-ulp slack
+    r = avg_feedback_capacity(MAX_ALPHABET).r_feedback
+    monkeypatch.setattr(capacity, "avg_capacity_no_feedback", lambda q: r)
+    with pytest.raises(RuntimeError, match=r"^rate ordering violated for q=1000000000000: "):
+        avg_feedback_capacity(MAX_ALPHABET)
 
 
 def test_capacity_cli_runs_at_the_largest_alphabet(capsys):
-    assert main(["capacity", "--q", str(2**53)]) == 0
+    assert main(["capacity", "--q", str(MAX_ALPHABET)]) == 0
     assert "output_peak" in capsys.readouterr().out
 
 

@@ -138,6 +138,15 @@ def test_rank_pattern_refuses_a_float_alphabet_before_the_shared_memo(monkeypatc
     assert simulate(CodeParams(2, 5, 3, 2), 3, seed=1).errors == 0
 
 
+def test_pattern_tables_are_held_for_a_bounded_number_of_alphabets():
+    # each distinct (q, n) once kept its table for the process's life
+    maxsize = codec._completions.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for q in range(2, maxsize + 50):
+        assert unrank_pattern(0, q, 3, 1) == (0, 1, 1)
+    assert codec._completions.cache_info().currsize <= maxsize
+
+
 def test_round_trip_exhaustive_q1():
     # q=1 is the space of star placements the codec ranks a block's
     # consistent patterns in

@@ -1,11 +1,14 @@
-"""50-digit cross-checks of the rate closed forms and roots, q up to 50.
+"""50-digit cross-checks of the rate closed forms and roots: every q up to 50, and
+log-spaced q from 51 up to the alphabet cap.
 
 Every reference is derived here in mpmath from the defining equations, not
 from the package's formulas: the rate root from H_b(a) + (1 - a) log2 q = 1,
 the discriminant from the envelope chord and the output entropy at
-theta = 2/(q+1), and the feedback capacity from the crossing of the concave
-envelope with the output entropy on [1/q, 2/(q+1)]. The five-decimal rate
-roots of acceptance criterion 2 are checked against the same references.
+theta = 2/(q+1), the feedback capacity from the crossing of the concave
+envelope with the output entropy on [1/q, 2/(q+1)], and the capacity without
+feedback from the output entropy of independent uniform inputs (theta = 1/q).
+The five-decimal rate roots of acceptance criterion 2 are checked against the
+same references.
 The entropy core, ``grouped_entropy``, is checked as a property on drawn
 groups whose masses reach down to the subnormals.
 """
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from union_channel import avg_feedback_capacity, case_discriminant, grouped_entropy, rate_root
-from union_channel.entropy import PROB_TOL
+from union_channel.entropy import MAX_ALPHABET, PROB_TOL
 
 from test_acceptance import RATE_ROOT_TABLE
 
@@ -26,6 +29,8 @@ mp = mpmath.mp.clone()
 mp.dps = 50
 
 QS = range(2, 51)
+# 40 log-spaced q from 51 up to the cap, where the rates' gap is smallest
+LOG_QS = sorted({round(51 * (MAX_ALPHABET / 51) ** (i / 39)) for i in range(39)} | {MAX_ALPHABET})
 
 
 def _root(f, lo, hi):
@@ -61,14 +66,19 @@ def _envelope(theta, q):
     return _curve(theta, q) if q == 2 or theta >= _tangent(q) else _chord(theta, q)
 
 
-@pytest.mark.parametrize("q", QS)
-def test_rate_root_at_50_digits(q):
+def _rate_root(q):
     def f(a):
         h = -(a * mp.log(a, 2) + (1 - a) * mp.log(1 - a, 2))
         return h + (1 - a) * mp.log(q, 2) - 1
 
     reference = _root(f, mp.mpf(1) / 2 + mp.mpf(10) ** -30, 1 - mp.mpf(10) ** -30)
     assert abs(f(reference)) < mp.mpf(10) ** -45
+    return reference
+
+
+@pytest.mark.parametrize("q", QS)
+def test_rate_root_at_50_digits(q):
+    reference = _rate_root(q)
     assert abs(rate_root(q) - reference) < 1e-12
     if q in RATE_ROOT_TABLE:
         # rounded half-up to five decimals, compared in units of 1e-5
@@ -96,6 +106,21 @@ def test_feedback_capacity_at_50_digits(q):
         )
         reference = _envelope(theta, q) / 2
     assert abs(avg_feedback_capacity(q).r_feedback - reference) < 1e-11
+
+
+def test_rates_from_51_up_to_the_cap_at_50_digits():
+    # bounds: 1 ulp for r_no_feedback, 2 ulps for r_feedback (the output peak binds
+    # from q = 5 on) and bisect_root's 1e-12 for the rate root
+    assert len(LOG_QS) == 40
+    for q in LOG_QS:
+        report = avg_feedback_capacity(q)
+        hi = mp.mpf(2) / (q + 1)
+        assert report.case == "output_peak" and _envelope(hi, q) > _output_entropy(hi, q)
+        no_feedback = _output_entropy(1 / mp.mpf(q), q) / 2
+        assert abs(report.r_no_feedback - no_feedback) <= math.ulp(report.r_no_feedback), q
+        assert abs(report.r_feedback - _output_entropy(hi, q) / 2) <= 2 * math.ulp(
+            report.r_feedback), q
+        assert abs(report.r_zero_error_lower - _rate_root(q)) < 1e-12, q
 
 
 # masses far below any regular one: the smallest subnormal, deeper subnormals,

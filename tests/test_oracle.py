@@ -223,6 +223,43 @@ def test_grids_return_a_feasible_pair_at_every_theta(q, resolution):
     )
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """What each call of ``oracle._search`` returns, in call order."""
+    found, real = [], oracle._search
+
+    def search(*args):
+        found.append(real(*args))
+        return found[-1]
+
+    monkeypatch.setattr(oracle, "_search", search)
+    return found
+
+
+@pytest.mark.parametrize("theta, label", [
+    # at step 0.01 the first pass evaluates 8 chunks and the refinements 25; below
+    # theta 1/3 the symmetric chunks reach nothing, and chunks 28 and 15 of 33 win
+    (0.05, "refinement"), (0.2, "refinement"), (0.45, "symmetric"), (0.8, "symmetric"),
+])
+def test_the_q3_grid_names_the_source_of_its_result(searches, theta, label):
+    result = grid_max_joint_entropy(3, theta, 0.01)
+    # the first pass, then the refinements continuing from its incumbent
+    assert len(searches) == 2
+    assert searches[-1][0] == label
+    assert searches[-1][1] == result.value
+    assert (tuple(searches[-1][2].tolist()), tuple(searches[-1][3].tolist())) == (
+        result.a, result.b
+    )
+
+
+def test_the_sampler_names_the_source_of_its_result(searches):
+    value = random_feasible_sampler(4, 0.6, 20_000)
+    (found,) = searches
+    assert found[0] in {f"{pairs} {conc}" for pairs in ("symmetric", "independent")
+                        for conc in (0.15, 0.5, 1.0)}
+    assert found[1] == value  # bit for bit
+
+
 def _simplex_grid_reference(step):
     k = round(1.0 / step)
     pts = [(i / k, j / k, (k - i - j) / k) for i in range(k + 1) for j in range(k + 1 - i)]
