@@ -45,6 +45,7 @@ from .entropy import (
 STAR = 0
 MAX_CODEC_ALPHABET = 255  # codec digits are stored one per byte
 MAX_WORKERS = 64  # processes one simulate() may start
+MAX_TRIALS = 10**6  # trials one simulate() may run; it builds one job per trial first
 MAX_BLOCK_LENGTH = 64  # each cached _completions table: ~1 ms, 0.1 MB at 64; 0.7 s, 32 MB at 512
 
 Output = frozenset  # channel output: set of one or two symbols
@@ -712,7 +713,7 @@ def simulate(
     """
     if not isinstance(params, CodeParams):
         raise _wrong_type("params", params, "a CodeParams")
-    check_count(trials, "trials", 1)
+    check_between(trials, 1, MAX_TRIALS, name="trials")
     check_between(workers, 1, MAX_WORKERS, name="workers")
     check_count(seed, "seed", 0)
     jobs = [(params, seed, t) for t in range(trials)]

@@ -26,10 +26,11 @@ from union_channel import (
     two_level_monotonicity, two_level_point, two_level_value, uncertainty_peak_bound,
     unrank_pattern, validate_params,
 )
-from union_channel.codec import MAX_BLOCK_LENGTH, MAX_CODEC_ALPHABET, MAX_WORKERS, _encode
+from union_channel.codec import (MAX_BLOCK_LENGTH, MAX_CODEC_ALPHABET, MAX_TRIALS, MAX_WORKERS,
+                                 _encode)
 from union_channel.entropy import (MAX_ALPHABET, check_alphabet, check_between, check_count,
                                    validate_pmf)
-from union_channel.oracle import MAX_SAMPLER_ENTRIES, FeasiblePair
+from union_channel.oracle import MAX_GRID_POINTS, MAX_SAMPLER_ENTRIES, FeasiblePair
 
 
 class Row(NamedTuple):
@@ -410,14 +411,21 @@ CODEC = _rows(NEW, [
         ("0", 3, 0, 0, f"workers must lie in [1, {MAX_WORKERS}], got 0"),
         ("2.0", 3, 2.0, 0, "workers must be an int, got 2.0"),
         ("True", 3, True, 0, "workers must be an int, got True"),
-        ("trials-2.5", 2.5, 1, 0, "trials must be an int >= 1, got 2.5"),
+        ("trials-2.5", 2.5, 1, 0, "trials must be an int, got 2.5"),
         ("seed-1.5", 3, 2, 1.5, "seed must be an int >= 0, got 1.5"),
         ("seed-negative", 3, 2, -3, "seed must be an int >= 0, got -3")]),
-], untouched=TRIALS)
+], untouched=TRIALS) + _rows(NEW, [  # fast: the job list would be built before any trial
+    ("trials-past-cap", lambda: simulate(CodeParams(2, 5, 3, 2), MAX_TRIALS + 1),
+     f"trials must lie in [1, {MAX_TRIALS}], got {MAX_TRIALS + 1}"),
+], untouched=TRIALS, fast=True)
 
-ORACLE = _rows(NEW, [
+ORACLE = _rows(NEW, [  # fast: the whole t-grid would be walked
+    ("monotonicity-grid_points-past-cap",
+     lambda: two_level_monotonicity(4, 0.5, MAX_GRID_POINTS + 1),
+     f"grid_points must lie in [1, {MAX_GRID_POINTS}], got {MAX_GRID_POINTS + 1}"),
+], fast=True) + _rows(NEW, [
     ("monotonicity-grid_points-0", lambda: two_level_monotonicity(4, 0.5, 0),
-     "grid_points must be an int >= 1, got 0"),
+     f"grid_points must lie in [1, {MAX_GRID_POINTS}], got 0"),
     ("interpolate-theta-added-left-to-right", lambda: interpolate_to_theta(INNER_A, INNER_B, 0.9),
      f"theta must lie in [{1 / 3 - 1e-10!r}, {INNER + 1e-10!r}], got 0.9"),
     ("feasible_pair-added-left-to-right", lambda: FeasiblePair(INNER_A, INNER_B, 0.9),
@@ -462,7 +470,7 @@ ORACLE = _rows(NEW, [
 ], untouched=NUMPY) + _rows(
         "test_oracle::test_oracle_counts_that_are_not_ints_are_refused_before_numpy", [
     ("monotonicity-grid_points", lambda: two_level_monotonicity(3, 0.7, 2.5),
-     "grid_points must be an int >= 1, got 2.5"),
+     "grid_points must be an int, got 2.5"),
     ("sampler-samples", lambda: random_feasible_sampler(3, 0.7, 10.5),
      "samples must be an int, got 10.5"),
     ("grid-refinements", lambda: grid_max_joint_entropy(3, 0.7, 0.1, refinements=NAN),
@@ -630,6 +638,10 @@ CLI = _rows("test_cli::test_capacity_usage_error_q1", [
 ]) + _rows("test_cli::test_params_n_max_cap", [
     ("", f"params --q 2 --n-max {CAP + 1}",
      f"union-channel params: error: argument --n-max: must be in [1, {CAP}], got {CAP + 1}"),
-])
+]) + _rows(NEW, [
+    ("codec-trials-past-cap", f"codec --q 2 --n 5 --m 3 --B 1 --trials {MAX_TRIALS + 1}",
+     "union-channel codec: error: argument --trials: "
+     f"must be in [1, {MAX_TRIALS}], got {MAX_TRIALS + 1}"),
+], untouched=TRIALS)
 
 ROWS = ENTROPY + CAPACITY + CODEC + ORACLE + CLI

@@ -15,7 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from refusals import LOOKALIKES, ROWS
+from refusals import LOOKALIKES, NEW, ROWS
 from test_refusals import check_row, kept_tests
 from union_channel import (
     STAR,
@@ -132,7 +132,7 @@ def test_rank_pattern_refuses_a_float_alphabet_before_the_shared_memo(monkeypatc
     # (0, 0, 1.0, 0, 2.0) and simulate raised a TypeError
     codec._completions.cache_clear()
     codec._pattern_at.cache_clear()
-    check_row(next(r for r in ROWS if r.id.endswith("[rank-q-float]")), monkeypatch, request)
+    check_row(next(r for r in ROWS if r.id == f"{NEW}[rank-q-float]"), monkeypatch, request)
     pattern = unrank_pattern(5, 2, 5, 3)
     assert pattern == (0, 0, 1, 0, 2) and {*map(type, pattern)} == {int}
     assert simulate(CodeParams(2, 5, 3, 2), 3, seed=1).errors == 0

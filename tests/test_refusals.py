@@ -2,6 +2,7 @@
 with ``globals().update(kept_tests(__file__))``; this module runs the ``NEW`` rows."""
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,10 @@ def test_every_row_is_run_by_the_module_its_id_names():
     for module in {r.id.split("::")[0] for r in ROWS}:
         source = (Path(__file__).parent / f"{module}.py").read_text()
         assert "\nglobals().update(kept_tests(__file__))" in source, module
+
+
+def test_row_ids_are_unique():
+    # pytest would rename a repeated id by a suffix of its own; the rows of a test
+    # that took no parameters share its id and run in turn
+    ids = Counter(r.id for r in ROWS if r.id.endswith("]"))
+    assert [id for id, count in ids.items() if count > 1] == []
