@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_number(int, 2, MAX_ALPHABET), required=True)
     p.add_argument("--n", type=block_length, required=True)
     p.add_argument("--m", type=block_length, required=True)
-    p.add_argument("--B", type=_number(int, 1, 10**4), required=True)
+    p.add_argument("--B", type=_number(int, 1, codec.MAX_BLOCKS), required=True)
     p.add_argument("--trials", type=_number(int, 1, codec.MAX_TRIALS), default=100)
     p.add_argument("--seed", type=_number(int, 0), default=codec.DEFAULT_SEED)
     add_common(p)

@@ -23,8 +23,10 @@ party tracks only its size and the true prefix's index in it.
 Each party reads a block's outputs as *symbol codes*, one byte per output:
 the symbol of a singleton, STAR (0) for a pair. A star pattern is allowed
 by a block iff it stars every pair and shows the code wherever else it has
-no star, so the survivor walk and the decoder's walk back run over bytes.
-The decoder looks a whole transcript up in a cached per-q code table.
+no star, so the survivor walk, the encoder's rank walk and the decoder's
+walk back run over bytes. Both parties read the codes from one cached per-q
+table: the encoder a block at a time, refusing an output the table does
+not hold, the decoder a whole transcript.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ STAR = 0
 MAX_CODEC_ALPHABET = 255  # codec digits are stored one per byte
 MAX_WORKERS = 64  # processes one simulate() may start
 MAX_TRIALS = 10**6  # trials one simulate() may run; it builds one job per trial first
+MAX_BLOCKS = 10**4  # blocks of a CodeParams; a trial draws blocks * m digits per sender first
 MAX_BLOCK_LENGTH = 64  # each cached _completions table: ~1 ms, 0.1 MB at 64; 0.7 s, 32 MB at 512
 
 Output = frozenset  # channel output: set of one or two symbols
@@ -99,7 +102,7 @@ class CodeParams:
     def __post_init__(self) -> None:
         check_between(self.q, 2, MAX_CODEC_ALPHABET, name="q")
         check = validate_params(self.q, self.n, self.m)
-        check_count(self.blocks, "blocks", 1)
+        check_between(self.blocks, 1, MAX_BLOCKS, name="blocks")
         if not check.feasible:
             raise ValueError(
                 f"infeasible (q={self.q}, n={self.n}, m={self.m}): "
@@ -434,11 +437,8 @@ def run_block(state: SessionState) -> SessionState:
     digits = zip(state.w1[start : start + m], state.w2[start : start + m])
 
     outputs: list[Output] = []
-    codes = bytearray()
     known_1, known_2 = state.known_other_1, state.known_other_2
     child = 0  # one bit per pair output: which order of the pair is true
-    p = 0  # pair outputs
-    shown = []  # at each symbol position: the singletons before it
     for s in _pattern_at(state.index, q, n, m):
         if s != STAR:
             outputs.append(y := channel(s, s))
@@ -447,8 +447,6 @@ def run_block(state: SessionState) -> SessionState:
                     "pair output at a symbol position" if len(y) == 2
                     else "true message prefix missing from uncertainty set"
                 )
-            shown.append(len(codes) - p)
-            codes.append(s)
             continue
         x1, x2 = next(digits)
         outputs.append(y := channel(x1, x2))
@@ -456,32 +454,30 @@ def run_block(state: SessionState) -> SessionState:
         if len(y) == 1:
             known_1.append(x1)
             known_2.append(x2)
-            codes.extend(y)
             continue
         a, b = y
         known_1.append(b if a == x1 else a)
         known_2.append(b if a == x2 else a)
         child = (child << 1) | (x1 > x2)
-        codes.append(STAR)
-        p += 1
     state.transcript.extend(outputs)
-
+    table = _symbol_codes(q)  # the decoder's table: both parties read the same codes
+    try:
+        codes = bytes(map(table.__getitem__, outputs))
+    except (KeyError, TypeError):  # an output off the alphabet, or not even hashable
+        pos = next(i for i, y in enumerate(outputs) if type(y) is not frozenset or y not in table)
+        shown = f"output {_shown(outputs[pos])} at position {pos} of the block"
+        raise ProtocolViolation(f"{shown} is not a 1- or 2-element subset of [1, {q}]") from None
+    p = codes.count(STAR)
     size = _consistent_below(state.size, codes, p, q, n, m) << p
-    # h, the true pattern's rank among the allowed ones, counts the allowed
-    # patterns that agree with it up to one of its symbol positions and star
-    # that one: at the j-th, with i singletons before it, free - 1 - i
-    # singletons and stars - (i - j) of their stars follow, and C(singletons
-    # after, singleton stars after - 1) of the placements there do that
-    free, stars = n - p, m - p
-    comb = _completions(1, free)
-    h = sum(comb[free - 1 - i][stars - 1 - i + j] for j, i in enumerate(shown))
-    if h << p >= size:
-        raise ProtocolViolation("true message prefix missing from uncertainty set")
     if size > survivor_bound(n, m, p):
         raise ProtocolViolation(
             f"uncertainty set overflow: {size} candidates after a block "
             f"with {p} pair outputs"
         )
+    # the true pattern is allowed: the allowed patterns below it give its rank h among them
+    h = _consistent_below(state.index, codes, p, q, n, m)
+    if h << p >= size:
+        raise ProtocolViolation("true message prefix missing from uncertainty set")
     state.sizes.append(size)
     state.index = (h << p) + child
     _check_feedback(state, start, start + m)  # the block's new digits

@@ -26,8 +26,8 @@ from union_channel import (
     two_level_monotonicity, two_level_point, two_level_value, uncertainty_peak_bound,
     unrank_pattern, validate_params,
 )
-from union_channel.codec import (MAX_BLOCK_LENGTH, MAX_CODEC_ALPHABET, MAX_TRIALS, MAX_WORKERS,
-                                 _encode)
+from union_channel.codec import (MAX_BLOCK_LENGTH, MAX_BLOCKS, MAX_CODEC_ALPHABET, MAX_TRIALS,
+                                 MAX_WORKERS, _encode)
 from union_channel.entropy import (MAX_ALPHABET, check_alphabet, check_between, check_count,
                                    validate_pmf)
 from union_channel.oracle import MAX_GRID_POINTS, MAX_SAMPLER_ENTRIES, FeasiblePair
@@ -249,12 +249,13 @@ CODEC = _rows(NEW, [
 ]) + _rows("test_codec::test_code_params_rejects_infeasible", [
     ("", lambda: CodeParams(q=2, n=17, m=17, blocks=1),
      "infeasible (q=2, n=17, m=17): lhs=131072 rhs=1"),
-    ("", lambda: CodeParams(q=2, n=17, m=13, blocks=0), "blocks must be an int >= 1, got 0"),
+    ("", lambda: CodeParams(q=2, n=17, m=13, blocks=0),
+     f"blocks must lie in [1, {MAX_BLOCKS}], got 0"),
     ("", lambda: CodeParams(q=300, n=4, m=3, blocks=1),
      f"q must lie in [2, {MAX_CODEC_ALPHABET}], got 300"),
 ]) + _rows("test_codec::test_code_params_refuses_a_field_that_is_not_an_int", [
     *((f"blocks-{b!r}", lambda b=b: CodeParams(2, 4, 3, b),
-       f"blocks must be an int >= 1, got {b!r}") for b in (1.5, 2.0, True)),
+       f"blocks must be an int, got {b!r}") for b in (1.5, 2.0, True)),
     ("q-2.5", lambda: CodeParams(2.5, 4, 3, 1), "q must be an int, got 2.5"),
     ("n-4.0", lambda: CodeParams(2, 4.0, 3, 1), "n must be an int, got 4.0"),
     ("m-3", lambda: CodeParams(2, 4, "3", 1), "m must be an int, got '3'"),
@@ -417,7 +418,10 @@ CODEC = _rows(NEW, [
 ], untouched=TRIALS) + _rows(NEW, [  # fast: the job list would be built before any trial
     ("trials-past-cap", lambda: simulate(CodeParams(2, 5, 3, 2), MAX_TRIALS + 1),
      f"trials must lie in [1, {MAX_TRIALS}], got {MAX_TRIALS + 1}"),
-], untouched=TRIALS, fast=True)
+], untouched=TRIALS, fast=True) + _rows(NEW, [  # fast: a trial would draw blocks * m digits first
+    ("blocks-past-cap", lambda: CodeParams(2, 5, 3, MAX_BLOCKS + 1),
+     f"blocks must lie in [1, {MAX_BLOCKS}], got {MAX_BLOCKS + 1}"),
+], fast=True)
 
 ORACLE = _rows(NEW, [  # fast: the whole t-grid would be walked
     ("monotonicity-grid_points-past-cap",

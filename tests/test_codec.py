@@ -697,24 +697,25 @@ def trial_work(monkeypatch):
 @pytest.mark.parametrize(
     "params, trials, totals",
     [
-        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (60, 30, 602, 390)),
-        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (400, 200, 2409, 1800)),
+        (CodeParams(q=2, n=17, m=13, blocks=3), 10, (90, 30, 602, 390)),
+        (CodeParams(q=2, n=12, m=9, blocks=200), 1, (600, 200, 2409, 1800)),
     ],
 )
 def test_trial_work_is_pinned_by_counts(trial_work, params, trials, totals):
-    # each party walks the survivors once per block, the decoder walks back once
-    # per block, and each sender's feedback check compares every message digit
-    # once, in its block: only run_block appends to known_other_*. A block
-    # looks up three patterns: the encoder's index and each party's walk limit
+    # per block the encoder walks twice, to the survivor count and to the true
+    # pattern's rank among the allowed ones, the decoder walks to the survivor
+    # count and walks back once, and each sender's feedback check compares every
+    # message digit once, in its block: only run_block appends to known_other_*.
+    # A block looks up four patterns: the encoder's index and the limit of each walk
     per_trial = trial_work(params, trials)
     blocks = params.blocks
     assert [counts for _, counts in per_trial] == [
         {
-            "_consistent_below": 2 * blocks,
+            "_consistent_below": 3 * blocks,
             "_walk_back": blocks,
             "channel": uses,
             "_check_feedback": params.message_digits,
-            "_pattern_at": 3 * blocks,
+            "_pattern_at": 4 * blocks,
         }
         for uses, _ in per_trial
     ]
@@ -730,8 +731,8 @@ def test_trial_work_is_linear_in_the_block_count(trial_work):
     ((uses_50, at_50),) = trial_work(CodeParams(q=2, n=12, m=9, blocks=50), 1)
     ((uses_200, at_200),) = trial_work(CodeParams(q=2, n=12, m=9, blocks=200), 1)
     names = ("_consistent_below", "_walk_back", "_pattern_at")
-    assert [at_50[name] for name in names] == [100, 50, 150]
-    assert [at_200[name] for name in names] == [400, 200, 600]
+    assert [at_50[name] for name in names] == [150, 50, 200]
+    assert [at_200[name] for name in names] == [600, 200, 800]
     assert (at_50["channel"], at_200["channel"]) == (uses_50, uses_200) == (610, 2409)
     assert 4 * (uses_50 - 10) == uses_200 - 9 == 2400
 
@@ -847,8 +848,15 @@ def test_draw_digits_leaves_the_randint_state(count):
             lambda x1, x2: frozenset((3 - x1,)) if x1 == x2 else frozenset((x1, x2)),
             "true message prefix missing",
         ),
+        # a pair off the alphabet has no symbol code: sender 1's deduction is
+        # wrong too, but the block refuses the output before the feedback check
+        (
+            lambda x1, x2: frozenset((x1, x2 + 2)) if x1 != x2 else frozenset((x1,)),
+            r"^output frozenset\(\{1, 4\}\) at position 0 of the block "
+            r"is not a 1- or 2-element subset of \[1, 2\]$",
+        ),
     ],
-    ids=["shows-x1", "shows-x2", "flips-x2", "flips-singletons"],
+    ids=["shows-x1", "shows-x2", "flips-x2", "flips-singletons", "pair-outside-alphabet"],
 )
 def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, message):
     monkeypatch.setattr(codec, "channel", faulty_channel)

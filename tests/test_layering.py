@@ -5,11 +5,14 @@ new module or a new internal import must be declared here.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import union_channel
 
 PACKAGE_DIR = Path(union_channel.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 EXPECTED_IMPORTS = {
     "entropy": set(),
@@ -125,3 +128,18 @@ def test_refusal_texts_are_pinned_only_in_the_refusal_table():
         if any("must lie in" in text or "must be an int" in text for text in _message_texts(path))
     }
     assert pinning <= {"refusals.py", "test_layering.py"}
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_bound(monkeypatch):
+    # the traced benchmark run wraps each TARGETS entry by getattr and exits 1
+    # on a name the package no longer binds: a move or a rename fails here first
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS  # the loader found the list
+    for module, attr, layer, *_ in spans.TARGETS:
+        assert callable(getattr(module, attr, None)), (
+            f"{module.__name__}.{attr} (traced as {layer}) is not bound"
+        )
