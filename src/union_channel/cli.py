@@ -326,9 +326,5 @@ def main(argv: Sequence[str] | None = None) -> int:
     return args.func(args)
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

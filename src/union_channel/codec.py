@@ -270,7 +270,7 @@ def channel(x1: int, x2: int) -> Output:
     return frozenset((x1, x2))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # 8 MiB a table at q=255; a run uses one alphabet
 def _symbol_codes(q: int) -> dict[Output, int]:
     # the q(q+1)/2 outputs of the channel over [1, q], built without calling
     # it, each with its code: the symbol of a singleton, STAR for a pair
@@ -429,6 +429,8 @@ def _check_feedback(state: SessionState, start: int, stop: int) -> None:
 
 def run_block(state: SessionState) -> SessionState:
     """Run one message block of ``n`` channel uses, update all parties and check them."""
+    if not isinstance(state, SessionState):
+        raise _wrong_type("state", state, "a SessionState")
     params = state.params
     q, n, m = params.q, params.n, params.m
     if state.block >= params.blocks:
@@ -486,6 +488,8 @@ def run_block(state: SessionState) -> SessionState:
 
 def run_final_block(state: SessionState) -> SessionState:
     """Send the true pair's rank to resolve the residual uncertainty; check uses_bound."""
+    if not isinstance(state, SessionState):
+        raise _wrong_type("state", state, "a SessionState")
     params = state.params
     if state.block != params.blocks:
         raise ValueError(f"final block requires all {params.blocks} message blocks first")
@@ -747,14 +751,16 @@ def report_jsonl_lines(report: SimulationReport) -> Iterator[str]:
     Exact integers that may exceed double precision (uncertainty sizes) are
     serialized as decimal strings.
     """
-    for r in report.records:
-        yield json.dumps({**asdict(r), "max_uncertainty": str(r.max_uncertainty)})
+    if not isinstance(report, SimulationReport):
+        raise _wrong_type("report", report, "a SimulationReport")
     summary = {"summary": True, **asdict(report.params)}
     for f in fields(report):
         if f.name not in ("params", "records"):
             summary[f.name] = getattr(report, f.name)
     summary["max_uncertainty"] = str(report.max_uncertainty)
-    yield json.dumps(summary)
+    trials = (json.dumps({**asdict(r), "max_uncertainty": str(r.max_uncertainty)})
+              for r in report.records)
+    return chain(trials, [json.dumps(summary)])
 
 
 # ---------------------------------------------------------------------------

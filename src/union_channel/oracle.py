@@ -310,22 +310,16 @@ def _zipped_rows(
     Each chunk of b, cut to the a rows left, meets a's next rows: a view of
     one a chunk where the chunks align, else one array joined from several.
     b is drawn to its end even after a runs out, so a generator behind it is
-    left where a whole draw of b would leave it.
+    left where a whole draw of b would leave it. No pair is empty.
     """
     a_chunks = iter(a_chunks)
-    rest = None  # the rows of the current a chunk not yet paired
+    rest = ()  # a's rows not yet paired
     for b in b_chunks:
-        parts, count = [], 0
-        while count < len(b):
-            if rest is None or not len(rest):
-                rest = next(a_chunks, None)
-                if rest is None:
-                    break
-            parts.append(rest[: len(b) - count])
-            rest = rest[len(parts[-1]) :]
-            count += len(parts[-1])
-        if count:
-            yield parts[0] if len(parts) == 1 else np.concatenate(parts), b[:count]
+        while len(rest) < len(b) and (a := next(a_chunks, None)) is not None:
+            rest = np.concatenate((rest, a)) if len(rest) else a
+        if len(rest) and len(b):
+            yield rest[: len(b)], b[: len(rest)]
+        rest = rest[len(b) :]
 
 
 def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray:

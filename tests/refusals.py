@@ -21,8 +21,8 @@ from union_channel import (
     best_params, binary_entropy, case_discriminant, channel, concave_envelope,
     cover_leung_witness, decode_transcript, entropy_q, envelope_line, grid_max_joint_entropy,
     grouped_entropy, interpolate_to_theta, max_joint_entropy, new_session, output_entropy,
-    pattern_count, random_feasible_sampler, rank_pattern, rate_root, resolution_digits,
-    run_block, run_final_block, simulate, tangent_point, top_symbol_mass,
+    pattern_count, random_feasible_sampler, rank_pattern, rate_root, report_jsonl_lines,
+    resolution_digits, run_block, run_final_block, simulate, tangent_point, top_symbol_mass,
     two_level_monotonicity, two_level_point, two_level_value, uncertainty_peak_bound,
     unrank_pattern, validate_params,
 )
@@ -246,6 +246,12 @@ CODEC = _rows(NEW, [
     # lru_cache keys 2.0 and 2 alike: test_codec runs this row on a cold memo
     ("rank-q-float", lambda: rank_pattern((STAR, 1, 2, 1, 1), 2.0, 1),
      "alphabet size must be an int, got 2.0"),
+    # each raised AttributeError on its argument's fields
+    ("run_block-state-none", lambda: run_block(None), "state must be a SessionState, got NoneType"),
+    ("run_final_block-state-none", lambda: run_final_block(None),
+     "state must be a SessionState, got NoneType"),
+    ("report_jsonl_lines-none", lambda: report_jsonl_lines(None),
+     "report must be a SimulationReport, got NoneType"),
 ]) + _rows("test_codec::test_code_params_rejects_infeasible", [
     ("", lambda: CodeParams(q=2, n=17, m=17, blocks=1),
      "infeasible (q=2, n=17, m=17): lhs=131072 rhs=1"),

@@ -147,6 +147,26 @@ def test_pattern_tables_are_held_for_a_bounded_number_of_alphabets():
     assert codec._completions.cache_info().currsize <= maxsize
 
 
+def test_symbol_code_tables_are_held_for_a_bounded_number_of_alphabets():
+    # one table of q(q+1)/2 outputs a q, about 8 MiB at q=255, once kept for good
+    maxsize = codec._symbol_codes.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    for q in range(2, maxsize + 10):
+        assert len(codec._symbol_codes(q)) == q * (q + 1) // 2
+    assert codec._symbol_codes.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize(
+    "q, n, m", [(2, 2, 1), (2, 64, 32), (2, 64, 49), (3, 40, 30), (255, 64, 32), (255, 64, 59)]
+)
+def test_round_trip_at_the_corners_of_the_parameter_space(q, n, m):
+    # the smallest code, the least and greatest feasible m at n = 64, and a
+    # block of more than 16 pair outputs (a code that kept 16 pair bits failed)
+    report = simulate(CodeParams(q, n, m, 3), trials=5, seed=1)
+    assert report.errors == 0
+    assert report.max_uncertainty <= uncertainty_peak_bound(n, m)
+
+
 def test_round_trip_exhaustive_q1():
     # q=1 is the space of star placements the codec ranks a block's
     # consistent patterns in

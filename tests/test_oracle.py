@@ -461,6 +461,14 @@ def test_zipped_rows_stops_at_the_shorter_stream_and_draws_the_longer_to_its_end
     assert [(len(a), len(b)) for a, b in pairs] == [(5, 5), (2, 2)]
 
 
+def test_zipped_rows_yields_no_pair_for_an_empty_chunk():
+    # a chunk of b can lose every row to _unit_rows; the a rows wait for the next
+    rows = np.arange(36, dtype=float).reshape(12, 3)
+    pairs = list(_zipped_rows([rows[:4], rows[4:]], [rows[:6] + 100.0, rows[6:6], rows[6:] + 100.0]))
+    assert [(len(a), len(b)) for a, b in pairs] == [(6, 6), (6, 6)]
+    assert np.concatenate([a for a, _ in pairs]).tobytes() == rows.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # randomized sampler
 

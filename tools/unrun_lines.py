@@ -32,8 +32,7 @@ PYTEST_ARGS = [
 # (module file, stripped source text) of the lines allowed to stay unrun, keyed
 # by text so that an edit above them does not move them
 ALLOWED = {
-    ("cli.py", "sys.exit(main())"): "cli.entry, the console script: tests call main",
-    ("cli.py", "entry()"): "the body of the module's __main__ guard",
+    ("cli.py", "sys.exit(main())"): "the body of the module's __main__ guard",
 }
 
 
