@@ -17,6 +17,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import sys
 from typing import NoReturn, Sequence
 
@@ -262,7 +263,17 @@ def _number(kind: type, lo, hi=math.inf):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error in one stderr line, without the usage text."""
+    """Reports a usage error in one stderr line, without the usage text.
+
+    A word that begins like a negative number (``-1e-3``, ``-inf``, ``-nan``) is
+    read as a value, as argparse already reads ``-1`` and ``-.5``, so
+    ``--tolerance -inf`` gets the option's range text, as ``--tolerance=-inf``
+    does; no option name begins that way.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str) -> NoReturn:
         self.exit(2, f"{self.prog}: error: {message}\n")

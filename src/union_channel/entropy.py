@@ -73,13 +73,14 @@ def check_between(
 ) -> None:
     """Raise ValueError unless lo <= value <= hi (an int, if both bounds are ints).
 
-    A str, None or NaN is refused too. Only a refusal prints the interval: as
-    ``shown``, a literal for a symbolic bound, or as ``[lo, hi]``, whole floats as ints.
+    A str, None, NaN or bool is refused too, as ``check_int`` refuses a bool. Only a
+    refusal prints the interval: as ``shown``, a literal for a symbolic bound, or as
+    ``[lo, hi]``, whole floats as ints.
     """
     if type(lo) is type(hi) is int:
         check_int(value, name)
     try:
-        inside = lo <= value <= hi
+        inside = lo <= value <= hi and type(value) is not bool
     except TypeError:
         inside = False
     if not inside:

@@ -337,10 +337,10 @@ def _feasible_rows(theta0: np.ndarray, theta: float, q: int) -> np.ndarray:
     return np.flatnonzero(theta <= theta0 + 1e-15 if above else theta >= theta0 - 1e-15)
 
 
-def _interpolated_max(
+def _interpolated_rows(
     a: np.ndarray, b: np.ndarray, theta: float, q: int
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Max H(a') + H(b') over rows interpolated onto the theta constraint.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """H(a') + H(b'), a' and b' of the rows that interpolate onto theta; None if none do.
 
     a and b hold the same number of rows, paired by position; any pairing of
     two pmfs is a candidate. When b is a, each row is interpolated and its
@@ -355,38 +355,40 @@ def _interpolated_max(
     b = a if symmetric else b.take(rows, axis=0)
     if symmetric:
         (ap,) = _interpolate(theta0, theta, q, a)
-        bp, values = ap, 2.0 * _row_entropies(ap, q)
-    else:
-        ap, bp = _interpolate(theta0, theta, q, a, b)
-        values = _row_entropies(ap, q) + _row_entropies(bp, q)
-    i = int(np.argmax(values))
-    # copies, so a kept result does not hold its whole chunk alive
-    return float(values[i]), ap[i].copy(), bp[i].copy()
+        return 2.0 * _row_entropies(ap, q), ap, ap
+    ap, bp = _interpolate(theta0, theta, q, a, b)
+    return _row_entropies(ap, q) + _row_entropies(bp, q), ap, bp
 
 
 def _search(
     sources: Iterable[tuple[str, Iterable[tuple]]],
-    evaluate: Callable[..., tuple[float, np.ndarray, np.ndarray] | None],
+    score: Callable[..., tuple[np.ndarray, np.ndarray, np.ndarray] | None],
     best: tuple | None = None,
 ) -> tuple[str, float, np.ndarray, np.ndarray] | None:
-    """The best ``evaluate(*chunk)`` over the chunks of labelled sources, with its label.
+    """The best row of ``score(*chunk)`` over the chunks of labelled sources, with its label.
 
-    Each source is a ``(label, chunks)`` pair, walked in order; ``evaluate`` gives a
-    chunk's (value, a, b), or None when no row of it is feasible. A result displaces
-    the incumbent (label, value, a, b), ``best`` at the start, only with a strictly
-    greater value, so the first maximum is kept, as argmax keeps it within a chunk.
+    Each source is a ``(label, chunks)`` pair, walked in order; ``score`` gives a
+    chunk's row values and its two arrays of rows, or None when no row is feasible.
+    A chunk's first greatest value displaces the incumbent (label, value, a, b),
+    ``best`` at the start, only when strictly greater, so the first maximum of the
+    whole search is kept. Only the winner's rows are copied, and each scored chunk
+    is let go before the next is drawn, so the result holds no chunk alive.
     """
     for label, chunks in sources:
         for chunk in chunks:
-            found = evaluate(*chunk)
-            if found is not None and (best is None or found[0] > best[1]):
-                best = (label, *found)
+            if (scored := score(*chunk)) is None:
+                continue
+            values, a, b = scored
+            i = int(np.argmax(values))
+            if best is None or values[i] > best[1]:
+                best = label, float(values[i]), a[i].copy(), b[i].copy()
+            del scored, values, a, b
     return best
 
 
 def _grid_q2_chunk(
     a1: np.ndarray, theta: float
-) -> tuple[float, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     # the partner b1 solves a1*b1 + (1-a1)(1-b1) = theta exactly, so every evaluated
     # pair is feasible; rows at a1 = 0.5 (no partner) or whose b1 falls outside
     # [0, 1] are dropped, None if all are
@@ -403,10 +405,9 @@ def _grid_q2_chunk(
     masses[0, 0] = a1[keep]
     np.clip(b1[keep], 0.0, 1.0, out=masses[0, 1])
     np.subtract(1.0, masses[0], out=masses[1])
-    entropies = _row_entropies(masses.reshape(2, -1).T, 2)
-    values = entropies[:count] + entropies[count:]
-    i = int(np.argmax(values))
-    return float(values[i]), masses[:, 0, i].copy(), masses[:, 1, i].copy()
+    pmfs = masses.reshape(2, -1).T
+    entropies = _row_entropies(pmfs, 2)
+    return entropies[:count] + entropies[count:], pmfs[:count], pmfs[count:]
 
 
 def _grid_q2(theta: float, resolution: float) -> tuple[str, float, np.ndarray, np.ndarray]:
@@ -438,6 +439,15 @@ def _disjoint_pairs(grid: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]
         yield points, vertex
 
 
+def _jittered(
+    rng: np.random.Generator, centre: np.ndarray, scale: float, size: tuple[int, int]
+) -> np.ndarray:
+    """Rows ``max(centre + rng.normal(0.0, scale, size), 0)``: a jitter about centre."""
+    x = rng.normal(0.0, scale, size)
+    x += centre  # the bits of centre + x
+    return np.maximum(x, 0.0, out=x)
+
+
 def _grid_q3(
     theta: float, resolution: float, seed: int, refinements: int
 ) -> tuple[str, float, np.ndarray, np.ndarray]:
@@ -449,12 +459,12 @@ def _grid_q3(
     rng = np.random.default_rng(seed)
     grid = _simplex_grid(resolution)
     directions = _drawn_unit_rows(partial(rng.gamma, 0.5), 2 * len(grid), 3)
-    evaluate = partial(_interpolated_max, theta=theta, q=3)
+    score = partial(_interpolated_rows, theta=theta, q=3)
     best = _search([
         ("symmetric", ((rows, rows) for rows in _row_chunks(grid))),
         ("random", _zipped_rows(chain(_row_chunks(grid), _row_chunks(grid)), directions)),
         ("disjoint", _disjoint_pairs(grid)),
-    ], evaluate)
+    ], score)
     # local refinements: jitter both incumbent rows. Side a's draws come
     # before side b's; rather than hold side a, skip its draws on rng and
     # draw them again from a copy taken before them, beside side b
@@ -465,22 +475,11 @@ def _grid_q3(
     for start in range(0, refinements, _CHUNK_ROWS):
         # the same stream as normal(0.0, scale, ...) draws, without its result
         rng.standard_normal(out=skipped[: refinements - start])
-
-    def jitter(
-        gen: np.random.Generator, centre: np.ndarray
-    ) -> Callable[..., np.ndarray]:
-        def draw(size: tuple[int, int]) -> np.ndarray:
-            x = gen.normal(0.0, scale, size)
-            x += centre  # the bits of centre + x
-            return np.maximum(x, 0.0, out=x)
-
-        return draw
-
     refined = _zipped_rows(
-        _drawn_unit_rows(jitter(replay, a_best), refinements, 3),
-        _drawn_unit_rows(jitter(rng, b_best), refinements, 3),
+        _drawn_unit_rows(partial(_jittered, replay, a_best, scale), refinements, 3),
+        _drawn_unit_rows(partial(_jittered, rng, b_best, scale), refinements, 3),
     )
-    return _search([("refinement", refined)], evaluate, best)
+    return _search([("refinement", refined)], score, best)
 
 
 # per q: the default grid step and the floor; a finer q=2 grid has over 1M points a
@@ -549,5 +548,5 @@ def random_feasible_sampler(
                 list(_drawn_unit_rows(draw, per, q)), _drawn_unit_rows(draw, per, q)
             )
 
-    best = _search(sources(), partial(_interpolated_max, theta=theta, q=q))
+    best = _search(sources(), partial(_interpolated_rows, theta=theta, q=q))
     return -math.inf if best is None else best[1]

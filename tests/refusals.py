@@ -95,6 +95,9 @@ def _subset(output, at=0):
 ENTROPY = _rows(NEW, [
     ("binary_entropy-1.5", lambda: binary_entropy(1.5),
      "binary entropy argument must lie in [0, 1], got 1.5"),
+    # a bool once passed every float interval as the 0 or 1 it equals
+    ("binary_entropy-False", lambda: binary_entropy(False),
+     "binary entropy argument must lie in [0, 1], got False"),
 ]) + _rows("test_entropy::test_entropy_rejects_bad_inputs", [
     ("", lambda: entropy_q([0.5, -0.1, 0.6], 3), "negative probability entry -0.1"),
     ("", lambda: entropy_q([0.5, 0.4], 2), "probabilities sum to 0.9, expected 1 within 1e-12"),
@@ -217,6 +220,9 @@ CAPACITY = _rows(NEW, [
     ("tangent_point-2", lambda: tangent_point(2), "alphabet size must be at least 3, got 2"),
     ("case_discriminant-2", lambda: case_discriminant(2),
      "alphabet size must be at least 3, got 2"),
+    # it returned -0.0, the maximum at theta 1
+    ("max_joint_entropy-True", lambda: max_joint_entropy(True, 3),
+     "theta must lie in [1/q, 1], got True"),
 ]) + _rows("test_capacity::test_top_mass_domain", [
     ("", lambda: top_symbol_mass(0.1, 3), "theta must lie in [1/q, 1], got 0.1"),
     ("", lambda: top_symbol_mass(1.1, 3), "theta must lie in [1/q, 1], got 1.1"),
@@ -440,7 +446,10 @@ ORACLE = _rows(NEW, [  # fast: the whole t-grid would be walked
      f"theta must lie in [{1 / 3 - 1e-10!r}, {INNER + 1e-10!r}], got 0.9"),
     ("feasible_pair-added-left-to-right", lambda: FeasiblePair(INNER_A, INNER_B, 0.9),
      f"inner product {INNER!r} differs from theta 0.9"),
-]) + _rows("test_oracle::test_interpolate_rejects_unreachable_target", [  # above theta0, below 1/q
+]) + _rows(NEW, [  # it searched at theta 1
+    ("grid-theta-True", lambda: grid_max_joint_entropy(2, True),
+     "theta must lie in [0, 1], got True"),
+], untouched=NUMPY) + _rows("test_oracle::test_interpolate_rejects_unreachable_target", [  # above theta0, below 1/q
     *(("", lambda t=t: interpolate_to_theta((0.9, 0.1), (0.9, 0.1), t),
        f"theta must lie in [0.4999999999, 0.8200000001000001], got {t}") for t in (0.95, 0.3)),
 ]) + _rows("test_oracle::test_feasible_pair_validates_inner_product", [
@@ -590,7 +599,7 @@ CLI = _rows("test_cli::test_capacity_usage_error_q1", [
        f"union-channel lemma: error: argument --tolerance: {text}") for tolerance, text in [
         ("nan", "must be finite and >= 0, got nan"), ("-1", "must be finite and >= 0, got -1"),
         ("inf", "must be finite and >= 0, got inf"),
-        ("-inf", "expected one argument"),  # argparse reads -inf as an option
+        ("-inf", "must be finite and >= 0, got -inf"),  # once read as an option
         ("abc", "invalid float value: 'abc'")]),
 ]) + _rows("test_cli::test_lemma_infeasible_without_sampler", [
     ("", "lemma --q 4 --theta 0.5",
@@ -652,6 +661,15 @@ CLI = _rows("test_cli::test_capacity_usage_error_q1", [
     ("codec-trials-past-cap", f"codec --q 2 --n 5 --m 3 --B 1 --trials {MAX_TRIALS + 1}",
      "union-channel codec: error: argument --trials: "
      f"must be in [1, {MAX_TRIALS}], got {MAX_TRIALS + 1}"),
-], untouched=TRIALS)
+], untouched=TRIALS) + _rows(NEW, [
+    # a negative float as its own word once got argparse's "expected one argument"
+    *((f"lemma-{option}{value}-{id}", f"lemma --q 3 {theta}--{option}{sep}{value}",
+       f"union-channel lemma: error: argument --{option}: {text}, got {value}")
+      for theta, option, value, text in [
+          ("--theta 0.5 ", "tolerance", "-inf", "must be finite and >= 0"),
+          ("--theta 0.5 ", "tolerance", "-1e-3", "must be finite and >= 0"),
+          ("", "theta", "-inf", "must be in [0, 1]")]
+      for id, sep in [("word", " "), ("equals", "=")]),
+], untouched=ORACLES)
 
 ROWS = ENTROPY + CAPACITY + CODEC + ORACLE + CLI

@@ -223,6 +223,34 @@ def test_grids_return_a_feasible_pair_at_every_theta(q, resolution):
     )
 
 
+def test_search_keeps_the_first_best_row_as_a_copy():
+    # a scorer hands back its chunk's values and rows as they are; _search alone
+    # picks, and a tie keeps the earlier row, chunk or source
+    def score(values, offset):
+        if values is None:
+            return None
+        rows = np.arange(len(values), dtype=float)[:, None] + offset
+        chunks.append(rows)
+        return np.array(values), rows, -rows
+
+    chunks = []
+    sources = [
+        ("first", [([1.0, 3.0, 3.0], 0.0), (None, 10.0), ([3.0, 2.0], 20.0)]),
+        ("second", [([0.0, 3.0], 30.0)]),
+    ]
+    label, value, a, b = oracle._search(sources, score)
+    assert (label, value, a.tolist(), b.tolist()) == ("first", 3.0, [1.0], [-1.0])
+    assert type(value) is float
+    for rows in chunks:
+        rows[:] = -7.0  # writing into a scored chunk leaves the kept rows alone
+    assert (a.tolist(), b.tolist()) == ([1.0], [-1.0])
+    # a later source displaces the incumbent only with a strictly greater value
+    assert oracle._search([("later", [([3.5], 40.0)])], score, (label, value, a, b))[:2] == (
+        "later", 3.5)
+    assert oracle._search([("later", [([3.0], 40.0)])], score, (label, value, a, b))[0] == "first"
+    assert oracle._search([("none", [(None, 0.0)])], score) is None
+
+
 @pytest.fixture
 def searches(monkeypatch):
     """What each call of ``oracle._search`` returns, in call order."""
