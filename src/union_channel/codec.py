@@ -25,7 +25,7 @@ the symbol of a singleton, STAR (0) for a pair. A star pattern is allowed
 by a block iff it stars every pair and shows the code wherever else it has
 no star, so the survivor walk, the encoder's rank walk and the decoder's
 walk back run over bytes. Both parties read the codes from one cached per-q
-table: the encoder a block at a time, refusing an output the table does
+table: the encoder each output as it arrives, refusing one the table does
 not hold, the decoder a whole transcript.
 """
 
@@ -438,37 +438,30 @@ def run_block(state: SessionState) -> SessionState:
     start = state.block * m
     digits = zip(state.w1[start : start + m], state.w2[start : start + m])
 
-    outputs: list[Output] = []
-    known_1, known_2 = state.known_other_1, state.known_other_2
+    table = _symbol_codes(q)  # the decoder's table: both parties read the same codes
+    codes = bytearray()
+    transcript, known_1, known_2 = state.transcript, state.known_other_1, state.known_other_2
     child = 0  # one bit per pair output: which order of the pair is true
     for s in _pattern_at(state.index, q, n, m):
+        x1, x2 = next(digits) if s == STAR else (s, s)
+        transcript.append(y := channel(x1, x2))
+        try:  # each output is read once, as it arrives
+            codes.append(c := table[y])
+        except (KeyError, TypeError):  # an output off the alphabet, or not even hashable
+            shown = f"output {_shown(y)} at position {len(codes)} of the block is not"
+            raise ProtocolViolation(f"{shown} a 1- or 2-element subset of [1, {q}]") from None
         if s != STAR:
-            outputs.append(y := channel(s, s))
-            if len(y) != 1 or s not in y:
-                raise ProtocolViolation(
-                    "pair output at a symbol position" if len(y) == 2
-                    else "true message prefix missing from uncertainty set"
-                )
-            continue
-        x1, x2 = next(digits)
-        outputs.append(y := channel(x1, x2))
-        # feedback: each sender deduces the other's digit from the output
-        if len(y) == 1:
+            if c != s:  # both senders sent s: a pair, or another singleton, rules it out
+                raise ProtocolViolation("pair output at a symbol position" if c == STAR else
+                                        "true message prefix missing from uncertainty set")
+        elif c != STAR:  # feedback: each sender deduces the other's digit from the output
             known_1.append(x1)
             known_2.append(x2)
-            continue
-        a, b = y
-        known_1.append(b if a == x1 else a)
-        known_2.append(b if a == x2 else a)
-        child = (child << 1) | (x1 > x2)
-    state.transcript.extend(outputs)
-    table = _symbol_codes(q)  # the decoder's table: both parties read the same codes
-    try:
-        codes = bytes(map(table.__getitem__, outputs))
-    except (KeyError, TypeError):  # an output off the alphabet, or not even hashable
-        pos = next(i for i, y in enumerate(outputs) if type(y) is not frozenset or y not in table)
-        shown = f"output {_shown(outputs[pos])} at position {pos} of the block"
-        raise ProtocolViolation(f"{shown} is not a 1- or 2-element subset of [1, {q}]") from None
+        else:
+            a, b = y
+            known_1.append(b if a == x1 else a)
+            known_2.append(b if a == x2 else a)
+            child = (child << 1) | (x1 > x2)
     p = codes.count(STAR)
     size = _consistent_below(state.size, codes, p, q, n, m) << p
     if size > survivor_bound(n, m, p):
@@ -487,7 +480,7 @@ def run_block(state: SessionState) -> SessionState:
 
 
 def run_final_block(state: SessionState) -> SessionState:
-    """Send the true pair's rank to resolve the residual uncertainty; check uses_bound."""
+    """Send the true pair's rank to resolve the last set; check each output and uses_bound."""
     if not isinstance(state, SessionState):
         raise _wrong_type("state", state, "a SessionState")
     params = state.params
@@ -497,8 +490,14 @@ def run_final_block(state: SessionState) -> SessionState:
     remaining = state.index
     for j in range(digits - 1, -1, -1):
         digit, remaining = divmod(remaining, params.q**j)
-        # both senders transmit the same symbol, so the output is a singleton
-        state.transcript.append(channel(digit + 1, digit + 1))
+        # both senders transmit the same symbol, so the output must be its singleton
+        state.transcript.append(y := channel(digit + 1, digit + 1))
+        try:  # read as run_block reads an output: through the decoder's table
+            sent = _symbol_codes(params.q)[y] == digit + 1
+        except (KeyError, TypeError):  # an output off the alphabet, or not even hashable
+            sent = False
+        if not sent:
+            raise ProtocolViolation(f"resolution output {_shown(y)} is not {{{digit + 1}}}")
     if state.uses > uses_bound(params):
         raise ProtocolViolation("channel-use bound exceeded")
     return state

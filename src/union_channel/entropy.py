@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
+from numbers import Real
 from typing import Callable, Iterable, Sequence
 
 PROB_TOL = 1e-12
@@ -73,14 +74,18 @@ def check_between(
 ) -> None:
     """Raise ValueError unless lo <= value <= hi (an int, if both bounds are ints).
 
-    A str, None, NaN or bool is refused too, as ``check_int`` refuses a bool. Only a
+    The value must be a real number: a str, None, NaN or ``Decimal`` is refused too,
+    and so is a bool or a numpy bool, as ``check_int`` refuses a bool. Only a
     refusal prints the interval: as ``shown``, a literal for a symbolic bound, or as
     ``[lo, hi]``, whole floats as ints.
     """
     if type(lo) is type(hi) is int:
         check_int(value, name)
-    try:
-        inside = lo <= value <= hi and type(value) is not bool
+    kind = type(value)
+    try:  # float and int first: an isinstance test against Real costs several whole calls
+        inside = lo <= value <= hi and (
+            kind is float or kind is int or kind is not bool and isinstance(value, Real)
+        )
     except TypeError:
         inside = False
     if not inside:

@@ -12,6 +12,7 @@ pinned its texts itself keep its ids. Add a new pin to its module's list, under 
 
 import math
 from collections import deque
+from decimal import Decimal
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -98,6 +99,9 @@ ENTROPY = _rows(NEW, [
     # a bool once passed every float interval as the 0 or 1 it equals
     ("binary_entropy-False", lambda: binary_entropy(False),
      "binary entropy argument must lie in [0, 1], got False"),
+    # and so did a numpy bool: this one returned 0.0
+    ("binary_entropy-np-False", lambda: binary_entropy(np.False_),
+     f"binary entropy argument must lie in [0, 1], got {np.False_!r}"),
 ]) + _rows("test_entropy::test_entropy_rejects_bad_inputs", [
     ("", lambda: entropy_q([0.5, -0.1, 0.6], 3), "negative probability entry -0.1"),
     ("", lambda: entropy_q([0.5, 0.4], 2), "probabilities sum to 0.9, expected 1 within 1e-12"),
@@ -223,6 +227,12 @@ CAPACITY = _rows(NEW, [
     # it returned -0.0, the maximum at theta 1
     ("max_joint_entropy-True", lambda: max_joint_entropy(True, 3),
      "theta must lie in [1/q, 1], got True"),
+    ("max_joint_entropy-np-True", lambda: max_joint_entropy(np.True_, 3),
+     f"theta must lie in [1/q, 1], got {np.True_!r}"),
+    # a Decimal compares with the float bounds but cannot be added to a float:
+    # top_symbol_mass raised TypeError
+    ("max_joint_entropy-Decimal", lambda: max_joint_entropy(Decimal("0.5"), 3),
+     "theta must lie in [1/q, 1], got Decimal('0.5')"),
 ]) + _rows("test_capacity::test_top_mass_domain", [
     ("", lambda: top_symbol_mass(0.1, 3), "theta must lie in [1/q, 1], got 0.1"),
     ("", lambda: top_symbol_mass(1.1, 3), "theta must lie in [1/q, 1], got 1.1"),

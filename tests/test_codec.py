@@ -633,6 +633,44 @@ def test_decode_rejects_or_reproduces_any_transcript(params, seed, replaced):
     assert _encode(params, decoded.w1, decoded.w2).transcript == transcript
 
 
+def _block_walked_back(params, size, index, w1, w2):
+    """One ``run_block`` from a set of ``size`` at ``index``, then the decoder's walk back."""
+    q, n, m = params.q, params.n, params.m
+    state = run_block(SessionState(params, bytes(w1), bytes(w2), sizes=[size], index=index))
+    codes = bytes(map(codec._symbol_codes(q).__getitem__, state.transcript))  # run_block's table
+    return _walk_back(state.index, codes, state.transcript, codes.count(STAR), q, n, m)
+
+
+@st.composite
+def _block_steps(draw):
+    """A feasible code of one block, an index below its peak, a seed and ``same``."""
+    params = draw(_feasible_params(1))
+    index = draw(st.integers(0, uncertainty_peak_bound(params.n, params.m) - 1))
+    return params, index, draw(SEEDS), draw(st.booleans())
+
+
+def _block_steps_at_the_corners(test):
+    """Explicit examples: each code of CORNERS at its last index, and at 0 with one message."""
+    for q, n, m in CORNERS:
+        params = CodeParams(q, n, m, 1)
+        test = example((params, uncertainty_peak_bound(n, m) - 1, 1, False))(test)
+        test = example((params, 0, 2, True))(test)
+    return test
+
+
+@given(_block_steps())
+@_block_steps_at_the_corners
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_block_step_is_inverted_by_the_walk_back_at_sampled_codes(step):
+    # test_codec_bijection checks every index and digit pair of six small codes;
+    # this samples them over every feasible code, from a set as large as its
+    # pattern space. A block of more than 16 pair outputs needs every pair bit
+    params, index, seed, same = step
+    w1, w2 = _messages(params, random.Random(seed), same)
+    size = pattern_count(params.q, params.n, params.m)
+    assert _block_walked_back(params, size, index, w1, w2) == (index, w1, w2)
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -867,6 +905,12 @@ def test_draw_digits_leaves_the_randint_state(count):
         assert drawn.getstate() == r.getstate(), q
 
 
+def _not_a_subset(shown):
+    """The block's refusal of an output at its first position that the decoder's table lacks."""
+    text = f"output {shown} at position 0 of the block is not a 1- or 2-element subset of [1, 2]"
+    return f"^{re.escape(text)}$"
+
+
 @pytest.mark.parametrize(
     "faulty_channel, message",
     [
@@ -884,11 +928,22 @@ def test_draw_digits_leaves_the_randint_state(count):
         # wrong too, but the block refuses the output before the feedback check
         (
             lambda x1, x2: frozenset((x1, x2 + 2)) if x1 != x2 else frozenset((x1,)),
-            r"^output frozenset\(\{1, 4\}\) at position 0 of the block "
-            r"is not a 1- or 2-element subset of \[1, 2\]$",
+            _not_a_subset("frozenset({1, 4})"),
         ),
+        # each of these escaped the block as a raw TypeError or ValueError (the
+        # first three) or got "pair output at a symbol position" (the list):
+        # the block reads each output through the decoder's table before any other test
+        (lambda x1, x2: None, _not_a_subset("None")),
+        (lambda x1, x2: frozenset() if x1 != x2 else frozenset((x1,)),
+         _not_a_subset("frozenset()")),
+        (lambda x1, x2: frozenset((x1, x2, 3)) if x1 != x2 else frozenset((x1,)),
+         _not_a_subset("frozenset({1, 2, 3})")),
+        (lambda x1, x2: [x1, x2], _not_a_subset("[1, 2]")),
     ],
-    ids=["shows-x1", "shows-x2", "flips-x2", "flips-singletons", "pair-outside-alphabet"],
+    ids=[
+        "shows-x1", "shows-x2", "flips-x2", "flips-singletons", "pair-outside-alphabet",
+        "none", "empty-pair", "three-element-pair", "list",
+    ],
 )
 def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, message):
     monkeypatch.setattr(codec, "channel", faulty_channel)
@@ -911,6 +966,23 @@ def test_session_steps_check_feedback_and_the_use_bound_without_simulate(monkeyp
         state = run_block(new_session(params, w1=(1, 2), w2=(2, 2)))
         with pytest.raises(ProtocolViolation, match="^channel-use bound exceeded$"):
             run_final_block(state)
+
+
+def test_run_final_block_refuses_an_output_other_than_the_sent_digit(monkeypatch):
+    # after a correct block the one resolution use sends digit 1; the step API
+    # once accepted each of these outputs
+    params = CodeParams(q=2, n=3, m=2, blocks=1)
+    for output in (frozenset((1, 2)), None, frozenset((2,))):
+        state = run_block(new_session(params, w1=(1, 2), w2=(2, 2)))
+        with monkeypatch.context() as patch:
+            patch.setattr(codec, "channel", lambda x1, x2: output)
+            message = f"^{re.escape(f'resolution output {output!r} is not {{1}}')}$"
+            with pytest.raises(ProtocolViolation, match=message):
+                run_final_block(state)
+    # the wrong singleton, last on record, makes a transcript of the two
+    # messages swapped between the senders
+    decoded = decode_transcript(params, state.transcript)
+    assert (decoded.w1, decoded.w2) == ((2, 2), (1, 2))
 
 
 @pytest.mark.parametrize(

@@ -23,6 +23,7 @@ from itertools import product
 
 import pytest
 
+from test_codec import _block_walked_back
 from union_channel import (
     STAR,
     CodeParams,
@@ -30,17 +31,9 @@ from union_channel import (
     decode_transcript,
     pattern_count,
     resolution_digits,
-    run_block,
     uncertainty_peak_bound,
 )
-from union_channel.codec import (
-    SessionState,
-    _consistent_below,
-    _encode,
-    _symbol_codes,
-    _walk_back,
-    uses_bound,
-)
+from union_channel.codec import _consistent_below, _encode, _symbol_codes, uses_bound
 
 # the decoder's refusals of a transcript of valid outputs, by message prefix
 REFUSALS = (
@@ -133,20 +126,14 @@ BLOCK_CODES = [(2, 2, 1), (2, 4, 3), (3, 3, 2), (2, 6, 4), (3, 4, 3), (4, 3, 2)]
 def test_block_step_is_inverted_by_the_walk_back(q, n, m):
     # from a set as large as the pattern space, every index a set can reach
     # and every pair of block digit strings: _walk_back returns all three
+    # (test_codec samples the same over every feasible code)
     params = CodeParams(q, n, m, 1)
     size = pattern_count(q, n, m)
-    table = _symbol_codes(q)
     blocks = list(product(range(1, q + 1), repeat=m))
     for index in range(uncertainty_peak_bound(n, m)):
         for w1 in blocks:
             for w2 in blocks:
-                state = run_block(
-                    SessionState(params, bytes(w1), bytes(w2), sizes=[size], index=index)
-                )
-                codes = bytes(map(table.__getitem__, state.transcript))
-                back = _walk_back(
-                    state.index, codes, state.transcript, codes.count(STAR), q, n, m
-                )
+                back = _block_walked_back(params, size, index, w1, w2)
                 assert back == (index, list(w1), list(w2))
 
 

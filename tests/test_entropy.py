@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -163,6 +165,16 @@ def test_an_int_range_refuses_as_check_int_then_check_between_did(value):
 def test_a_float_range_still_takes_an_int():
     check_between(0, 0.0, 1.0, "[0, 1]")
     check_between(1, 0.0, 1.0, "[0, 1]")
+
+
+@pytest.mark.parametrize(
+    "value", [0.5, np.float64(0.5), np.int64(1), Fraction(1, 2)],
+    ids=["float", "np-float64", "np-int64", "Fraction"],
+)
+def test_a_float_range_takes_any_real_number(value):
+    # past the float and int fast path, numbers.Real decides; a bool, a numpy
+    # bool and a Decimal are refused (rows in the refusal table)
+    check_between(value, 0.0, 1.0, "[0, 1]")
 
 
 class _Unprintable(float):

@@ -6,8 +6,8 @@ below the peak (inverse), and the steps from every set size fill exactly
 the sets they can land in (onto). Together they make decoding exact for any
 number of blocks, by induction over the blocks. Prints each check's case
 count and time, and exits 1 if any check fails:
-``PYTHONPATH=src python tools/block_certificate.py`` (it needs pytest, which
-the test module imports).
+``PYTHONPATH=src python tools/block_certificate.py`` (it needs pytest and
+Hypothesis, which the test modules import).
 """
 
 import sys
