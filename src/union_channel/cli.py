@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import importlib.util
 import json
 import math
@@ -51,18 +50,14 @@ def _emit_rows(headers: list[str], rows: list[dict], fmt: str) -> None:
         out.write("  ".join(row[h].ljust(widths[h]) for h in headers).rstrip() + "\n")
 
 
-def _emit_fields(row: dict, labels: dict, width: int) -> None:
-    # human layout for a single record: one "label value" line per field
+def _emit_record(row: dict, fmt: str, width: int, labels: dict) -> None:
+    # one record: "label value" lines for humans, a one-row csv or jsonl otherwise
+    if fmt != "table":
+        _emit_rows(list(row), [row], fmt)
+        return
     for key, value in row.items():
         sys.stdout.write(f"{labels.get(key, key):<{width}}{_fmt5(value)}\n")
 
-
-def _record_row(record) -> dict:
-    # shallow: every field is a scalar, so dataclasses.asdict's deep copy is waste
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-
-
-_CAPACITY_HEADERS = [f.name for f in dataclasses.fields(capacity.CapacityReport)]
 
 _CAPACITY_LABELS = {
     "r_no_feedback": "R(E)",
@@ -74,20 +69,13 @@ _CAPACITY_LABELS = {
 
 def _cmd_capacity(args) -> int:
     report = capacity.avg_feedback_capacity(args.q)
-    row = _record_row(report)
-    if args.format == "table":
-        _emit_fields(row, _CAPACITY_LABELS, 20)
-    else:
-        _emit_rows(_CAPACITY_HEADERS, [row], args.format)
+    _emit_record(vars(report), args.format, 20, _CAPACITY_LABELS)
     return 0
 
 
 def _cmd_table(args) -> int:
-    rows = [
-        _record_row(capacity.avg_feedback_capacity(q))
-        for q in range(2, args.q_max + 1)
-    ]
-    _emit_rows(_CAPACITY_HEADERS, rows, args.format)
+    rows = [vars(capacity.avg_feedback_capacity(q)) for q in range(2, args.q_max + 1)]
+    _emit_rows(list(rows[0]), rows, args.format)
     return 0
 
 
@@ -173,10 +161,7 @@ def _cmd_lemma(args) -> int:
         "tolerance": tolerance,
         "status": status,
     }
-    if args.format == "table":
-        _emit_fields(row, {}, 14)
-    else:
-        _emit_rows(list(row), [row], args.format)
+    _emit_record(row, args.format, 14, {})
     return 0 if ok else 1
 
 
@@ -200,7 +185,7 @@ def _cmd_codec(args) -> int:
         for line in codec.report_jsonl_lines(report):
             sys.stdout.write(line + "\n")
     elif args.format == "csv":
-        rows = [_record_row(r) for r in report.records]
+        rows = [vars(r) for r in report.records]
         _emit_rows(list(rows[0]), rows, "csv")
     else:
         check = codec.validate_params(params.q, params.n, params.m)
@@ -217,7 +202,7 @@ def _cmd_codec(args) -> int:
             "achieved_rate": report.achieved_rate,
             "zero_error": "yes" if report.errors == 0 else "VIOLATED",
         }
-        _emit_fields(row, {}, 21)
+        _emit_record(row, "table", 21, {})
     return 0 if report.errors == 0 else 1
 
 

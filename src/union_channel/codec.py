@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator, Sequence
@@ -575,8 +575,10 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
     table = _symbol_codes(q)
     try:  # the accepting path: C-level passes over the outputs and their elements
         codes = bytes(map(table.__getitem__, transcript))
-        frozensets = {*map(type, transcript)} <= {frozenset}
-        valid = frozensets and {*map(type, chain.from_iterable(transcript))} <= {int}
+        # one type pass over outputs and elements: an output equal to a table
+        # key cannot be an int, and none of its elements can be a frozenset
+        types = {*map(type, chain(transcript, chain.from_iterable(transcript)))}
+        valid = types <= {frozenset, int}
     except (KeyError, TypeError):  # not a valid output, or not even hashable
         valid = False
     if not valid:  # find the first bad output to name it
@@ -752,12 +754,10 @@ def report_jsonl_lines(report: SimulationReport) -> Iterator[str]:
     """
     if not isinstance(report, SimulationReport):
         raise _wrong_type("report", report, "a SimulationReport")
-    summary = {"summary": True, **asdict(report.params)}
-    for f in fields(report):
-        if f.name not in ("params", "records"):
-            summary[f.name] = getattr(report, f.name)
-    summary["max_uncertainty"] = str(report.max_uncertainty)
-    trials = (json.dumps({**asdict(r), "max_uncertainty": str(r.max_uncertainty)})
+    summary = {"summary": True, **vars(report.params), **vars(report),
+               "max_uncertainty": str(report.max_uncertainty)}
+    del summary["params"], summary["records"]
+    trials = (json.dumps({**vars(r), "max_uncertainty": str(r.max_uncertainty)})
               for r in report.records)
     return chain(trials, [json.dumps(summary)])
 

@@ -547,6 +547,7 @@ def _round_trip(params, w1, w2):
     assert decoded.w2 == tuple(w2)
     assert {type(d) for d in decoded.w1 + decoded.w2} == {int}
     assert decoded.sizes == tuple(state.sizes)
+    assert state.max_uncertainty <= uncertainty_peak_bound(params.n, params.m)
 
 
 @pytest.mark.parametrize(
@@ -605,6 +606,11 @@ SEEDS = st.integers(0, 2**32 - 1)
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_round_trip_property_feasible_params(params, seed, same):
     _round_trip(params, *_messages(params, random.Random(seed), same))
+    # and through simulate: its own digit draws, both checks and its report
+    report = simulate(params, trials=2, seed=seed)
+    assert report.errors == 0
+    assert report.max_uncertainty <= uncertainty_peak_bound(params.n, params.m)
+    assert all(r.uses <= report.uses_bound for r in report.records)
 
 
 @given(_feasible_params(3), SEEDS, st.integers(-1, 2))
