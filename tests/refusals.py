@@ -27,6 +27,7 @@ from union_channel import (
     two_level_monotonicity, two_level_point, two_level_value, uncertainty_peak_bound,
     unrank_pattern, validate_params,
 )
+from union_channel.capacity import MAX_WITNESS_ALPHABET
 from union_channel.codec import (MAX_BLOCK_LENGTH, MAX_BLOCKS, MAX_CODEC_ALPHABET, MAX_TRIALS,
                                  MAX_WORKERS, _encode)
 from union_channel.entropy import (MAX_ALPHABET, check_alphabet, check_between, check_count,
@@ -233,7 +234,12 @@ CAPACITY = _rows(NEW, [
     # top_symbol_mass raised TypeError
     ("max_joint_entropy-Decimal", lambda: max_joint_entropy(Decimal("0.5"), 3),
      "theta must lie in [1/q, 1], got Decimal('0.5')"),
-]) + _rows("test_capacity::test_top_mass_domain", [
+]) + _rows(NEW, [  # fast: the witness would first build a q * q pair marginal
+    # q = 10**6 raised MemoryError
+    *((id, lambda q=q: cover_leung_witness(q, 1 / q),
+       f"alphabet size must lie in [2, {MAX_WITNESS_ALPHABET}], got {q}") for id, q in [
+        ("witness-past-cap", MAX_WITNESS_ALPHABET + 1), ("witness-q-1e6", 10**6)]),
+], fast=True) + _rows("test_capacity::test_top_mass_domain", [
     ("", lambda: top_symbol_mass(0.1, 3), "theta must lie in [1/q, 1], got 0.1"),
     ("", lambda: top_symbol_mass(1.1, 3), "theta must lie in [1/q, 1], got 1.1"),
 ]) + _rows("test_capacity::test_envelope_line_domain", [  # the first beyond the tangent point

@@ -1,7 +1,11 @@
 import dataclasses
 import math
+from functools import reduce
+from itertools import product
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from test_refusals import kept_tests
 from union_channel import (
@@ -10,6 +14,7 @@ from union_channel import (
     case_discriminant,
     concave_envelope,
     cover_leung_witness,
+    entropy_q,
     envelope_line,
     grid_max_joint_entropy,
     max_joint_entropy,
@@ -363,6 +368,38 @@ def test_witness_total_mass_and_conditional_independence():
                     assert witness.joint[(u, v, x1, x2)] == pytest.approx(
                         m1 * m2 / p_uv, abs=1e-12
                     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 12).flatmap(
+    lambda q: st.tuples(st.just(q), st.floats(1.0 / q, 2.0 / (q + 1)))))
+def test_witness_is_a_pass_over_its_own_joint(case):
+    # every value summed from the joint's entries one by one, in (u, v) order and
+    # from 0.0, as the witness promises; only p_uv is read off the envelope
+    q, theta = case
+    witness = cover_leung_witness(q, theta)
+    joint = witness.joint
+    symbols = range(1, q + 1)
+    atoms = [(u, v, weight / q)
+             for u, (weight, _) in enumerate(concave_envelope(theta, q).support)
+             if weight > 0.0
+             for v in symbols]
+
+    marginal = {pair: reduce(add, (joint[(u, v, *pair)] for u, v, _ in atoms), 0.0)
+                for pair in product(symbols, symbols)}
+    assert marginal == witness.pair_marginal
+
+    def conditional_entropy(cell):  # cell(x, y) is the (x1, x2) pair summed over y
+        return reduce(add, (
+            p_uv * entropy_q([reduce(add, (joint[(u, v, *cell(x, y))] for y in symbols), 0.0)
+                              / p_uv for x in symbols], q)
+            for u, v, p_uv in atoms), 0.0)
+
+    assert conditional_entropy(lambda x, y: (x, y)) == witness.h_x1_given_u
+    assert conditional_entropy(lambda x, y: (y, x)) == witness.h_x2_given_u
+    output = [marginal[(i, j)] if i == j else marginal[(i, j)] + marginal[(j, i)]
+              for i in symbols for j in symbols if j >= i]
+    assert entropy_q(output, q) == witness.h_output
 
 
 def test_witness_independent_uniform_at_left_endpoint():
