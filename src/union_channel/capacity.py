@@ -174,7 +174,7 @@ def avg_feedback_capacity(q: int) -> CapacityReport:
     # strict, as in the paper: r_no_feedback and r lie within 1 and 2 ulps of their
     # true values up to the cap (50-digit cross-checks), so a true gain above 3 ulps
     # orders them; the smallest, (1 - ln 2) / (2 q ln q) at q = MAX_ALPHABET, is
-    # 5.6e-15, about 50 ulps of r. r_zero_error_lower (within 1e-12) lies 0.06 or more below
+    # 5.6e-15, about 50 ulps of r. r_zero_error_lower (within 1e-12) lies 7e-5 or more below
     if not (report.r_zero_error_lower < r and report.r_no_feedback < r):
         raise RuntimeError(f"rate ordering violated for q={q}: {report}")
     return report
@@ -228,6 +228,10 @@ class CoverLeungWitness:
     h_output: float
     pair_marginal: dict[tuple[int, int], float]
     symmetric_rate: float
+
+    def __post_init__(self) -> None:  # built directly, it meets cover_leung_witness's cap too
+        check_alphabet(self.q)
+        check_between(self.q, 2, MAX_WITNESS_ALPHABET, name="alphabet size")
 
     @cached_property
     def joint(self) -> dict[tuple[int, int, int, int], float]:

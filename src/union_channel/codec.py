@@ -25,8 +25,8 @@ the symbol of a singleton, STAR (0) for a pair. A star pattern is allowed
 by a block iff it stars every pair and shows the code wherever else it has
 no star, so the survivor walk, the encoder's rank walk and the decoder's
 walk back run over bytes. Both parties read the codes from one cached per-q
-table: the encoder each output as it arrives, refusing one the table does
-not hold, the decoder a whole transcript.
+table, which stores each pair output when it is first read: the encoder each
+output as it arrives, the decoder a whole transcript.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product
@@ -270,15 +271,19 @@ def channel(x1: int, x2: int) -> Output:
     return frozenset((x1, x2))
 
 
-@lru_cache(maxsize=4)  # 8 MiB a table at q=255; a run uses one alphabet
-def _symbol_codes(q: int) -> dict[Output, int]:
-    # the q(q+1)/2 outputs of the channel over [1, q], built without calling
-    # it, each with its code: the symbol of a singleton, STAR for a pair
-    return {
-        frozenset((a, b)): STAR if a != b else a
-        for a in range(1, q + 1)
-        for b in range(a, q + 1)
-    }
+class _SymbolCodes(dict):
+    # the outputs over [1, q] met so far, with codes: a singleton's symbol, STAR for a pair
+    def __init__(self, q: int) -> None:
+        self.alphabet = frozenset(range(1, q + 1))
+        super().__init__((frozenset((a,)), a) for a in range(1, q + 1))
+
+    def __missing__(self, y: Output) -> int:  # a pair, stored when it is first read
+        if isinstance(y, frozenset) and len(y) == 2 and y <= self.alphabet:
+            return self.setdefault(y, STAR)
+        raise KeyError(y)
+
+
+_symbol_codes = lru_cache(maxsize=4)(_SymbolCodes)  # a run uses one alphabet
 
 
 def _consistent_below(
@@ -455,8 +460,8 @@ def run_block(state: SessionState) -> SessionState:
                 raise ProtocolViolation("pair output at a symbol position" if c == STAR else
                                         "true message prefix missing from uncertainty set")
         elif c != STAR:  # feedback: each sender deduces the other's digit from the output
-            known_1.append(x1)
-            known_2.append(x2)
+            known_1.append(c)
+            known_2.append(c)
         else:
             a, b = y
             known_1.append(b if a == x1 else a)
@@ -585,8 +590,9 @@ def decode_transcript(params: CodeParams, transcript: Sequence[Output]) -> Decod
         for pos, y in enumerate(transcript):
             # a set or list equal to a valid output is refused too, not hashed,
             # and so is a frozenset holding a bool or a float equal to a digit
-            if type(y) is frozenset and y in table and {*map(type, y)} == {int}:
-                continue
+            with suppress(KeyError):  # read through the table's lookup, as the accepting path does
+                if type(y) is frozenset and {*map(type, y)} == {int} and table[y] is not None:
+                    continue
             try:
                 shown = _shown(sorted(y))
             except TypeError:  # not iterable, or elements without an order

@@ -27,7 +27,7 @@ from union_channel import (
     two_level_monotonicity, two_level_point, two_level_value, uncertainty_peak_bound,
     unrank_pattern, validate_params,
 )
-from union_channel.capacity import MAX_WITNESS_ALPHABET
+from union_channel.capacity import MAX_WITNESS_ALPHABET, CoverLeungWitness
 from union_channel.codec import (MAX_BLOCK_LENGTH, MAX_BLOCKS, MAX_CODEC_ALPHABET, MAX_TRIALS,
                                  MAX_WORKERS, _encode)
 from union_channel.entropy import (MAX_ALPHABET, check_alphabet, check_between, check_count,
@@ -239,6 +239,9 @@ CAPACITY = _rows(NEW, [
     *((id, lambda q=q: cover_leung_witness(q, 1 / q),
        f"alphabet size must lie in [2, {MAX_WITNESS_ALPHABET}], got {q}") for id, q in [
         ("witness-past-cap", MAX_WITNESS_ALPHABET + 1), ("witness-q-1e6", 10**6)]),
+    # built directly it skipped the cap: its first joint read would fill 2 * q**3 entries
+    ("witness-built-directly", lambda: CoverLeungWitness(1000, 0.001, 0.0, 0.0, 0.0, {}, 0.0),
+     f"alphabet size must lie in [2, {MAX_WITNESS_ALPHABET}], got 1000"),
 ], fast=True) + _rows("test_capacity::test_top_mass_domain", [
     ("", lambda: top_symbol_mass(0.1, 3), "theta must lie in [1/q, 1], got 0.1"),
     ("", lambda: top_symbol_mass(1.1, 3), "theta must lie in [1/q, 1], got 1.1"),

@@ -10,7 +10,7 @@ import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -148,11 +148,15 @@ def test_pattern_tables_are_held_for_a_bounded_number_of_alphabets():
 
 
 def test_symbol_code_tables_are_held_for_a_bounded_number_of_alphabets():
-    # one table of q(q+1)/2 outputs a q, about 8 MiB at q=255, once kept for good
+    # a table once held all q(q+1)/2 outputs, about 8 MiB at q=255, built before
+    # the first block; and one table a q was once kept for good
     maxsize = codec._symbol_codes.cache_parameters()["maxsize"]
     assert maxsize is not None
+    codec._symbol_codes.cache_clear()
+    assert simulate(CodeParams(255, 64, 32, 1), trials=1).errors == 0
+    assert 255 < len(codec._symbol_codes(255)) < 255 * 256 // 2
     for q in range(2, maxsize + 10):
-        assert len(codec._symbol_codes(q)) == q * (q + 1) // 2
+        codec._symbol_codes(q)
     assert codec._symbol_codes.cache_info().currsize <= maxsize
 
 
@@ -955,6 +959,48 @@ def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, mes
     monkeypatch.setattr(codec, "channel", faulty_channel)
     with pytest.raises(ProtocolViolation, match=message):
         simulate(CodeParams(q=2, n=17, m=13, blocks=3), trials=1)
+
+
+def test_a_wrong_singleton_at_one_star_is_caught(monkeypatch):
+    # use 0 is a star where both senders sent 1, and the channel shows {2} there
+    # only. Each sender once took its own digit for the other's, so every check
+    # passed and the transcript decoded to w1 = (2, 1, 2, ...), w2 = (2, 2, 2, ...)
+    params = CodeParams(q=2, n=5, m=3, blocks=3)
+    w1, w2 = (1, 1, 2, 2, 1, 1, 2, 2, 1), (1, 2, 2, 2, 1, 1, 1, 2, 1)
+    uses = count()
+    monkeypatch.setattr(
+        codec, "channel", lambda x1, x2: frozenset((2,) if next(uses) == 0 else (x1, x2)))
+    with pytest.raises(ProtocolViolation, match="^sender 1 mis-deduced the other message$"):
+        _encode(params, w1, w2)
+
+
+# outputs that are no 1- or 2-element subset of [1, q], at any q the codec takes
+NON_OUTPUTS = [None, frozenset(), frozenset({0}), frozenset({1, 2, 3}), frozenset({256})]
+
+
+@given(_feasible_params(3), SEEDS, st.booleans(), st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_a_faulty_channel_is_caught_or_changes_nothing(params, seed, same, data):
+    # at 1-3 uses the channel shows the true output, any 1- or 2-element subset of
+    # [1, q], or a non-output: the senders' checks refuse any change, and an
+    # unchanged transcript decodes to the messages. With one message twice every
+    # star sees equal digits, where a wrong singleton once went unseen
+    w1, w2 = _messages(params, random.Random(seed), same)
+    true = _encode(params, w1, w2).transcript
+    uses = data.draw(st.sets(st.integers(0, len(true) - 1), min_size=1, max_size=3))
+    shown = st.one_of(st.frozensets(st.integers(1, params.q), min_size=1, max_size=2),
+                      st.sampled_from(NON_OUTPUTS))
+    faults = {use: data.draw(st.just(true[use]) | shown) for use in sorted(uses)}
+    calls = count()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "channel", lambda x1, x2: faults.get(next(calls), channel(x1, x2)))
+        if any(output != true[use] for use, output in faults.items()):
+            with pytest.raises(ProtocolViolation):
+                _encode(params, w1, w2)
+            return
+        transcript = _encode(params, w1, w2).transcript
+    decoded = decode_transcript(params, transcript)
+    assert (decoded.w1, decoded.w2) == (tuple(w1), tuple(w2))
 
 
 def test_session_steps_check_feedback_and_the_use_bound_without_simulate(monkeypatch):

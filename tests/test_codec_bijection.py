@@ -141,8 +141,10 @@ def test_block_step_is_inverted_by_the_walk_back(q, n, m):
 def test_block_step_fills_every_set_it_can_land_in(q, n, m):
     # the step is injective (above), so new sizes summing to s * q^(2m) over
     # all block outputs mean it reaches every index of every set: the decoder
-    # accepts no block the encoder cannot send
-    codes = [bytes(c) for c in product(_symbol_codes(q).values(), repeat=n)]
+    # accepts no block the encoder cannot send. The channel's outputs are read
+    # through the table, which holds only those met so far
+    outputs = [channel(a, b) for a in range(1, q + 1) for b in range(a, q + 1)]
+    codes = [bytes(c) for c in product(map(_symbol_codes(q).__getitem__, outputs), repeat=n)]
     assert len(codes) == (q * (q + 1) // 2) ** n
     for s in range(1, uncertainty_peak_bound(n, m) + 1):
         total = 0

@@ -16,7 +16,14 @@ shows, so these claims hold at every q in their range, not only at samples:
 - at q = 2, 3 and 4 the crossing of the concave envelope with the output
   entropy on [1/q, 2/(q+1)] is enclosed to 1e-30 by bisection on interval
   signs, and with it theta_star and r_feedback; ``avg_feedback_capacity``
-  lies within ``bisect_root``'s 1e-11 of both enclosures.
+  lies within ``bisect_root``'s 1e-11 of both enclosures;
+- the zero-error rate lies below r_feedback at every q in [2, 10**12]. The
+  rate root, where H_b(a) + (1 - a) log2 q - 1 falls through 0 on [1/2, 1],
+  is enclosed by bisection on interval signs at q = 2, 3, 4 and 5, below the
+  enclosures of r_feedback. On every real q in [6, 10**12] the rate function
+  is negative at r_feedback's lower bound, so the root lies below it. Between
+  5 and 6 the real margin falls to about 5e-11 (near q = 5.47), so q = 5 is
+  taken alone; at integer q it is smallest there, 7.07e-5.
 
 All are written here from their definitions, not from ``capacity``, and are
 checked against the 50-digit definitions of the envelope and the output
@@ -27,14 +34,16 @@ import math
 
 import pytest
 
-from union_channel import avg_feedback_capacity, case_discriminant
+from union_channel import avg_feedback_capacity, case_discriminant, rate_root
 from union_channel.entropy import MAX_ALPHABET
 
 mpmath = pytest.importorskip("mpmath")
 iv = type(mpmath.iv)()  # a context of our own: its precision is not mpmath.iv's
 iv.prec = 113
 
-from test_mpmath_crosscheck import _chord, _envelope, _output_entropy, _root, mp  # noqa: E402
+from test_mpmath_crosscheck import (  # noqa: E402
+    _chord, _envelope, _output_entropy, _rate_root, _root, mp,
+)
 
 GAIN_MARGIN = 24.5 * 2**-53
 # case_discriminant's float rounding: a few ops on terms below 10 (1.34 units seen)
@@ -42,6 +51,7 @@ DISCRIMINANT_FLOAT_ERROR = 4 * 2**-53
 # bisect_root stops once its bracket is 1e-12 wide (871-3539 ulps seen at q = 2..4)
 ROOT_FLOAT_ERROR = 1e-11
 ROOT_WIDTH = 1e-30
+RATE_WIDTH = 1e-15  # below rate_root's float error: its bisection stops at 1e-12
 
 
 def _discriminant(ctx, q):
@@ -106,6 +116,39 @@ def _root_enclosures(q):
     return theta, _envelope_nats(iv, theta, n) / (2 * iv.log(n))
 
 
+def _rate_gap(ctx, a, q):
+    # ln 2 * (H_b(a) + (1 - a) log2 q - 1): it falls in a on [1/2, 1) and rises in q
+    return -(a * ctx.log(a) + (1 - a) * ctx.log(1 - a)) + (1 - a) * ctx.log(q) - ctx.log(2)
+
+
+def _peak_rate(ctx, q):
+    # r_feedback from q = 5 on: ln(q(q+1)/2) / (2 ln q), the output uniform at
+    # theta = 2/(q+1), written with q once in each log so a box's bounds stay tight
+    return 1 - ctx.log(2 - 2 / (q + 1)) / (2 * ctx.log(q))
+
+
+def _rate_root_enclosure(q, width):
+    """An interval holding the rate root at every real q in the interval ``q``.
+
+    Each end is bisected on [1/2, 0.999] to ``width``: the lower one below the
+    last point where the rate function's sign shows positive on all of ``q``,
+    the upper one above the last point where it does not show negative.
+    """
+
+    def bisect(sure):
+        # a bracket of ``width`` around where ``sure`` stops holding
+        lo, hi = iv.mpf(0.5), iv.mpf(0.999)
+        assert sure(lo) and not sure(hi)
+        while hi - lo > width:
+            mid = ((lo + hi) / 2).mid
+            lo, hi = (mid, hi) if sure(mid) else (lo, mid)
+        return lo, hi
+
+    lower, _ = bisect(lambda a: _rate_gap(iv, a, q).a > 0)
+    _, upper = bisect(lambda a: not _rate_gap(iv, a, q).b < 0)
+    return iv.mpf([lower.a, upper.b])
+
+
 def _certify(lo, hi, holds):
     """Split [lo, hi] until ``holds`` is true on each box.
 
@@ -143,6 +186,7 @@ def test_certified_forms_match_the_definitions_at_50_digits(q):
     if q >= 5:
         gain = (_output_entropy(theta, q) - _output_entropy(1 / mp.mpf(q), q)) / 2
         assert abs(_gain(mp, mp.mpf(q)) - gain) < mp.mpf(10) ** -45
+        assert abs(_peak_rate(mp, mp.mpf(q)) - _output_entropy(theta, q) / 2) < mp.mpf(10) ** -45
 
 
 @pytest.mark.parametrize("q", range(3, 101))
@@ -163,3 +207,24 @@ def test_feedback_rate_and_its_maximizer_lie_near_their_enclosures(q):
     hi = mp.mpf(2) / (q + 1)
     reference = _root(lambda t: _envelope(t, q) - _output_entropy(t, q), mp.mpf(1) / q, hi)
     assert theta.a - mp.mpf(10) ** -40 <= reference <= theta.b + mp.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_rate_root_lies_below_the_feedback_rate_at_q_2_to_5(q):
+    rate = _root_enclosures(q)[1] if q < 5 else _peak_rate(iv, iv.mpf(q))
+    assert _rate_root_enclosure(iv.mpf(q), RATE_WIDTH).b < rate.a
+
+
+def test_rate_root_lies_below_the_feedback_rate_on_every_real_q_from_6_to_the_cap():
+    # the rate function falls in a, so a negative sign at r_feedback's lower
+    # bound puts the root below r_feedback at every q of the box
+    _certify(6.0, float(MAX_ALPHABET), lambda q: _rate_gap(iv, _peak_rate(iv, q).a, q).b < 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 16, 255, 10**6, MAX_ALPHABET])
+def test_rate_root_lies_near_its_enclosure(q):
+    root = _rate_root_enclosure(iv.mpf(q), RATE_WIDTH)
+    assert root.delta <= 2 * RATE_WIDTH
+    assert root.a - ROOT_FLOAT_ERROR <= rate_root(q) <= root.b + ROOT_FLOAT_ERROR
+    # the 50-digit findroot reference agrees with the enclosure
+    assert root.a - mp.mpf(10) ** -40 <= _rate_root(q) <= root.b + mp.mpf(10) ** -40
