@@ -7,8 +7,8 @@ cross-checks the entropy-maximization machinery behind it with independent
 brute-force oracles, and runs an executable zero-error feedback coding
 scheme with full decoding and rate accounting.
 
-This namespace re-exports the functions; result and error types such as
-``CapacityReport`` or ``ProtocolViolation`` are imported from their modules.
+This namespace re-exports the public functions, ``CodeParams`` and ``STAR``; result
+and error types such as ``CapacityReport`` are imported from their modules.
 """
 
 from .capacity import (
@@ -26,15 +26,12 @@ from .capacity import (
 from .codec import (
     STAR,
     CodeParams,
-    advance_uncertainty,
-    asymptotic_rate_lower_bound,
     best_params,
     channel,
     decode_transcript,
     new_session,
     pattern_count,
     rank_pattern,
-    rate_root,
     report_jsonl_lines,
     resolution_digits,
     run_block,
@@ -44,7 +41,7 @@ from .codec import (
     unrank_pattern,
     validate_params,
 )
-from .entropy import binary_entropy, entropy_q, grouped_entropy
+from .entropy import binary_entropy, entropy_q, grouped_entropy, rate_root
 from .oracle import (
     grid_max_joint_entropy,
     interpolate_to_theta,

@@ -23,8 +23,8 @@ from itertools import chain, product
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .codec import rate_root
-from .entropy import bisect_root, check_alphabet, check_between, entropy_q, grouped_entropy
+from .entropy import (bisect_root, check_alphabet, check_between, entropy_q, grouped_entropy,
+                      rate_root)
 
 CASE_CURVE_INTERSECTION = "curve_intersection"
 CASE_CHORD_INTERSECTION = "chord_intersection"

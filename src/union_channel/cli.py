@@ -21,7 +21,7 @@ import sys
 from typing import NoReturn, Sequence
 
 from . import capacity, codec, oracle
-from .entropy import MAX_ALPHABET
+from .entropy import DEFAULT_SEED, MAX_ALPHABET, rate_root
 
 THREADS_ENV = "UNION_CHANNEL_THREADS"
 
@@ -120,7 +120,7 @@ def _cmd_lemma(args) -> int:
         if refused:
             return _refuse(kind, reason)
 
-    seed = oracle.DEFAULT_SEED if args.seed is None else args.seed
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     grid_value = sampler_value = None
     if has_grid:
         try:  # the grid refuses a step out of its own range before it runs
@@ -207,12 +207,9 @@ def _cmd_codec(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    root = codec.rate_root(args.q)
-    choices = codec.best_params(args.q, args.n_max)
-    rows = [
-        {"n": c.n, "m": c.m, "rate": c.rate, "gap_to_root": c.rate - root}
-        for c in choices
-    ]
+    root = rate_root(args.q)
+    rows = [{"n": c.n, "m": c.m, "rate": c.rate, "gap_to_root": c.rate - root}
+            for c in codec.best_params(args.q, args.n_max)]
     _emit_rows(["n", "m", "rate", "gap_to_root"], rows, args.format)
     if args.format == "jsonl":
         sys.stdout.write(
@@ -304,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=block_length, required=True)
     p.add_argument("--B", type=_number(int, 1, codec.MAX_BLOCKS), required=True)
     p.add_argument("--trials", type=_number(int, 1, codec.MAX_TRIALS), default=100)
-    p.add_argument("--seed", type=_number(int, 0), default=codec.DEFAULT_SEED)
+    p.add_argument("--seed", type=_number(int, 0), default=DEFAULT_SEED)
     add_common(p)
     p.set_defaults(func=_cmd_codec)
 

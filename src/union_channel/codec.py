@@ -14,7 +14,8 @@ singleton the receiver can check); at the i-th star each sender transmits
 its own next message digit. A short final round transmits the rank of the
 true pair inside the last uncertainty set, resolving it completely. With a
 feasible (q, n, m) the decoder's set never outgrows the pattern space and
-decoding is exact, never merely probable.
+decoding is exact, never merely probable. The best rate m/n lies below
+``entropy.rate_root(q)`` and nears it as n grows.
 
 Digits are 1..q and are stored in ``bytes`` (one digit per byte), so the
 alphabet is capped at 255 here. The uncertainty set is never stored: each
@@ -40,10 +41,8 @@ from functools import lru_cache
 from itertools import chain, product
 from typing import Iterator, Sequence
 
-from .entropy import (
-    DEFAULT_SEED, _shown, bisect_root, check_alphabet, check_between, check_count, check_int,
-    unchecked_binary_entropy,
-)
+from .entropy import DEFAULT_SEED, _shown, check_alphabet, check_between, check_count, check_int
+from .entropy import bisect_root, rate_root  # unread: the tracer in perfbench/spans.py wraps both
 
 STAR = 0
 MAX_CODEC_ALPHABET = 255  # codec digits are stored one per byte
@@ -132,12 +131,8 @@ def survivor_bound(n: int, m: int, pair_count: int) -> int:
 
 def uses_bound(params: CodeParams) -> int:
     """Worst-case total channel uses: blocks*n + n - m + ceil(log_q C(n, m))."""
-    return (
-        params.blocks * params.n
-        + params.n
-        - params.m
-        + resolution_digits(math.comb(params.n, params.m), params.q)
-    )
+    n, m = params.n, params.m
+    return params.blocks * n + n - m + resolution_digits(math.comb(n, m), params.q)
 
 
 def resolution_digits(size: int, q: int) -> int:
@@ -268,7 +263,14 @@ _pattern_at = lru_cache(maxsize=1024)(unrank_pattern)  # full at n=64, q=255: 0.
 
 def channel(x1: int, x2: int) -> Output:
     """The union channel: both inputs go in, the unordered set comes out."""
-    return frozenset((x1, x2))
+    try:
+        return frozenset((x1, x2))
+    except TypeError:  # an input without a hash: x1 is named unless it hashes
+        name, bad = "x1", x1
+        with suppress(TypeError):
+            hash(x1)
+            name, bad = "x2", x2
+        raise _wrong_type(name, bad, "a hashable symbol") from None
 
 
 class _SymbolCodes(dict):
@@ -769,25 +771,7 @@ def report_jsonl_lines(report: SimulationReport) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# Rates and parameter search
-
-
-def rate_root(q: int) -> float:
-    """Root of H_b(a) + (1 - a) * log2(q) = 1 on (1/2, 1].
-
-    The left side is strictly decreasing there, so the root is unique; it is
-    the asymptotic rate of the scheme and a lower bound on the zero-error
-    feedback rate. Its steps lie in [1/2, 1] and skip ``binary_entropy``'s check.
-    """
-    check_alphabet(q)
-    lg = math.log2(q)
-    return bisect_root(lambda a: unchecked_binary_entropy(a) + (1.0 - a) * lg - 1.0, 0.5, 1.0)
-
-
-def asymptotic_rate_lower_bound(q: int) -> float:
-    """1 - 1/log2(q); a closed-form floor under :func:`rate_root` for large q."""
-    check_alphabet(q)
-    return 1.0 - 1.0 / math.log2(q)
+# Parameter search
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,10 @@
-"""Shannon entropy primitives in base q and base 2, a bisection root finder,
-and the package's numeric input rules, each written once: an int, an alphabet
-size, a count, an interval (``check_between``) and a probability vector (the
-one pass of :func:`grouped_entropy`, which ``validate_pmf`` runs). Entries must
-be nonnegative numbers summing to 1 within ``PROB_TOL``: inputs here come from
-closed forms, so a larger drift signals a bug upstream. An explicit branch
-applies ``0 * log 0 = 0``, so degenerate distributions never produce a NaN.
+"""Shannon entropy primitives in base q and base 2, a bisection root finder, the
+zero-error rate root built from both, and the package's numeric input rules, each
+written once: an int, an alphabet size, a count, an interval (``check_between``) and a
+probability vector (the one pass of :func:`grouped_entropy`, which ``validate_pmf``
+runs). Entries must be nonnegative numbers summing to 1 within ``PROB_TOL``: inputs
+here come from closed forms, so a larger drift signals a bug upstream. An explicit
+branch applies ``0 * log 0 = 0``, so degenerate distributions never produce a NaN.
 """
 
 from __future__ import annotations
@@ -196,3 +196,15 @@ def bisect_root(
         else:
             hi = mid
     raise RuntimeError(f"bracket [{lo}, {hi}] still wider than {tol} after 200 halvings")
+
+
+def rate_root(q: int) -> float:
+    """Root of H_b(a) + (1 - a) * log2(q) = 1 on (1/2, 1].
+
+    The left side is strictly decreasing there, so the root is unique; it is
+    the asymptotic rate of the scheme and a lower bound on the zero-error
+    feedback rate. Its steps lie in [1/2, 1] and skip ``binary_entropy``'s check.
+    """
+    check_alphabet(q)
+    lg = math.log2(q)
+    return bisect_root(lambda a: unchecked_binary_entropy(a) + (1.0 - a) * lg - 1.0, 0.5, 1.0)

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from union_channel import (
-    STAR, CodeParams, advance_uncertainty, avg_capacity_no_feedback, avg_feedback_capacity,
+    STAR, CodeParams, avg_capacity_no_feedback, avg_feedback_capacity,
     best_params, binary_entropy, case_discriminant, channel, concave_envelope,
     cover_leung_witness, decode_transcript, entropy_q, envelope_line, grid_max_joint_entropy,
     grouped_entropy, interpolate_to_theta, max_joint_entropy, new_session, output_entropy,
@@ -29,7 +29,7 @@ from union_channel import (
 )
 from union_channel.capacity import MAX_WITNESS_ALPHABET, CoverLeungWitness
 from union_channel.codec import (MAX_BLOCK_LENGTH, MAX_BLOCKS, MAX_CODEC_ALPHABET, MAX_TRIALS,
-                                 MAX_WORKERS, _encode)
+                                 MAX_WORKERS, _encode, advance_uncertainty)
 from union_channel.entropy import (MAX_ALPHABET, check_alphabet, check_between, check_count,
                                    validate_pmf)
 from union_channel.oracle import MAX_GRID_POINTS, MAX_SAMPLER_ENTRIES, FeasiblePair
@@ -277,6 +277,9 @@ CODEC = _rows(NEW, [
      "state must be a SessionState, got NoneType"),
     ("report_jsonl_lines-none", lambda: report_jsonl_lines(None),
      "report must be a SimulationReport, got NoneType"),
+    # each raised TypeError: unhashable type
+    ("channel-x1-list", lambda: channel([1], 2), "x1 must be a hashable symbol, got list"),
+    ("channel-x2-dict", lambda: channel(1, {}), "x2 must be a hashable symbol, got dict"),
 ]) + _rows("test_codec::test_code_params_rejects_infeasible", [
     ("", lambda: CodeParams(q=2, n=17, m=17, blocks=1),
      "infeasible (q=2, n=17, m=17): lhs=131072 rhs=1"),

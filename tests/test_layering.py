@@ -9,7 +9,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import union_channel
+from union_channel import capacity, codec, entropy
 
 PACKAGE_DIR = Path(union_channel.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -17,7 +20,7 @@ SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 EXPECTED_IMPORTS = {
     "entropy": set(),
     "codec": {"entropy"},
-    "capacity": {"entropy", "codec"},
+    "capacity": {"entropy"},
     "oracle": {"entropy"},
     "cli": {"entropy", "capacity", "codec", "oracle"},
 }
@@ -130,16 +133,59 @@ def test_refusal_texts_are_pinned_only_in_the_refusal_table():
     assert pinning <= {"refusals.py", "test_layering.py"}
 
 
-def test_every_name_the_benchmark_tracer_wraps_is_bound(monkeypatch):
-    # the traced benchmark run wraps each TARGETS entry by getattr and exits 1
-    # on a name the package no longer binds: a move or a rename fails here first
+def test_the_rate_root_and_its_solver_are_one_function_each():
+    # entropy defines both; capacity reads them, and codec binds them for the tracer
+    assert capacity.rate_root is codec.rate_root is entropy.rate_root
+    assert capacity.bisect_root is codec.bisect_root is entropy.bisect_root
+
+
+@pytest.fixture
+def spans(monkeypatch):
+    """perfbench/spans.py, loaded from its file without writing bytecode there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
-    spec.loader.exec_module(spans)
-    assert spans.TARGETS  # the loader found the list
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    assert module.TARGETS  # the loader found the list
+    return module
+
+
+def test_every_name_the_benchmark_tracer_wraps_is_bound(spans):
+    # the traced benchmark run wraps each TARGETS entry by getattr and exits 1
+    # on a name the package no longer binds: a move or a rename fails here first
     for module, attr, layer, *_ in spans.TARGETS:
         assert callable(getattr(module, attr, None)), (
             f"{module.__name__}.{attr} (traced as {layer}) is not bound"
         )
+
+
+def _unread_imports(path: Path) -> set[str]:
+    """Names the module binds with ``from ... import`` and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return bound - read
+
+
+def test_no_module_imports_a_name_it_does_not_read(spans):
+    # __init__ imports only to re-export; a name the tracer wraps by module
+    # attribute is bound for it alone, and goes when the tracer does
+    traced = {(module.__name__.rpartition(".")[2], attr) for module, attr, *_ in spans.TARGETS}
+    unread = {
+        (path.stem, name)
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "__init__"
+        for name in _unread_imports(path)
+    }
+    assert unread - traced == set()
+    assert unread == {("codec", "bisect_root"), ("codec", "rate_root")}
