@@ -27,7 +27,9 @@ by a block iff it stars every pair and shows the code wherever else it has
 no star, so the survivor walk, the encoder's rank walk and the decoder's
 walk back run over bytes. Both parties read the codes from one cached per-q
 table, which stores each pair output when it is first read: the encoder each
-output as it arrives, the decoder a whole transcript.
+output as it arrives, the decoder a whole transcript. The outputs themselves
+are shared immutable frozensets from a bounded memo behind ``channel`` that
+covers every ordered digit pair up to q = 64.
 """
 
 from __future__ import annotations
@@ -261,10 +263,19 @@ _pattern_at = lru_cache(maxsize=1024)(unrank_pattern)  # full at n=64, q=255: 0.
 # Channel and uncertainty evolution
 
 
+# Memo behind channel: equal inputs of equal types share one immutable output
+# (typed, so channel(1.0, 2) keeps its float). 4096 = 64**2 ordered digit
+# pairs, so every alphabet up to q = 64 runs without eviction; full, it holds
+# 1.48 MiB. A test that replaces channel replaces the memo with it.
+@lru_cache(maxsize=4096, typed=True)
+def _union(x1: int, x2: int) -> Output:
+    return frozenset((x1, x2))
+
+
 def channel(x1: int, x2: int) -> Output:
-    """The union channel: both inputs go in, the unordered set comes out."""
-    try:
-        return frozenset((x1, x2))
+    """The union channel: both inputs go in, the unordered set comes out, shared via ``_union``."""
+    try:  # the memo hashes its key first: an unhashable input raises here
+        return _union(x1, x2)
     except TypeError:  # an input without a hash: x1 is named unless it hashes
         name, bad = "x1", x1
         with suppress(TypeError):
@@ -434,6 +445,11 @@ def _check_feedback(state: SessionState, start: int, stop: int) -> None:
         raise ProtocolViolation("sender 2 mis-deduced the other message")
 
 
+def _not_an_output(y: object, pos: int, q: int) -> ProtocolViolation:
+    shown = f"output {_shown(y)} at position {pos} of the block is not"
+    return ProtocolViolation(f"{shown} a 1- or 2-element subset of [1, {q}]")
+
+
 def run_block(state: SessionState) -> SessionState:
     """Run one message block of ``n`` channel uses, update all parties and check them."""
     if not isinstance(state, SessionState):
@@ -455,8 +471,7 @@ def run_block(state: SessionState) -> SessionState:
         try:  # each output is read once, as it arrives
             codes.append(c := table[y])
         except (KeyError, TypeError):  # an output off the alphabet, or not even hashable
-            shown = f"output {_shown(y)} at position {len(codes)} of the block is not"
-            raise ProtocolViolation(f"{shown} a 1- or 2-element subset of [1, {q}]") from None
+            raise _not_an_output(y, len(codes), q) from None
         if s != STAR:
             if c != s:  # both senders sent s: a pair, or another singleton, rules it out
                 raise ProtocolViolation("pair output at a symbol position" if c == STAR else
@@ -466,8 +481,11 @@ def run_block(state: SessionState) -> SessionState:
             known_2.append(c)
         else:
             a, b = y
-            known_1.append(b if a == x1 else a)
-            known_2.append(b if a == x2 else a)
+            try:  # a lookalike pair such as {1.0, 2.0} passes the table but holds no digits
+                known_1.append(b if a == x1 else a)
+                known_2.append(b if a == x2 else a)
+            except TypeError:
+                raise _not_an_output(y, len(codes) - 1, q) from None
             child = (child << 1) | (x1 > x2)
     p = codes.count(STAR)
     size = _consistent_below(state.size, codes, p, q, n, m) << p

@@ -541,6 +541,10 @@ def test_the_decode_lookalikes_equal_the_outputs_they_replace():
 def test_channel_is_the_unordered_union():
     assert channel(1, 2) == frozenset((1, 2)) == channel(2, 1)
     assert channel(3, 3) == frozenset((3,))
+    # the memo behind channel is typed: equal inputs of other types are not
+    # answered with the memoized {1, 2}
+    assert {type(x) for x in channel(1.0, 2)} == {float, int}
+    assert {type(x) for x in channel(True, 2)} == {bool, int}
 
 
 def _round_trip(params, w1, w2):
@@ -817,9 +821,9 @@ def test_trial_work_is_linear_in_the_block_count(trial_work):
 
 
 # ---------------------------------------------------------------------------
-# the pattern memo of the block step
+# the pattern memo of the block step, and the output memo behind channel
 
-MEMOS = (codec._pattern_at,)
+MEMOS = (codec._pattern_at, codec._union)
 MEMO_CODES = [
     CodeParams(q=2, n=12, m=9, blocks=20),
     CodeParams(q=2, n=17, m=13, blocks=3),
@@ -834,7 +838,8 @@ def _clear_memos():
 
 
 def test_public_pattern_functions_stay_uncached():
-    for fn in (codec.unrank_pattern, codec.rank_pattern):
+    # channel stays a plain function, so a test that replaces it replaces its memo
+    for fn in (codec.unrank_pattern, codec.rank_pattern, codec.channel):
         assert not hasattr(fn, "cache_info")
     assert codec._pattern_at.__wrapped__ is codec.unrank_pattern
 
@@ -875,10 +880,12 @@ def test_simulate_with_memos_is_worker_independent():
 
 def test_full_pattern_memos_stay_within_4_mb():
     # worst case for the codec's alphabet and block length: n = 64, q = 255,
-    # one star (the largest ranks)
+    # one star (the largest ranks); the output memo holds every ordered digit
+    # pair up to q = 64, which is what fills it
     q, n, m = 255, 64, 1
     total = pattern_count(q, n, m)
     sizes = [memo.cache_info().maxsize for memo in MEMOS]
+    assert sizes[1] == 64**2
     unrank_pattern(0, q, n, m)  # the shared completion table is not a memo's
     _clear_memos()
     tracemalloc.start()
@@ -886,6 +893,8 @@ def test_full_pattern_memos_stay_within_4_mb():
         before = tracemalloc.get_traced_memory()[0]
         for i in range(sizes[0]):
             codec._pattern_at(total - 1 - i, q, n, m)
+        for x1, x2 in product(range(1, 65), repeat=2):
+            channel(x1, x2)
         held = tracemalloc.get_traced_memory()[0] - before
         assert [memo.cache_info().currsize for memo in MEMOS] == sizes
     finally:
@@ -948,10 +957,14 @@ def _not_a_subset(shown):
         (lambda x1, x2: frozenset((x1, x2, 3)) if x1 != x2 else frozenset((x1,)),
          _not_a_subset("frozenset({1, 2, 3})")),
         (lambda x1, x2: [x1, x2], _not_a_subset("[1, 2]")),
+        # a lookalike pair passes the table read (it equals {1, 2}) but holds no
+        # digits: it escaped the block as a raw TypeError from the deductions
+        (lambda x1, x2: frozenset((float(x1), float(x2))),
+         _not_a_subset("frozenset({1.0, 2.0})")),
     ],
     ids=[
         "shows-x1", "shows-x2", "flips-x2", "flips-singletons", "pair-outside-alphabet",
-        "none", "empty-pair", "three-element-pair", "list",
+        "none", "empty-pair", "three-element-pair", "list", "float-lookalike-pair",
     ],
 )
 def test_protocol_checks_catch_a_faulty_channel(monkeypatch, faulty_channel, message):
